@@ -19,7 +19,7 @@ from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, detect_convergence,
 from .metrics import RunTrace, avg_mse
 from .model import (GroundTruth, Measurement, MeasurementSet,
                     generate_measurements, generate_truth)
-from .netsim import NetworkModel, TimelineEvent, run_experiment
+from .netsim import TimelineEvent, run_experiment
 from .oracle import (FixedPointSystem, LinearSystem, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
                      mean_fixed_point, spectral_radius, wls_solve)
@@ -29,7 +29,7 @@ __all__ = [
     "BeliefInit", "BeliefPropagation", "BpEngine", "ExperimentConfig", "FLAT",
     "FixedPointSystem", "Gaussian1D", "Graph", "GroundTruth", "LinearScalingBP",
     "LinearSystem", "LsbpEngine", "Measurement", "MeasurementSet",
-    "NetworkModel", "RunTrace", "TimelineEvent", "avg_crlb", "avg_mse",
+    "RunTrace", "TimelineEvent", "avg_crlb", "avg_mse",
     "build_fixed_point_system", "build_linear_system", "crlb",
     "detect_convergence", "edge_message", "generate_measurements",
     "generate_truth", "is_feasible_start", "load_config", "mean_fixed_point",

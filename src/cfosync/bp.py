@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .edges import EdgeEngine, message_precision
 from .gaussian import FLAT, Gaussian1D, edge_message
 from .graph import Graph
 from .lsbp import DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION, step_delta
@@ -25,89 +26,53 @@ from .model import MeasurementSet
 DIVERGENCE_GUARD_HZ = 1e12
 
 
-def cavity_product(messages) -> Gaussian1D:
-    """Product of incoming messages excluding one neighbor (already removed
-    by the caller); empty input is flat."""
-    out = FLAT
-    for m in messages:
-        out = out * m
-    return out
-
-
 def bp_message(j: int, i: int, incoming: dict[int, Gaussian1D], r: float,
                sigma2: float, reference: int | None = None,
                reference_belief: Gaussian1D | None = None) -> Gaussian1D:
     """Message j -> i from j's received messages `incoming` (keyed by
-    sender).  For the reference agent the cavity is its pinned belief."""
+    sender).  For the reference agent the cavity is its pinned belief;
+    otherwise it is the product of the messages from all but i."""
     if reference is not None and j == reference:
         cavity = reference_belief
     else:
-        cavity = cavity_product(m for k, m in incoming.items() if k != i)
+        cavity = math.prod((m for k, m in incoming.items() if k != i), start=FLAT)
     return edge_message(r, sigma2, cavity)
 
 
-class BpEngine:
-    """Vectorized synchronous-round engine for standard BP.
+class BpEngine(EdgeEngine):
+    """Synchronous-round engine for standard BP.
 
-    msg_prec/msg_mean[i, j] cache the last message j -> i that receiver i
-    actually got; under packet loss a dropped message leaves the cache
-    untouched, mirroring the broadcast engine's semantics.
+    Directed edge j -> i holds the last message j -> i that receiver i
+    actually got; under packet loss a dropped message leaves it untouched,
+    mirroring the broadcast engine's caches.  All messages start flat.
     """
 
-    def __init__(self, graph: Graph, meas: MeasurementSet, reference_value: float,
-                 reference_precision: float = DEFAULT_REFERENCE_PRECISION):
-        self.graph = graph
-        self.meas = meas
-        self.reference_value = float(reference_value)
-        self.reference_precision = float(reference_precision)
+    diverged = False
 
-        self.ids = sorted(graph.agents)
-        self.index = {a: k for k, a in enumerate(self.ids)}
-        n = len(self.ids)
-        self.n = n
-        self.ref = self.index[graph.reference]
+    def _fresh(self, graph: Graph, meas: MeasurementSet) -> "BpEngine":
+        return BpEngine(graph, meas, self.reference_value, self.reference_precision)
 
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.sig2 = np.zeros((n, n))
-        self.r = np.zeros((n, n))
-        for (i, j) in graph.edges:
-            a, b = self.index[i], self.index[j]
-            m = meas.get(i, j)
-            for (x, y) in ((a, b), (b, a)):
-                self.adj[x, y] = True
-                self.sig2[x, y] = m.sigma2
-                self.r[x, y] = m.r
-
-        # all messages start flat
-        self.msg_prec = np.zeros((n, n))
-        self.msg_mean = np.zeros((n, n))
-        self.prec = np.zeros(n)
-        self.mean = np.zeros(n)
-        self.prec[self.ref] = self.reference_precision
-        self.mean[self.ref] = self.reference_value
-        self.diverged = False
+    def _guard(self, values: np.ndarray) -> None:
+        if not np.all(np.isfinite(values)) or \
+                np.max(np.abs(values), initial=0.0) > DIVERGENCE_GUARD_HZ:
+            self.diverged = True
 
     def _outgoing(self) -> tuple[np.ndarray, np.ndarray]:
-        """New messages indexed [sender, receiver] from the current caches."""
-        tot_prec = self.msg_prec.sum(axis=1)
-        tot_wm = (self.msg_prec * self.msg_mean).sum(axis=1)
-        # cavity at sender j excluding receiver i; msg_prec rows are "at j"
-        cav_prec = np.maximum(tot_prec[:, None] - self.msg_prec, 0.0)
-        cav_wm = tot_wm[:, None] - self.msg_prec * self.msg_mean
-        with np.errstate(invalid="ignore"):
-            cav_mean = np.divide(cav_wm, cav_prec,
-                                 out=np.zeros_like(cav_wm), where=cav_prec > 0)
-        cav_prec[self.ref, :] = self.reference_precision
-        cav_mean[self.ref, :] = self.reference_value
-        with np.errstate(divide="ignore"):
-            cav_var = np.where(cav_prec > 0, 1.0 / cav_prec, np.inf)
-        # orientation flip: sig2/r are symmetric, so [j, i] reads fine
-        out_var = self.sig2 + cav_var
-        out_prec = np.where(self.adj & np.isfinite(out_var), 1.0 / out_var, 0.0)
+        """New message on every directed edge from the current inboxes: the
+        sender's cavity excludes what arrived over the reverse edge."""
+        wm = self.edge_prec * self.edge_mean
+        tot_prec = np.bincount(self.dst, self.edge_prec, self.n)
+        tot_wm = np.bincount(self.dst, wm, self.n)
+        cav_prec = np.maximum(tot_prec[self.src] - self.edge_prec[self.rev], 0.0)
+        cav_wm = tot_wm[self.src] - wm[self.rev]
+        cav_mean = np.divide(cav_wm, cav_prec, out=np.zeros_like(cav_wm),
+                             where=cav_prec > 0)
+        from_ref = self.src == self.ref
+        cav_prec[from_ref] = self.reference_precision
+        cav_mean[from_ref] = self.reference_value
+        out_prec = message_precision(self.sig2, cav_prec)
         out_mean = np.where(out_prec > 0, self.r - cav_mean, 0.0)
-        if not np.all(np.isfinite(out_mean)) or \
-                np.max(np.abs(out_mean)) > DIVERGENCE_GUARD_HZ:
-            self.diverged = True
+        self._guard(out_mean)
         return out_prec, out_mean
 
     def sync_round(self, delivered: np.ndarray | None = None,
@@ -115,66 +80,13 @@ class BpEngine:
         """Recompute every directed message from the previous snapshot,
         deliver subject to the [receiver, sender] mask, refresh beliefs."""
         out_prec, out_mean = self._outgoing()
-        mask = self.adj.copy()
-        if delivered is not None:
-            mask &= delivered
-        if skip is not None:
-            mask &= ~skip[None, :]
-        # out is [sender, receiver]; caches are [receiver, sender]
-        self.msg_prec = np.where(mask, out_prec.T, self.msg_prec)
-        self.msg_mean = np.where(mask, out_mean.T, self.msg_mean)
-
-        prec = self.msg_prec.sum(axis=1)
-        wm = (self.msg_prec * self.msg_mean).sum(axis=1)
-        mean = np.divide(wm, prec, out=np.zeros(self.n), where=prec > 0)
-        prec[self.ref] = self.reference_precision
-        mean[self.ref] = self.reference_value
-        self.prec = prec
-        self.mean = mean
-        if not np.all(np.isfinite(self.mean)) or \
-                np.max(np.abs(self.mean)) > DIVERGENCE_GUARD_HZ:
-            self.diverged = True
-
-    # -- state views, mirroring LsbpEngine -----------------------------------
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        means = self.mean.copy()
-        means[self.prec == 0.0] = np.nan
-        return means, self.prec.copy()
-
-    def has_pending_information(self) -> bool:
-        """Flat belief with an informative received message means start-up
-        lag rather than convergence (mirrors LsbpEngine)."""
-        flat = self.prec == 0.0
-        inbox_informative = (self.msg_prec > 0.0).any(axis=1)
-        return bool(np.any(flat & inbox_informative))
-
-    def estimates(self) -> dict[int, float | None]:
-        return {a: (float(self.mean[k]) if self.prec[k] > 0 else None)
-                for a, k in self.index.items()}
-
-    def variances(self) -> dict[int, float]:
-        return {a: (1.0 / float(self.prec[k]) if self.prec[k] > 0 else math.inf)
-                for a, k in self.index.items()}
-
-    def rebuilt(self, graph: Graph, meas: MeasurementSet) -> "BpEngine":
-        """Engine for a changed topology, carrying message caches of the
-        surviving directed edges."""
-        new = BpEngine(graph, meas, self.reference_value, self.reference_precision)
-        for (i, j) in graph.edges:
-            if i in self.index and j in self.index:
-                oi, oj = self.index[i], self.index[j]
-                if self.adj[oi, oj]:
-                    ni, nj = new.index[i], new.index[j]
-                    new.msg_prec[ni, nj] = self.msg_prec[oi, oj]
-                    new.msg_mean[ni, nj] = self.msg_mean[oi, oj]
-                    new.msg_prec[nj, ni] = self.msg_prec[oj, oi]
-                    new.msg_mean[nj, ni] = self.msg_mean[oj, oi]
-        for a in graph.agents:
-            if a in self.index:
-                new.prec[new.index[a]] = self.prec[self.index[a]]
-                new.mean[new.index[a]] = self.mean[self.index[a]]
-        return new
+        arrived = self.delivery_mask(delivered, skip)
+        if arrived is not None:
+            out_prec = np.where(arrived, out_prec, self.edge_prec)
+            out_mean = np.where(arrived, out_mean, self.edge_mean)
+        self.edge_prec, self.edge_mean = out_prec, out_mean
+        self._set_beliefs(out_prec, out_prec * out_mean)
+        self._guard(self.mean)
 
 
 class BeliefPropagation:

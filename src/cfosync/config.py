@@ -9,6 +9,7 @@ own small grammars, documented on the fields.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -191,7 +192,16 @@ def join_radius(cfg: ExperimentConfig) -> float:
     raise ConfigError("timeline joins on an edges topology require radius=")
 
 
+# float fields that must be finite; pdr and skip_prob fail their range checks
+FINITE_FIELDS = ("sigma", "max_offset", "mean_tol", "prec_tol",
+                 "reference_precision", "init_variance", "init_mean",
+                 "mse_normalization")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    for name in FINITE_FIELDS:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)!r}")
     if cfg.algorithm not in ("bp", "lsbp"):
         raise ConfigError(f"algorithm must be bp or lsbp, got {cfg.algorithm!r}")
     if cfg.schedule not in ("synchronous", "asynchronous"):

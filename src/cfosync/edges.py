@@ -1,0 +1,171 @@
+"""Directed-edge state shared by the two round engines.
+
+Every undirected edge {i, j} becomes two directed edges, j -> i and i -> j.
+The 2|E| directed edges are sorted by receiver, then sender (a CSR layout):
+`dst[e]` receives what `src[e]` sends, agent k's inbox is the slice
+indptr[k]:indptr[k+1], and `rev[e]` is the edge in the opposite direction.
+Per-agent sums are one np.bincount over `dst`, so a round costs O(|E|)
+however many agents there are.
+
+The engines differ only in the payload a directed edge holds: the broadcast
+engine keeps the receiver's cached copy of the sender's belief, per-edge BP
+the last cavity message that arrived.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .gaussian import FLAT, Gaussian1D
+from .graph import Graph
+from .model import MeasurementSet
+
+DEFAULT_REFERENCE_PRECISION = 1e12
+
+
+def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
+    """Precision of edge_message for each edge: 1 / (sigma2 + 1/p), and 0
+    for a flat sender (p = 0)."""
+    var = np.divide(1.0, sender_prec, out=np.full(np.shape(sender_prec), np.inf),
+                    where=sender_prec > 0)
+    return 1.0 / (sig2 + var)
+
+
+class DirectedEdges:
+    """The directed edges of a graph with their measurements `r` and noise
+    variances `sig2`.  Agents are numbered by position in the sorted id
+    list `ids`; `index` maps an id to its position."""
+
+    def __init__(self, graph: Graph, meas: MeasurementSet):
+        self.ids = sorted(graph.agents)
+        self.index = {a: k for k, a in enumerate(self.ids)}
+        n = self.n = len(self.ids)
+        self.ref = self.index[graph.reference]
+
+        pairs = list(graph.edges)
+        ends = np.searchsorted(self.ids, np.array(pairs, dtype=np.intp).reshape(-1, 2))
+        obs = np.array([(m.r, m.sigma2) for m in (meas.get(i, j) for i, j in pairs)],
+                       dtype=float).reshape(-1, 2)
+        m = len(pairs)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((src, dst))
+        where = np.empty_like(order)
+        where[order] = np.arange(2 * m)
+        self.src, self.dst = src[order], dst[order]
+        self.rev = where[(order + m) % max(2 * m, 1)]
+        self.r = np.tile(obs[:, 0], 2)[order]
+        self.sig2 = np.tile(obs[:, 1], 2)[order]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
+
+    def edge(self, receiver: int, sender: int) -> int:
+        """Position of the directed edge sender -> receiver (agent ids)."""
+        k, j = self.index[receiver], self.index[sender]
+        lo, hi = self.indptr[k], self.indptr[k + 1]
+        pos = lo + int(np.searchsorted(self.src[lo:hi], j))
+        if pos == hi or self.src[pos] != j:
+            raise KeyError(f"no edge {sender} -> {receiver}")
+        return pos
+
+
+class EdgeEngine(DirectedEdges):
+    """Round-engine state: belief precision/mean per agent, and per directed
+    edge j -> i the payload `edge_prec`/`edge_mean` that receiver i holds.
+    Payloads start flat and change only on a successful delivery, which is
+    what keeps the update well-defined under packet loss.  The reference
+    agent's belief is pinned."""
+
+    def __init__(self, graph: Graph, meas: MeasurementSet, reference_value: float,
+                 reference_precision: float = DEFAULT_REFERENCE_PRECISION):
+        super().__init__(graph, meas)
+        self.graph = graph
+        self.meas = meas
+        self.reference_value = float(reference_value)
+        self.reference_precision = float(reference_precision)
+        self.prec = np.zeros(self.n)
+        self.mean = np.zeros(self.n)
+        self.prec[self.ref] = self.reference_precision
+        self.mean[self.ref] = self.reference_value
+        self.edge_prec = np.zeros(len(self.src))
+        self.edge_mean = np.zeros(len(self.src))
+
+    def _fresh(self, graph: Graph, meas: MeasurementSet) -> "EdgeEngine":
+        """A new engine of the same kind and parameters on another graph."""
+        raise NotImplementedError
+
+    def delivery_mask(self, delivered: np.ndarray | None,
+                      skip: np.ndarray | None) -> np.ndarray | None:
+        """Per directed edge: does this round's message arrive?  Gathered from
+        an (n, n) [receiver, sender] mask and per-agent skips; None when every
+        message arrives."""
+        arrived = None if delivered is None else delivered[self.dst, self.src]
+        if skip is not None:
+            sending = ~skip[self.src]
+            arrived = sending if arrived is None else arrived & sending
+        return arrived
+
+    def _set_beliefs(self, msg_prec: np.ndarray, msg_wm: np.ndarray) -> None:
+        """Every belief becomes the product of its incoming messages, given
+        per edge as precision and precision-weighted mean; the reference
+        stays pinned."""
+        prec = np.bincount(self.dst, msg_prec, self.n)
+        wm = np.bincount(self.dst, msg_wm, self.n)
+        mean = np.divide(wm, prec, out=np.zeros(self.n), where=prec > 0)
+        prec[self.ref] = self.reference_precision
+        mean[self.ref] = self.reference_value
+        self.prec, self.mean = prec, mean
+
+    # -- state views --------------------------------------------------------
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """(means with NaN at flat agents, precisions), aligned to self.ids."""
+        means = self.mean.copy()
+        means[self.prec == 0.0] = np.nan
+        return means, self.prec.copy()
+
+    def has_pending_information(self) -> bool:
+        """True while some agent's belief is still flat even though its
+        inbox holds an informative entry; a zero-delta round in that state
+        is start-up lag, not convergence."""
+        return bool(np.any(self.prec[self.dst[self.edge_prec > 0.0]] == 0.0))
+
+    def estimates(self) -> dict[int, float | None]:
+        return {a: (m if p > 0 else None)
+                for a, m, p in zip(self.ids, self.mean.tolist(), self.prec.tolist())}
+
+    def variances(self) -> dict[int, float]:
+        return {a: (1.0 / p if p > 0 else math.inf)
+                for a, p in zip(self.ids, self.prec.tolist())}
+
+    def beliefs(self) -> dict[int, Gaussian1D]:
+        return {a: (Gaussian1D(p, p * m) if p > 0 else FLAT)
+                for a, m, p in zip(self.ids, self.mean.tolist(), self.prec.tolist())}
+
+    # -- dynamic topology ----------------------------------------------------
+
+    def rebuilt(self, graph: Graph, meas: MeasurementSet) -> "EdgeEngine":
+        """Engine for a changed topology, carrying over the beliefs of the
+        surviving agents and the payloads of the surviving directed edges.
+        Departed agents' entries go with them; newly joined agents and their
+        edges start as in a fresh engine."""
+        new = self._fresh(graph, meas)
+        old_ids, new_ids = np.array(self.ids), np.array(new.ids)
+        at, kept = _lookup(old_ids, new_ids)
+        new.prec[kept] = self.prec[at[kept]]
+        new.mean[kept] = self.mean[at[kept]]
+        # (receiver id, sender id) keys ascend along both edge arrays
+        span = int(max(old_ids.max(), new_ids.max())) + 1
+        at, kept = _lookup(old_ids[self.dst] * span + old_ids[self.src],
+                           new_ids[new.dst] * span + new_ids[new.src])
+        new.edge_prec[kept] = self.edge_prec[at[kept]]
+        new.edge_mean[kept] = self.edge_mean[at[kept]]
+        return new
+
+
+def _lookup(old_keys: np.ndarray, new_keys: np.ndarray):
+    """(position in old_keys, found) for each new key; keys ascend."""
+    at = np.minimum(np.searchsorted(old_keys, new_keys), max(len(old_keys) - 1, 0))
+    found = old_keys[at] == new_keys if len(old_keys) else np.zeros(len(new_keys), bool)
+    return at, found

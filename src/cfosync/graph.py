@@ -80,14 +80,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff every agent is reachable from the reference."""
-        seen = {self.reference}
-        stack = [self.reference]
-        while stack:
-            for j in self._adjacency[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(self.agents)
+        return not self.unreachable_agents()
 
     def unreachable_agents(self) -> set[int]:
         seen = {self.reference}

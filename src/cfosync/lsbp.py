@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .gaussian import FLAT, Gaussian1D, edge_message
+from .edges import (DEFAULT_REFERENCE_PRECISION, DirectedEdges, EdgeEngine,
+                    message_precision)
+from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
 from .model import MeasurementSet
 
-DEFAULT_REFERENCE_PRECISION = 1e12
 DEFAULT_MEAN_TOL = 1e-9
 DEFAULT_PREC_TOL = 1e-12
 
@@ -57,23 +58,17 @@ class BeliefInit:
         return Gaussian1D.from_moments(self.mean, self.variance)
 
 
-def incoming_message(cached: Gaussian1D, r: float, sigma2: float) -> Gaussian1D:
-    """Message into f_i from a cached neighbor belief over f_j: variance
-    grows by sigma2, mean is r minus the neighbor mean; flat stays flat."""
-    return edge_message(r, sigma2, cached)
-
-
-def combine_incoming(messages) -> Gaussian1D:
-    """Belief = product of incoming messages; empty or all-flat input
-    stays flat."""
-    out = FLAT
-    for m in messages:
-        out = out * m
-    return out
-
-
 def nonref_agents(graph: Graph) -> list[int]:
     return sorted(graph.agents - {graph.reference})
+
+
+def _precision_update(edges: DirectedEdges, p: np.ndarray,
+                      ref_precision: float) -> np.ndarray:
+    """Every non-reference agent's precision becomes the summed precision
+    of the messages its neighbors' beliefs `p` imply (reference pinned)."""
+    full = np.insert(p, edges.ref, ref_precision)
+    w = message_precision(edges.sig2, full[edges.src])
+    return np.delete(np.bincount(edges.dst, w, edges.n), edges.ref)
 
 
 def variance_map(graph: Graph, meas: MeasurementSet, p: np.ndarray,
@@ -85,23 +80,13 @@ def variance_map(graph: Graph, meas: MeasurementSet, p: np.ndarray,
     pinned at `ref_precision` and is not part of the vector.  Pure function,
     shared by the simulator's tests and the feasibility check.
     """
-    ids = nonref_agents(graph)
-    if len(p) != len(ids):
-        raise ValueError(f"expected {len(ids)} entries, got {len(p)}")
-    if np.any(np.asarray(p) < 0):
+    edges = DirectedEdges(graph, meas)
+    p = np.asarray(p, dtype=float)
+    if len(p) != edges.n - 1:
+        raise ValueError(f"expected {edges.n - 1} entries, got {len(p)}")
+    if np.any(p < 0):
         raise ValueError("precisions must be >= 0")
-    var = {a: (1.0 / pa if pa > 0 else math.inf) for a, pa in zip(ids, p)}
-    var[graph.reference] = 1.0 / ref_precision
-    out = np.zeros(len(ids))
-    for k, i in enumerate(ids):
-        acc = 0.0
-        for j in graph.neighbors(i):
-            vj = var[j]
-            if math.isinf(vj):
-                continue
-            acc += 1.0 / (meas.sigma2(i, j) + vj)
-        out[k] = acc
-    return out
+    return _precision_update(edges, p, ref_precision)
 
 
 def variance_map_bound(graph: Graph, meas: MeasurementSet,
@@ -112,17 +97,8 @@ def variance_map_bound(graph: Graph, meas: MeasurementSet,
     Every finite-precision input maps strictly below this bound in each
     coordinate that has at least one non-reference neighbor.
     """
-    ids = nonref_agents(graph)
-    out = np.zeros(len(ids))
-    for k, i in enumerate(ids):
-        acc = 0.0
-        for j in graph.neighbors(i):
-            s2 = meas.sigma2(i, j)
-            if j == graph.reference:
-                s2 += 1.0 / ref_precision
-            acc += 1.0 / s2
-        out[k] = acc
-    return out
+    edges = DirectedEdges(graph, meas)
+    return _precision_update(edges, np.full(edges.n - 1, np.inf), ref_precision)
 
 
 def is_feasible_start(graph: Graph, meas: MeasurementSet, p0: np.ndarray,
@@ -140,9 +116,10 @@ def variance_fixed_point(graph: Graph, meas: MeasurementSet,
                          tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
     """Iterate the precision update from the flat start until stationary.
     Returns precisions of non-reference agents in sorted-id order."""
-    p = np.zeros(len(nonref_agents(graph)))
+    edges = DirectedEdges(graph, meas)
+    p = np.zeros(edges.n - 1)
     for _ in range(max_iter):
-        p_next = variance_map(graph, meas, p, ref_precision)
+        p_next = _precision_update(edges, p, ref_precision)
         if np.max(np.abs(p_next - p), initial=0.0) <= tol:
             return p_next
         p = p_next
@@ -153,168 +130,69 @@ def variance_fixed_point(graph: Graph, meas: MeasurementSet,
 # Simulation engine
 # ---------------------------------------------------------------------------
 
-class LsbpEngine:
-    """Vectorized round engine for the broadcast algorithm.
+class LsbpEngine(EdgeEngine):
+    """Round engine for the broadcast algorithm.
 
-    State is held in dense arrays indexed by position in the sorted agent-id
-    list: belief precision/mean per agent, and per-receiver caches of the
-    last successfully received neighbor belief.  Caches start at each
-    neighbor's declared initial belief (flat under zero_precision init) and
-    are only overwritten by successful deliveries, which is what makes the
-    update well-defined under packet loss.
+    Directed edge j -> i holds receiver i's cached copy of the last belief
+    it received from sender j.  Caches start at each neighbor's declared
+    initial belief (flat under zero_precision init) and are only
+    overwritten by successful deliveries.
     """
 
     def __init__(self, graph: Graph, meas: MeasurementSet, init: BeliefInit,
                  reference_value: float,
                  reference_precision: float = DEFAULT_REFERENCE_PRECISION):
-        self.graph = graph
-        self.meas = meas
+        super().__init__(graph, meas, reference_value, reference_precision)
         self.init = init
-        self.reference_value = float(reference_value)
-        self.reference_precision = float(reference_precision)
-
-        self.ids = sorted(graph.agents)
-        self.index = {a: k for k, a in enumerate(self.ids)}
-        n = len(self.ids)
-        self.n = n
-        self.ref = self.index[graph.reference]
-
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.sig2 = np.zeros((n, n))
-        self.r = np.zeros((n, n))
-        for (i, j) in graph.edges:
-            a, b = self.index[i], self.index[j]
-            m = meas.get(i, j)
-            for (x, y) in ((a, b), (b, a)):
-                self.adj[x, y] = True
-                self.sig2[x, y] = m.sigma2
-                self.r[x, y] = m.r
-
         g0 = init.as_gaussian()
-        self.prec = np.full(n, g0.precision)
-        self.mean = np.full(n, 0.0 if g0.is_flat else g0.mean())
-        self.prec[self.ref] = self.reference_precision
-        self.mean[self.ref] = self.reference_value
-
-        # cache[i, j]: receiver i's copy of sender j's belief
-        self.cache_prec = np.zeros((n, n))
-        self.cache_mean = np.zeros((n, n))
         if not g0.is_flat:
-            self.cache_prec[self.adj] = g0.precision
-            self.cache_mean[self.adj] = g0.mean()
+            others = np.arange(self.n) != self.ref
+            self.prec[others] = g0.precision
+            self.mean[others] = g0.mean()
             # the reference's declared initial belief is its pin
-            refcol = self.adj[:, self.ref]
-            self.cache_prec[refcol, self.ref] = self.reference_precision
-            self.cache_mean[refcol, self.ref] = self.reference_value
+            self.edge_prec = self.prec[self.src]
+            self.edge_mean = self.mean[self.src]
 
-    # -- state views --------------------------------------------------------
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """(means with NaN at flat agents, precisions), aligned to self.ids."""
-        means = self.mean.copy()
-        means[self.prec == 0.0] = np.nan
-        return means, self.prec.copy()
-
-    def has_pending_information(self) -> bool:
-        """True while some agent's belief is still flat even though its
-        inbox holds an informative entry; a zero-delta round in that state
-        is start-up lag, not convergence."""
-        flat = self.prec == 0.0
-        inbox_informative = (self.cache_prec > 0.0).any(axis=1)
-        return bool(np.any(flat & inbox_informative))
-
-    def estimates(self) -> dict[int, float | None]:
-        return {a: (float(self.mean[k]) if self.prec[k] > 0 else None)
-                for a, k in self.index.items()}
-
-    def variances(self) -> dict[int, float]:
-        return {a: (1.0 / float(self.prec[k]) if self.prec[k] > 0 else math.inf)
-                for a, k in self.index.items()}
-
-    def beliefs(self) -> dict[int, Gaussian1D]:
-        out = {}
-        for a, k in self.index.items():
-            p = float(self.prec[k])
-            out[a] = Gaussian1D(p, p * float(self.mean[k])) if p > 0 else FLAT
-        return out
-
-    # -- rounds --------------------------------------------------------------
-
-    def _receive(self, delivered_mask: np.ndarray) -> None:
-        self.cache_prec = np.where(delivered_mask, self.prec[None, :], self.cache_prec)
-        self.cache_mean = np.where(delivered_mask, self.mean[None, :], self.cache_mean)
-
-    def _recompute_rows(self, rows: np.ndarray) -> None:
-        """Recompute beliefs of the agents selected by boolean mask `rows`
-        from the current caches (the reference is never recomputed)."""
-        with np.errstate(divide="ignore"):
-            var = np.where(self.cache_prec > 0, 1.0 / self.cache_prec, np.inf)
-        w = np.where(self.adj, 1.0 / (self.sig2 + var), 0.0)
-        prec_new = w.sum(axis=1)
-        num = (w * (self.r - self.cache_mean)).sum(axis=1)
-        mean_new = np.divide(num, prec_new, out=np.zeros(self.n),
-                             where=prec_new > 0)
-        rows = rows.copy()
-        rows[self.ref] = False
-        self.prec[rows] = prec_new[rows]
-        self.mean[rows] = mean_new[rows]
+    def _fresh(self, graph: Graph, meas: MeasurementSet) -> "LsbpEngine":
+        return LsbpEngine(graph, meas, self.init, self.reference_value,
+                          self.reference_precision)
 
     def sync_round(self, delivered: np.ndarray | None = None,
                    skip: np.ndarray | None = None) -> None:
         """One synchronous round: every non-skipped agent broadcasts its
         current belief, deliveries land in the caches, then all agents
         recompute from the cache snapshot."""
-        mask = self.adj.copy()
-        if delivered is not None:
-            mask &= delivered
-        if skip is not None:
-            mask &= ~skip[None, :]
-        self._receive(mask)
-        self._recompute_rows(np.ones(self.n, dtype=bool))
+        arrived = self.delivery_mask(delivered, skip)
+        if arrived is None:
+            self.edge_prec, self.edge_mean = self.prec[self.src], self.mean[self.src]
+        else:
+            self.edge_prec = np.where(arrived, self.prec[self.src], self.edge_prec)
+            self.edge_mean = np.where(arrived, self.mean[self.src], self.edge_mean)
+        w = message_precision(self.sig2, self.edge_prec)
+        self._set_beliefs(w, w * (self.r - self.edge_mean))
 
     def async_round(self, order: list[int],
                     delivered: np.ndarray | None = None,
                     skip: np.ndarray | None = None) -> None:
         """Agents update one at a time in `order` (agent ids); each updated
         agent broadcasts before the next one updates."""
+        arrived = self.delivery_mask(delivered, None)
         for a in order:
             k = self.index[a]
+            inbox = slice(self.indptr[k], self.indptr[k + 1])
             if k != self.ref:
-                sel = np.zeros(self.n, dtype=bool)
-                sel[k] = True
-                self._recompute_rows(sel)
+                w = message_precision(self.sig2[inbox], self.edge_prec[inbox])
+                p = w.sum()
+                self.prec[k] = p
+                self.mean[k] = (w * (self.r[inbox] - self.edge_mean[inbox])).sum() / p \
+                    if p > 0 else 0.0
             if skip is not None and skip[k]:
                 continue
-            col = self.adj[:, k].copy()
-            if delivered is not None:
-                col &= delivered[:, k]
-            self.cache_prec[col, k] = self.prec[k]
-            self.cache_mean[col, k] = self.mean[k]
-
-    # -- dynamic topology ----------------------------------------------------
-
-    def rebuilt(self, graph: Graph, meas: MeasurementSet) -> "LsbpEngine":
-        """New engine for a changed topology, carrying over the beliefs and
-        cache entries of surviving agents/pairs.  Departed agents' cache
-        entries are purged with them; newly joined agents start from the
-        declared initial belief."""
-        new = LsbpEngine(graph, meas, self.init, self.reference_value,
-                         self.reference_precision)
-        for a in graph.agents:
-            if a in self.index:
-                k_old, k_new = self.index[a], new.index[a]
-                new.prec[k_new] = self.prec[k_old]
-                new.mean[k_new] = self.mean[k_old]
-        for (i, j) in graph.edges:
-            if i in self.index and j in self.index:
-                oi, oj = self.index[i], self.index[j]
-                if self.adj[oi, oj]:
-                    ni, nj = new.index[i], new.index[j]
-                    new.cache_prec[ni, nj] = self.cache_prec[oi, oj]
-                    new.cache_mean[ni, nj] = self.cache_mean[oi, oj]
-                    new.cache_prec[nj, ni] = self.cache_prec[oj, oi]
-                    new.cache_mean[nj, ni] = self.cache_mean[oj, oi]
-        return new
+            out = self.rev[inbox]
+            if arrived is not None:
+                out = out[arrived[out]]
+            self.edge_prec[out] = self.prec[k]
+            self.edge_mean[out] = self.mean[k]
 
 
 # ---------------------------------------------------------------------------

@@ -41,28 +41,6 @@ STREAM_SCHEDULE = 4
 
 
 @dataclass(frozen=True)
-class NetworkModel:
-    """Lossy broadcast medium: each (sender, receiver, iteration) triple is
-    an independent Bernoulli(pdr) delivery; with probability skip_prob an
-    agent skips broadcasting for one iteration (one-round staleness, the
-    cache makes a delayed message equivalent to drop-then-deliver)."""
-
-    pdr: float = 1.0
-    skip_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.pdr <= 1.0:
-            raise ValueError("pdr must lie in [0, 1]")
-        if not 0.0 <= self.skip_prob < 1.0:
-            raise ValueError("skip_prob must lie in [0, 1)")
-
-
-def deliver(sender: int, receivers, model: NetworkModel, rng) -> dict[int, bool]:
-    """Per-receiver delivery decisions for one broadcast."""
-    return {r: bool(rng.random() < model.pdr) for r in sorted(receivers)}
-
-
-@dataclass(frozen=True)
 class TimelineEvent:
     iteration: int
     kind: str                       # "leave" | "join"
@@ -124,14 +102,13 @@ def validate_timeline(events: list[TimelineEvent], graph: Graph,
 
 @dataclass
 class MessageCounters:
-    broadcasts_sent: int = 0
-    point_to_point_sent: int = 0
+    """One round's messages: `sends` in the algorithm's own unit (broadcasts
+    for lsbp, directed sends for bp), and the directed deliveries and drops
+    of the messages sent."""
+
+    sends: int = 0
     deliveries: int = 0
     drops: int = 0
-
-    @property
-    def sends(self) -> int:
-        return self.broadcasts_sent or self.point_to_point_sent
 
 
 @dataclass
@@ -154,8 +131,8 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
     return BpEngine(graph, meas, truth.reference_value, cfg.reference_precision)
 
 
-def _record(iteration: int, engine, graph: Graph, truth: GroundTruth,
-            cfg: ExperimentConfig, counters: MessageCounters) -> IterationRow:
+def _record(iteration: int, engine, truth: GroundTruth, cfg: ExperimentConfig,
+            counters: MessageCounters, isolated: tuple[int, ...]) -> IterationRow:
     estimates = engine.estimates()
     variances = {a: (None if v == float("inf") else v)
                  for a, v in engine.variances().items()}
@@ -163,13 +140,29 @@ def _record(iteration: int, engine, graph: Graph, truth: GroundTruth,
         mse = avg_mse(estimates, truth.offsets, cfg.mse_normalization)
     except MetricError:
         mse = float("nan")
-    isolated = tuple(sorted(a for a in graph.agents
-                            if a != graph.reference and graph.degree(a) == 0))
     return IterationRow(
         iteration=iteration, means=estimates, variances=variances,
         avg_mse=mse, broadcasts=counters.sends,
         deliveries=counters.deliveries, drops=counters.drops,
         n_flat=count_flat(estimates), unobservable=isolated)
+
+
+def _isolated(engine) -> tuple[int, ...]:
+    """Non-reference agents without a neighbor, in id order."""
+    alone = np.flatnonzero(np.diff(engine.indptr) == 0)
+    return tuple(engine.ids[k] for k in alone if k != engine.ref)
+
+
+def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One round's (skip, delivered): with probability skip_prob an agent
+    skips its broadcast (a one-round staleness; the cache makes a delayed
+    message equivalent to drop-then-deliver), and each (receiver, sender)
+    pair is an independent Bernoulli(pdr) delivery.  None means no agent
+    skips, or every message arrives."""
+    skip = rng.random(n) < skip_prob if skip_prob > 0 else None
+    delivered = rng.random((n, n)) < pdr if pdr < 1.0 else None
+    return skip, delivered
 
 
 def _apply_event(ev: TimelineEvent, cfg: ExperimentConfig, graph: Graph,
@@ -202,7 +195,8 @@ def _run_trial(cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
     loss_rng = np.random.default_rng([cfg.master_seed, STREAM_LOSS, trial])
     sched_rng = np.random.default_rng([cfg.master_seed, STREAM_SCHEDULE, trial])
 
-    rows = [_record(0, engine, graph, truth, cfg, MessageCounters())]
+    isolated = _isolated(engine)
+    rows = [_record(0, engine, truth, cfg, MessageCounters(), isolated)]
     prev = engine.snapshot()
     converged_at = None
     diverged = False
@@ -213,25 +207,19 @@ def _run_trial(cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
             ev = pending.pop(0)
             graph, truth, meas, engine = _apply_event(
                 ev, cfg, graph, truth, meas, engine, trial)
+            isolated = _isolated(engine)
             prev = engine.snapshot()
             converged_at = None
 
-        n = engine.n
-        skip = None
-        if cfg.skip_prob > 0:
-            skip = loss_rng.random(n) < cfg.skip_prob
-        delivered = None
-        if cfg.pdr < 1.0:
-            delivered = loss_rng.random((n, n)) < cfg.pdr
-
+        skip, delivered = draw_losses(loss_rng, engine.n, cfg.pdr, cfg.skip_prob)
         if cfg.algorithm == "lsbp" and cfg.schedule == "asynchronous":
-            order = [engine.ids[k] for k in sched_rng.permutation(n)]
+            order = [engine.ids[k] for k in sched_rng.permutation(engine.n)]
             engine.async_round(order, delivered, skip)
         else:
             engine.sync_round(delivered, skip)
 
         counters = _count_messages(cfg, engine, delivered, skip)
-        rows.append(_record(l, engine, graph, truth, cfg, counters))
+        rows.append(_record(l, engine, truth, cfg, counters, isolated))
 
         if getattr(engine, "diverged", False):
             diverged = True
@@ -250,21 +238,15 @@ def _run_trial(cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
 
 
 def _count_messages(cfg: ExperimentConfig, engine, delivered, skip) -> MessageCounters:
-    adj = engine.adj
-    n = engine.n
-    active = np.ones(n, dtype=bool) if skip is None else ~skip
-    intended = adj & active[None, :]
-    n_intended = int(intended.sum())
-    if delivered is None:
-        n_delivered = n_intended
-    else:
-        n_delivered = int((intended & delivered).sum())
-    c = MessageCounters(deliveries=n_delivered, drops=n_intended - n_delivered)
+    intended = len(engine.src) if skip is None else int((~skip[engine.src]).sum())
+    arrived = engine.delivery_mask(delivered, skip)
+    n_delivered = intended if arrived is None else int(arrived.sum())
     if cfg.algorithm == "lsbp":
-        c.broadcasts_sent = int(active.sum())
+        sends = engine.n if skip is None else int((~skip).sum())
     else:
-        c.point_to_point_sent = n_intended
-    return c
+        sends = intended
+    return MessageCounters(sends=sends, deliveries=n_delivered,
+                           drops=intended - n_delivered)
 
 
 def _aggregate(trials: list[_TrialResult], cfg: ExperimentConfig) -> RunTrace:

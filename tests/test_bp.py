@@ -51,9 +51,9 @@ def test_first_round_messages_from_nonreference_leaves_are_flat():
     eng = BpEngine(g, ms, reference_value=0.0)
     eng.sync_round()
     # message 3 -> 2 (leaf, non-reference) still flat after round 1
-    assert eng.msg_prec[eng.index[2], eng.index[3]] == 0.0
+    assert eng.edge_prec[eng.edge(2, 3)] == 0.0
     # message 1 -> 2 (reference) informative immediately
-    assert eng.msg_prec[eng.index[2], eng.index[1]] > 0.0
+    assert eng.edge_prec[eng.edge(2, 1)] > 0.0
 
 
 def test_single_edge_one_round_estimate():
@@ -110,8 +110,8 @@ def test_divergence_guard_flags_blowup():
     g, ms = triangle()
     eng = BpEngine(g, ms, reference_value=0.0)
     eng.sync_round()
-    eng.msg_mean[eng.index[2], eng.index[3]] = 1e13
-    eng.msg_prec[eng.index[2], eng.index[3]] = 1.0
+    eng.edge_mean[eng.edge(2, 3)] = 1e13
+    eng.edge_prec[eng.edge(2, 3)] = 1.0
     eng.sync_round()
     assert eng.diverged
 

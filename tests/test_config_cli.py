@@ -4,8 +4,9 @@ import pytest
 
 from cfosync import ExperimentConfig, parse_config_text
 from cfosync.cli import main
-from cfosync.config import (config_to_text, parse_sigma_overrides,
-                            parse_topology, validate_config)
+from cfosync.config import (FINITE_FIELDS, config_to_text,
+                            parse_sigma_overrides, parse_topology,
+                            validate_config)
 from cfosync.errors import ConfigError, NumericError
 from cfosync.metrics import RunTrace, IterationRow
 
@@ -116,6 +117,20 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: code=2 kind=validation")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FINITE_FIELDS)
+def test_cli_rejects_non_finite_float(tmp_path, capsys, field, value):
+    kept = [ln for ln in TRIANGLE_CFG.splitlines()
+            if not ln.startswith(f"{field} ")]
+    cfg = _write_cfg(tmp_path, "\n".join(kept) + f"\n{field} = {value}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=validation")
+    assert f"{field} must be finite" in err[0]
 
 
 def test_cli_unknown_key_exit_code(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 from cfosync import (Graph, LinearScalingBP, MeasurementSet, generate_measurements,
                      generate_truth, is_feasible_start, variance_fixed_point,
                      variance_map, variance_map_bound)
-from cfosync.gaussian import FLAT, Gaussian1D
-from cfosync.lsbp import (BeliefInit, LsbpEngine, combine_incoming,
-                          detect_convergence, incoming_message, nonref_agents,
-                          step_delta)
+from cfosync.gaussian import FLAT, Gaussian1D, edge_message
+from cfosync.lsbp import (BeliefInit, LsbpEngine, detect_convergence,
+                          nonref_agents, step_delta)
 from cfosync.model import Measurement
 
 from helpers import random_connected_graph, seeded_instance, triangle
@@ -109,30 +108,30 @@ def test_fixed_point_unique_across_uniform_inits():
 
 def test_incoming_message_golden_case():
     cached = Gaussian1D.from_moments(0.0, GOLDEN_VARIANCE)
-    out = incoming_message(cached, r=0.0, sigma2=1.0)
+    out = edge_message(0.0, 1.0, cached)
     assert out.variance() == pytest.approx(1.0 + GOLDEN_VARIANCE, rel=1e-12)
     assert out.mean() == pytest.approx(0.0)
 
 
 def test_incoming_message_from_reference_pin():
     cached = Gaussian1D.from_moments(2.0, 1e-12)
-    out = incoming_message(cached, r=7.0, sigma2=1.0)
+    out = edge_message(7.0, 1.0, cached)
     assert out.mean() == pytest.approx(5.0)
     assert out.variance() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_incoming_message_flat_cached():
-    assert incoming_message(FLAT, r=1.0, sigma2=1.0).is_flat
+    assert edge_message(1.0, 1.0, FLAT).is_flat
 
 
 def test_combine_incoming_precision_weighted_average():
     a = Gaussian1D.from_moments(5.0, 1.0)
     b = Gaussian1D.from_moments(5.0, 1.0 + GOLDEN_VARIANCE)
-    belief = combine_incoming([a, b])
+    belief = a * b
     assert belief.variance() == pytest.approx(GOLDEN_VARIANCE, abs=1e-12)
     assert belief.mean() == pytest.approx(5.0)
-    assert combine_incoming([]).is_flat
-    assert combine_incoming([FLAT, FLAT]).is_flat
+    assert math.prod([], start=FLAT).is_flat
+    assert (FLAT * FLAT).is_flat
 
 
 # -- engine -------------------------------------------------------------------
@@ -161,9 +160,9 @@ def test_engine_round_matches_scalar_operations():
     for i in g.agents:
         if i == g.reference:
             continue
-        msgs = [incoming_message(before[j], ms.r(i, j), ms.sigma2(i, j))
+        msgs = [edge_message(ms.r(i, j), ms.sigma2(i, j), before[j])
                 for j in sorted(g.neighbors(i))]
-        expect = combine_incoming(msgs)
+        expect = math.prod(msgs, start=FLAT)
         got = after[i]
         assert got.precision == pytest.approx(expect.precision, rel=1e-12)
         if not expect.is_flat:
@@ -196,11 +195,11 @@ def test_uniform_init_seeds_caches_with_declared_beliefs():
     g, ms = triangle()
     init = BeliefInit(mode="uniform", variance=4.0, mean=1.5)
     eng = _engine(g, ms, mu1=0.0, init=init)
-    k2, k3 = eng.index[2], eng.index[3]
-    assert eng.cache_prec[k2, k3] == pytest.approx(0.25)
-    assert eng.cache_mean[k2, k3] == pytest.approx(1.5)
+    e23 = eng.edge(2, 3)
+    assert eng.edge_prec[e23] == pytest.approx(0.25)
+    assert eng.edge_mean[e23] == pytest.approx(1.5)
     # the reference's declared initial belief is its pin
-    assert eng.cache_prec[k2, eng.ref] == eng.reference_precision
+    assert eng.edge_prec[eng.edge(2, 1)] == eng.reference_precision
 
 
 def test_rebuilt_purges_leaver_and_carries_survivors():

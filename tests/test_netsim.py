@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cfosync import ExperimentConfig, NetworkModel, run_experiment
+from cfosync import ExperimentConfig, run_experiment
 from cfosync.errors import ConfigError
 from cfosync.metrics import rows_from_trace
-from cfosync.netsim import deliver, parse_timeline, validate_timeline
-from cfosync.config import parse_topology
+from cfosync.netsim import draw_losses, parse_timeline, validate_timeline
+from cfosync.config import parse_topology, validate_config
 
 BERNOULLI_TOL = 0.005
 
@@ -18,22 +18,24 @@ COMPLETE10 = "edges:" + ";".join(f"{i}-{j}" for i in range(1, 11)
 
 def test_network_model_validation():
     with pytest.raises(ValueError):
-        NetworkModel(pdr=1.5)
+        validate_config(ExperimentConfig(pdr=1.5))
     with pytest.raises(ValueError):
-        NetworkModel(skip_prob=1.0)
+        validate_config(ExperimentConfig(skip_prob=1.0))
 
 
 def test_deliver_extremes():
     rng = np.random.default_rng(0)
-    assert all(deliver(1, [2, 3], NetworkModel(pdr=1.0), rng).values())
-    assert not any(deliver(1, [2, 3], NetworkModel(pdr=0.0), rng).values())
+    skip, delivered = draw_losses(rng, 3, pdr=1.0, skip_prob=0.0)
+    assert skip is None and delivered is None     # every message arrives
+    skip, delivered = draw_losses(rng, 3, pdr=0.0, skip_prob=0.0)
+    assert not delivered.any()
 
 
 def test_deliver_bernoulli_rate():
     rng = np.random.default_rng(1)
-    model = NetworkModel(pdr=0.8)
-    hits = sum(deliver(1, [2], model, rng)[2] for _ in range(100_000))
-    assert abs(hits / 100_000 - 0.8) < BERNOULLI_TOL
+    _, delivered = draw_losses(rng, 317, pdr=0.8, skip_prob=0.0)
+    assert delivered.size >= 100_000
+    assert abs(delivered.mean() - 0.8) < BERNOULLI_TOL
 
 
 def test_parse_timeline():
