@@ -13,9 +13,8 @@ from .bp import BeliefPropagation, BpEngine
 from .config import ExperimentConfig, load_config, parse_config_text
 from .gaussian import FLAT, Gaussian1D, edge_message
 from .graph import Graph, random_geometric
-from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, detect_convergence,
-                   is_feasible_start, variance_fixed_point, variance_map,
-                   variance_map_bound)
+from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, is_feasible_start,
+                   variance_fixed_point, variance_map, variance_map_bound)
 from .metrics import RunTrace, avg_mse
 from .model import (GroundTruth, Measurement, MeasurementSet,
                     generate_measurements, generate_truth)
@@ -31,7 +30,7 @@ __all__ = [
     "LinearSystem", "LsbpEngine", "Measurement", "MeasurementSet",
     "RunTrace", "TimelineEvent", "avg_crlb", "avg_mse",
     "build_fixed_point_system", "build_linear_system", "crlb",
-    "detect_convergence", "edge_message", "generate_measurements",
+    "edge_message", "generate_measurements",
     "generate_truth", "is_feasible_start", "load_config", "mean_fixed_point",
     "parse_config_text", "preset_configs", "random_geometric",
     "run_experiment", "spectral_radius", "variance_fixed_point",

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .edges import EdgeEngine, message_precision
+from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
+                    EdgeEngine, MessagePassingEstimator, message_precision)
 from .gaussian import FLAT, Gaussian1D, edge_message
 from .graph import Graph
-from .lsbp import DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION, step_delta
 from .model import MeasurementSet
 
 DIVERGENCE_GUARD_HZ = 1e12
@@ -46,8 +46,6 @@ class BpEngine(EdgeEngine):
     actually got; under packet loss a dropped message leaves it untouched,
     mirroring the broadcast engine's caches.  All messages start flat.
     """
-
-    diverged = False
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "BpEngine":
         return BpEngine(graph, meas, self.reference_value, self.reference_precision)
@@ -89,9 +87,9 @@ class BpEngine(EdgeEngine):
         self._guard(self.mean)
 
 
-class BeliefPropagation:
-    """Estimator-style front end for lossless synchronous BP on a static
-    graph; see LinearScalingBP for the shared conventions.  Adds diverged_."""
+class BeliefPropagation(MessagePassingEstimator):
+    """Estimator-style front end for synchronous BP; see
+    MessagePassingEstimator for fit() and the fitted attributes."""
 
     def __init__(self, max_iter: int = 1000, mean_tol: float = DEFAULT_MEAN_TOL,
                  prec_tol: float = DEFAULT_PREC_TOL,
@@ -103,37 +101,8 @@ class BeliefPropagation:
 
     _param_names = ("max_iter", "mean_tol", "prec_tol", "reference_precision")
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {k: getattr(self, k) for k in self._param_names}
-
-    def set_params(self, **params) -> "BeliefPropagation":
-        for k, v in params.items():
-            if k not in self._param_names:
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
-
-    def fit(self, graph: Graph, measurements: MeasurementSet,
-            reference_value: float = 0.0) -> "BeliefPropagation":
+    def _start(self, graph: Graph, measurements: MeasurementSet,
+               reference_value: float):
         engine = BpEngine(graph, measurements, reference_value,
                           self.reference_precision)
-        prev = engine.snapshot()
-        self.converged_ = False
-        self.n_iter_ = 0
-        for l in range(1, self.max_iter + 1):
-            engine.sync_round()
-            self.n_iter_ = l
-            if engine.diverged:
-                break
-            cur = engine.snapshot()
-            dmean, dprec = step_delta(prev, cur)
-            if dmean < self.mean_tol and dprec < self.prec_tol and \
-                    not engine.has_pending_information():
-                self.converged_ = True
-                break
-            prev = cur
-        self.diverged_ = engine.diverged
-        self.estimates_ = engine.estimates()
-        self.variances_ = engine.variances()
-        self.engine_ = engine
-        return self
+        return engine, BpEngine.sync_round

@@ -193,7 +193,7 @@ def join_radius(cfg: ExperimentConfig) -> float:
 
 
 # float fields that must be finite; pdr and skip_prob fail their range checks
-FINITE_FIELDS = ("sigma", "max_offset", "mean_tol", "prec_tol",
+FINITE_FIELDS = ("radius", "sigma", "max_offset", "mean_tol", "prec_tol",
                  "reference_precision", "init_variance", "init_mean",
                  "mse_normalization")
 
@@ -222,6 +222,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("trials must be >= 1")
     if cfg.mse_normalization <= 0:
         raise ConfigError("mse_normalization must be > 0")
+    if cfg.radius < 0:
+        raise ConfigError("radius must be >= 0")
     if cfg.sigma < 0:
         raise ConfigError("sigma must be >= 0")
     if cfg.max_offset < 0:

@@ -10,11 +10,15 @@ however many agents there are.
 The engines differ only in the payload a directed edge holds: the broadcast
 engine keeps the receiver's cached copy of the sender's belief, per-edge BP
 the last cavity message that arrived.
+
+`iterate` is the one round loop and stop rule, shared by the simulator and
+by both estimator front ends (`MessagePassingEstimator`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .graph import Graph
 from .model import MeasurementSet
 
 DEFAULT_REFERENCE_PRECISION = 1e12
+DEFAULT_MEAN_TOL = 1e-9
+DEFAULT_PREC_TOL = 1e-12
 
 
 def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
@@ -76,6 +82,9 @@ class EdgeEngine(DirectedEdges):
     Payloads start flat and change only on a successful delivery, which is
     what keeps the update well-defined under packet loss.  The reference
     agent's belief is pinned."""
+
+    # set by an engine whose beliefs blow up; iterate() stops on it
+    diverged = False
 
     def __init__(self, graph: Graph, meas: MeasurementSet, reference_value: float,
                  reference_precision: float = DEFAULT_REFERENCE_PRECISION):
@@ -169,3 +178,110 @@ def _lookup(old_keys: np.ndarray, new_keys: np.ndarray):
     at = np.minimum(np.searchsorted(old_keys, new_keys), max(len(old_keys) - 1, 0))
     found = old_keys[at] == new_keys if len(old_keys) else np.zeros(len(new_keys), bool)
     return at, found
+
+
+# -- the round loop -----------------------------------------------------------
+
+def step_delta(prev: tuple[np.ndarray, np.ndarray],
+               cur: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(max mean change, max precision change) between two snapshots.
+    An agent switching between flat and informative counts as an infinite
+    mean change; flat-to-flat contributes nothing."""
+    m0, p0 = prev
+    m1, p1 = cur
+    dprec = float(np.max(np.abs(p1 - p0), initial=0.0))
+    flat0, flat1 = p0 == 0, p1 == 0
+    if np.any(flat0 != flat1):
+        return math.inf, dprec
+    both = ~flat0
+    dmean = float(np.max(np.abs(m1[both] - m0[both]), initial=0.0))
+    return dmean, dprec
+
+
+def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
+            max_rounds: int, mean_tol: float, prec_tol: float,
+            changes: Sequence[tuple[int, Callable[[EdgeEngine], EdgeEngine]]] = ()
+            ) -> tuple[EdgeEngine, int, int | None]:
+    """Run rounds `step(engine)` until the beliefs settle, the engine
+    diverges, or `max_rounds` rounds have run.
+
+    A round is settled when it moved every mean by less than mean_tol and
+    every precision by less than prec_tol, and no agent still waits for
+    information already in its inbox (a zero-delta round then is start-up
+    lag, not convergence).  `changes` are (k, change) pairs in order of k:
+    after round k, `change(engine)` returns the engine to go on with and the
+    convergence test starts over.  The loop stops at the first settled round
+    once no change is pending.
+
+    Returns (engine, rounds run, first settled round since the last change,
+    or None).
+    """
+    pending = list(changes)
+    prev = engine.snapshot()
+    settled_at = None
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        while pending and pending[0][0] < rounds:
+            _, change = pending.pop(0)
+            engine = change(engine)
+            prev, settled_at = engine.snapshot(), None
+        step(engine)
+        if engine.diverged:
+            break
+        cur = engine.snapshot()
+        dmean, dprec = step_delta(prev, cur)
+        prev = cur
+        if settled_at is None and dmean < mean_tol and dprec < prec_tol and \
+                not engine.has_pending_information():
+            settled_at = rounds
+        if settled_at is not None and not pending:
+            break
+    return engine, rounds, settled_at
+
+
+# -- estimator front ends -----------------------------------------------------
+
+class MessagePassingEstimator:
+    """Estimator-style front end for lossless runs on a static graph.
+
+    The constructor carries the parameters named in `_param_names`
+    (get_params/set_params).  fit() runs rounds until the per-round change
+    falls below mean_tol/prec_tol, the run diverges, or max_iter rounds have
+    run, then exposes estimates_ (dict id -> Hz, None while flat),
+    variances_, n_iter_, converged_ and diverged_.
+    """
+
+    _param_names: tuple[str, ...] = ()
+
+    def _start(self, graph: Graph, measurements: MeasurementSet,
+               reference_value: float
+               ) -> tuple[EdgeEngine, Callable[[EdgeEngine], None]]:
+        """(engine, step): a fresh engine and the round that fit() runs."""
+        raise NotImplementedError
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {k: getattr(self, k) for k in self._param_names}
+
+    def set_params(self, **params) -> "MessagePassingEstimator":
+        for k, v in params.items():
+            if k not in self._param_names:
+                raise ValueError(f"unknown parameter {k!r}")
+            setattr(self, k, v)
+        return self
+
+    def fit(self, graph: Graph, measurements: MeasurementSet,
+            reference_value: float = 0.0) -> "MessagePassingEstimator":
+        engine, step = self._start(graph, measurements, reference_value)
+        engine, self.n_iter_, settled_at = iterate(
+            engine, step, self.max_iter, self.mean_tol, self.prec_tol)
+        self.converged_ = settled_at is not None
+        self.diverged_ = engine.diverged
+        self.estimates_ = engine.estimates()
+        self.variances_ = engine.variances()
+        self.engine_ = engine
+        return self
+
+    def predict(self) -> dict[int, float | None]:
+        if not hasattr(self, "estimates_"):
+            raise RuntimeError("estimator is not fitted; call fit() first")
+        return dict(self.estimates_)

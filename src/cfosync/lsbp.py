@@ -15,20 +15,17 @@ graphs, so they converge from arbitrary initial means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-from .edges import (DEFAULT_REFERENCE_PRECISION, DirectedEdges, EdgeEngine,
+from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
+                    DirectedEdges, EdgeEngine, MessagePassingEstimator,
                     message_precision)
 from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
 from .model import MeasurementSet
-
-DEFAULT_MEAN_TOL = 1e-9
-DEFAULT_PREC_TOL = 1e-12
 
 ZERO_PRECISION = "zero_precision"
 UNIFORM_VARIANCE = "uniform"
@@ -171,14 +168,14 @@ class LsbpEngine(EdgeEngine):
         w = message_precision(self.sig2, self.edge_prec)
         self._set_beliefs(w, w * (self.r - self.edge_mean))
 
-    def async_round(self, order: list[int],
+    def async_round(self, order: np.ndarray,
                     delivered: np.ndarray | None = None,
                     skip: np.ndarray | None = None) -> None:
-        """Agents update one at a time in `order` (agent ids); each updated
-        agent broadcasts before the next one updates."""
+        """Agents update one at a time in `order`, a permutation of engine
+        positions; each updated agent broadcasts before the next one
+        updates."""
         arrived = self.delivery_mask(delivered, None)
-        for a in order:
-            k = self.index[a]
+        for k in order.tolist():
             inbox = slice(self.indptr[k], self.indptr[k + 1])
             if k != self.ref:
                 w = message_precision(self.sig2[inbox], self.edge_prec[inbox])
@@ -196,59 +193,14 @@ class LsbpEngine(EdgeEngine):
 
 
 # ---------------------------------------------------------------------------
-# Convergence detection
-# ---------------------------------------------------------------------------
-
-def step_delta(prev: tuple[np.ndarray, np.ndarray],
-               cur: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """(max mean change, max precision change) between two snapshots.
-    An agent switching between flat and informative counts as an infinite
-    mean change; flat-to-flat contributes nothing."""
-    m0, p0 = prev
-    m1, p1 = cur
-    dprec = float(np.max(np.abs(p1 - p0), initial=0.0))
-    flat0, flat1 = p0 == 0, p1 == 0
-    if np.any(flat0 != flat1):
-        return math.inf, dprec
-    both = ~flat0
-    dmean = float(np.max(np.abs(m1[both] - m0[both]), initial=0.0))
-    return dmean, dprec
-
-
-def detect_convergence(snapshots, mean_tol: float = DEFAULT_MEAN_TOL,
-                       prec_tol: float = DEFAULT_PREC_TOL) -> int | None:
-    """First iteration from which the recorded trace stays converged: every
-    later step changes means by less than mean_tol and precisions by less
-    than prec_tol.  Returns None when the final step still moves (or fewer
-    than two snapshots exist).
-
-    `snapshots` is a sequence of (means, precisions) pairs as produced by
-    the engines' snapshot(), indexed by iteration starting at 0.
-    """
-    if len(snapshots) < 2:
-        return None
-    settled_from = 1
-    for l in range(1, len(snapshots)):
-        dmean, dprec = step_delta(snapshots[l - 1], snapshots[l])
-        if not (dmean < mean_tol and dprec < prec_tol):
-            settled_from = l + 1
-    if settled_from >= len(snapshots):
-        return None
-    return settled_from
-
-
-# ---------------------------------------------------------------------------
 # Estimator front end
 # ---------------------------------------------------------------------------
 
-class LinearScalingBP:
-    """Estimator-style front end for lossless runs on a static graph.
-
-    Parameters mirror the engine; fit() iterates rounds until the per-round
-    change falls below the tolerances or max_iter is reached, then exposes
-    estimates_ (dict id -> Hz, None while flat), variances_, n_iter_,
-    converged_.
-    """
+class LinearScalingBP(MessagePassingEstimator):
+    """Estimator-style front end for the broadcast algorithm, synchronous or
+    asynchronous (a seeded random update order per round); see
+    MessagePassingEstimator for fit() and the fitted attributes.  diverged_
+    is always False: the broadcast recursion converges."""
 
     def __init__(self, init: str = ZERO_PRECISION, init_variance: float = 1.0,
                  init_mean: float = 0.0, max_iter: int = 1000,
@@ -270,51 +222,15 @@ class LinearScalingBP:
                     "mean_tol", "prec_tol", "reference_precision",
                     "schedule", "seed")
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {k: getattr(self, k) for k in self._param_names}
-
-    def set_params(self, **params) -> "LinearScalingBP":
-        for k, v in params.items():
-            if k not in self._param_names:
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
-
-    def fit(self, graph: Graph, measurements: MeasurementSet,
-            reference_value: float = 0.0) -> "LinearScalingBP":
+    def _start(self, graph: Graph, measurements: MeasurementSet,
+               reference_value: float):
         if self.schedule not in ("synchronous", "asynchronous"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         init = BeliefInit(mode=self.init, variance=self.init_variance,
                           mean=self.init_mean)
         engine = LsbpEngine(graph, measurements, init, reference_value,
                             self.reference_precision)
+        if self.schedule == "synchronous":
+            return engine, LsbpEngine.sync_round
         rng = np.random.default_rng(self.seed)
-        prev = engine.snapshot()
-        self.converged_ = False
-        self.n_iter_ = 0
-        for l in range(1, self.max_iter + 1):
-            if self.schedule == "synchronous":
-                engine.sync_round()
-            else:
-                order = [engine.ids[k] for k in rng.permutation(engine.n)]
-                engine.async_round(order)
-            cur = engine.snapshot()
-            self.n_iter_ = l
-            dmean, dprec = step_delta(prev, cur)
-            if dmean < self.mean_tol and dprec < self.prec_tol and \
-                    not engine.has_pending_information():
-                self.converged_ = True
-                break
-            prev = cur
-        self.estimates_ = engine.estimates()
-        self.variances_ = engine.variances()
-        self.engine_ = engine
-        return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "estimates_"):
-            raise RuntimeError("estimator is not fitted; call fit() first")
-
-    def predict(self) -> dict[int, float | None]:
-        self._check_fitted()
-        return dict(self.estimates_)
+        return engine, lambda eng: eng.async_round(rng.permutation(eng.n))

@@ -1,4 +1,4 @@
-"""Experiment orchestration: iteration loop, packet loss, dynamic topology.
+"""Experiment orchestration: packet loss, dynamic topology, Monte-Carlo trials.
 
 Every source of randomness flows through a named, seeded stream derived from
 the master seed, so whole experiments are bit-reproducible:
@@ -11,23 +11,26 @@ the master seed, so whole experiments are bit-reproducible:
 
 Timeline semantics: an event stamped k fires at the boundary after round k
 has been recorded, so its first visible effect is in row k+1.  A joining
-agent broadcasts for the first time in round k+1.  Trials stop early once
-the per-round change falls below the configured tolerances and no timeline
-events remain.
+agent broadcasts for the first time in round k+1.  Each trial runs its
+rounds through `edges.iterate`, the stop rule the estimator front ends use:
+it stops early once the per-round change falls below the configured
+tolerances and no timeline events remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bp import BpEngine
 from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
                      parse_topology, validate_config)
+from .edges import iterate
 from .errors import ConfigError
 from .graph import Graph
-from .lsbp import BeliefInit, LsbpEngine, step_delta
+from .lsbp import BeliefInit, LsbpEngine
 from .metrics import IterationRow, MetricError, RunTrace, avg_mse, count_flat
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
                     generate_measurements, generate_truth)
@@ -111,16 +114,6 @@ class MessageCounters:
     drops: int = 0
 
 
-@dataclass
-class _TrialResult:
-    rows: list[IterationRow]
-    converged_at: int | None
-    diverged: bool
-    final_graph: Graph
-    final_meas: MeasurementSet
-    truth: GroundTruth
-
-
 def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
                  truth: GroundTruth):
     if cfg.algorithm == "lsbp":
@@ -165,76 +158,65 @@ def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
     return skip, delivered
 
 
-def _apply_event(ev: TimelineEvent, cfg: ExperimentConfig, graph: Graph,
-                 truth: GroundTruth, meas: MeasurementSet, engine, trial: int):
-    if ev.kind == "leave":
-        graph = graph.remove_agent(ev.agent)
-        meas = meas.without_agent(ev.agent)
-    else:
-        graph, new_id = graph.add_agent(ev.position, join_radius(cfg))
-        truth = truth.with_offset(
-            new_id, draw_joiner_offset([cfg.master_seed, STREAM_TRUTH], new_id,
-                                       cfg.max_offset))
-        new_edges = [e for e in graph.edges if new_id in e]
-        fresh = generate_measurements(
-            graph, truth, cfg.sigma,
-            seed=[cfg.master_seed, STREAM_NOISE, trial, new_id],
-            sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides),
-            edges=new_edges)
-        meas = meas.merged_with(fresh)
-    engine = engine.rebuilt(graph, meas)
-    return graph, truth, meas, engine
+class _Trial:
+    """One Monte-Carlo trial: its graph, truth and measurements as the
+    timeline changes them, and one recorded row per round."""
 
+    def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
+                 trial: int):
+        self.cfg, self.graph, self.truth, self.trial = cfg, graph, truth, trial
+        self.meas = generate_measurements(
+            graph, truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, trial],
+            sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides))
+        self.loss_rng = np.random.default_rng([cfg.master_seed, STREAM_LOSS, trial])
+        self.sched_rng = np.random.default_rng([cfg.master_seed, STREAM_SCHEDULE, trial])
 
-def _run_trial(cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
-               events: list[TimelineEvent], trial: int) -> _TrialResult:
-    meas = generate_measurements(
-        graph, truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, trial],
-        sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides))
-    engine = _make_engine(cfg, graph, meas, truth)
-    loss_rng = np.random.default_rng([cfg.master_seed, STREAM_LOSS, trial])
-    sched_rng = np.random.default_rng([cfg.master_seed, STREAM_SCHEDULE, trial])
+    def run(self, events: list[TimelineEvent]) -> "_Trial":
+        """Record the initial state as row 0, then run rounds through the
+        timeline; sets rows, converged_at and diverged."""
+        cfg = self.cfg
+        engine = _make_engine(cfg, self.graph, self.meas, self.truth)
+        self.isolated = _isolated(engine)
+        self.rows = [_record(0, engine, self.truth, cfg, MessageCounters(),
+                             self.isolated)]
+        changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
+        engine, _, self.converged_at = iterate(
+            engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
+        self.diverged = engine.diverged
+        return self
 
-    isolated = _isolated(engine)
-    rows = [_record(0, engine, truth, cfg, MessageCounters(), isolated)]
-    prev = engine.snapshot()
-    converged_at = None
-    diverged = False
-    pending = list(events)
-
-    for l in range(1, cfg.l_max + 1):
-        while pending and pending[0].iteration <= l - 1:
-            ev = pending.pop(0)
-            graph, truth, meas, engine = _apply_event(
-                ev, cfg, graph, truth, meas, engine, trial)
-            isolated = _isolated(engine)
-            prev = engine.snapshot()
-            converged_at = None
-
-        skip, delivered = draw_losses(loss_rng, engine.n, cfg.pdr, cfg.skip_prob)
-        if cfg.algorithm == "lsbp" and cfg.schedule == "asynchronous":
-            order = [engine.ids[k] for k in sched_rng.permutation(engine.n)]
-            engine.async_round(order, delivered, skip)
+    def _round(self, engine) -> None:
+        """One lossy round, recorded as the next row."""
+        cfg = self.cfg
+        skip, delivered = draw_losses(self.loss_rng, engine.n, cfg.pdr, cfg.skip_prob)
+        if cfg.schedule == "asynchronous":   # lsbp only, by validate_config
+            engine.async_round(self.sched_rng.permutation(engine.n), delivered, skip)
         else:
             engine.sync_round(delivered, skip)
-
         counters = _count_messages(cfg, engine, delivered, skip)
-        rows.append(_record(l, engine, truth, cfg, counters, isolated))
+        self.rows.append(_record(len(self.rows), engine, self.truth, cfg,
+                                 counters, self.isolated))
 
-        if getattr(engine, "diverged", False):
-            diverged = True
-            break
-        cur = engine.snapshot()
-        dmean, dprec = step_delta(prev, cur)
-        prev = cur
-        if converged_at is None and dmean < cfg.mean_tol and \
-                dprec < cfg.prec_tol and not engine.has_pending_information():
-            converged_at = l
-        if converged_at is not None and not pending:
-            break
-
-    return _TrialResult(rows=rows, converged_at=converged_at, diverged=diverged,
-                        final_graph=graph, final_meas=meas, truth=truth)
+    def _apply_event(self, ev: TimelineEvent, engine):
+        cfg = self.cfg
+        if ev.kind == "leave":
+            self.graph = self.graph.remove_agent(ev.agent)
+            self.meas = self.meas.without_agent(ev.agent)
+        else:
+            self.graph, new_id = self.graph.add_agent(ev.position, join_radius(cfg))
+            self.truth = self.truth.with_offset(
+                new_id, draw_joiner_offset([cfg.master_seed, STREAM_TRUTH], new_id,
+                                           cfg.max_offset))
+            new_edges = [e for e in self.graph.edges if new_id in e]
+            fresh = generate_measurements(
+                self.graph, self.truth, cfg.sigma,
+                seed=[cfg.master_seed, STREAM_NOISE, self.trial, new_id],
+                sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides),
+                edges=new_edges)
+            self.meas = self.meas.merged_with(fresh)
+        engine = engine.rebuilt(self.graph, self.meas)
+        self.isolated = _isolated(engine)
+        return engine
 
 
 def _count_messages(cfg: ExperimentConfig, engine, delivered, skip) -> MessageCounters:
@@ -249,7 +231,7 @@ def _count_messages(cfg: ExperimentConfig, engine, delivered, skip) -> MessageCo
                            drops=intended - n_delivered)
 
 
-def _aggregate(trials: list[_TrialResult], cfg: ExperimentConfig) -> RunTrace:
+def _aggregate(trials: list[_Trial], cfg: ExperimentConfig) -> RunTrace:
     horizon = max(len(t.rows) for t in trials)
     rows = []
     for l in range(horizon):
@@ -285,22 +267,22 @@ def _aggregate(trials: list[_TrialResult], cfg: ExperimentConfig) -> RunTrace:
     )
 
 
-def _attach_oracle(trace: RunTrace, trials: list[_TrialResult],
+def _attach_oracle(trace: RunTrace, trials: list[_Trial],
                    cfg: ExperimentConfig) -> None:
-    final_graph = trials[0].final_graph
+    final_graph = trials[0].graph
     truth = trials[0].truth
-    pstar = variance_fixed_point(final_graph, trials[0].final_meas,
+    pstar = variance_fixed_point(final_graph, trials[0].meas,
                                  cfg.reference_precision)
     wls_acc: dict[int, list[float]] = {}
     for t in trials:
-        sys = oracle_mod.build_linear_system(t.final_graph, t.final_meas,
+        sys = oracle_mod.build_linear_system(t.graph, t.meas,
                                              truth.reference_value)
         for a, v in oracle_mod.wls_solve(sys).items():
             wls_acc.setdefault(a, []).append(v)
-    sys0 = oracle_mod.build_linear_system(final_graph, trials[0].final_meas,
+    sys0 = oracle_mod.build_linear_system(final_graph, trials[0].meas,
                                           truth.reference_value)
     fps = oracle_mod.build_fixed_point_system(
-        final_graph, trials[0].final_meas, pstar, truth.reference_value,
+        final_graph, trials[0].meas, pstar, truth.reference_value,
         cfg.reference_precision)
     trace.oracle = {
         "rho_K": oracle_mod.spectral_radius(fps.K),
@@ -329,8 +311,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
             raise ConfigError(f"sigma override for non-edge {edge}")
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
-    trials = [_run_trial(cfg, graph, truth, events, t)
-              for t in range(cfg.trials)]
+    trials = [_Trial(cfg, graph, truth, t).run(events) for t in range(cfg.trials)]
     trace = _aggregate(trials, cfg)
     if cfg.oracle:
         _attach_oracle(trace, trials, cfg)

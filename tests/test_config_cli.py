@@ -133,6 +133,16 @@ def test_cli_rejects_non_finite_float(tmp_path, capsys, field, value):
     assert f"{field} must be finite" in err[0]
 
 
+def test_cli_rejects_negative_radius(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "radius = -5\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=validation")
+    assert "radius must be >= 0" in err[0]
+
+
 def test_cli_unknown_key_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, "pdrr = 0.5\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

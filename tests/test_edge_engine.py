@@ -130,9 +130,10 @@ def _run(engine, ref, g, ms, rng, schedule, skip_prob, rounds=12, rebuild_at=6):
             _assert_matches(engine, ref, f"rebuilt before round {l}")
         skip, delivered = draw_losses(rng, engine.n, 0.7, skip_prob)
         if schedule == "asynchronous":
-            order = [engine.ids[k] for k in sched.permutation(engine.n)]
+            order = sched.permutation(engine.n)
             engine.async_round(order, delivered, skip)
-            ref.async_round(engine.ids, order, delivered, skip)
+            ref.async_round(engine.ids, [engine.ids[k] for k in order],
+                            delivered, skip)
         else:
             engine.sync_round(delivered, skip)
             ref.sync_round(engine.ids, delivered, skip)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cfosync import (Graph, LinearScalingBP, MeasurementSet, generate_measurements,
-                     generate_truth, is_feasible_start, variance_fixed_point,
-                     variance_map, variance_map_bound)
+from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
+                     generate_measurements, generate_truth, is_feasible_start,
+                     variance_fixed_point, variance_map, variance_map_bound)
+from cfosync.edges import step_delta
 from cfosync.gaussian import FLAT, Gaussian1D, edge_message
-from cfosync.lsbp import (BeliefInit, LsbpEngine, detect_convergence,
-                          nonref_agents, step_delta)
+from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
 from cfosync.model import Measurement
 
 from helpers import random_connected_graph, seeded_instance, triangle
@@ -222,22 +222,6 @@ def _snap(means, precs):
     return np.asarray(means, dtype=float), np.asarray(precs, dtype=float)
 
 
-def test_detect_convergence_constant_trace():
-    s = _snap([1.0, 2.0], [1.0, 1.0])
-    assert detect_convergence([s, s, s]) == 1
-
-
-def test_detect_convergence_jump_then_constant():
-    low = _snap([0.0], [1.0])
-    high = _snap([5.0], [1.0])
-    trace = [low] * 5 + [high, high]
-    assert detect_convergence(trace, mean_tol=1e-9, prec_tol=1e-12) == 6
-
-
-def test_detect_convergence_needs_two_snapshots():
-    assert detect_convergence([_snap([0.0], [1.0])]) is None
-
-
 def test_flat_transition_counts_as_change():
     flat = _snap([np.nan], [0.0])
     info = _snap([1.0], [2.0])
@@ -255,8 +239,13 @@ def test_triangle_converges_within_expected_iterations():
 
 # -- estimator surface --------------------------------------------------------
 
-def test_get_set_params_round_trip():
-    est = LinearScalingBP(max_iter=7, mean_tol=1e-3)
+ESTIMATORS = pytest.mark.parametrize(
+    "estimator", [LinearScalingBP, BeliefPropagation], ids=lambda c: c.__name__)
+
+
+@ESTIMATORS
+def test_get_set_params_round_trip(estimator):
+    est = estimator(max_iter=7, mean_tol=1e-3)
     params = est.get_params()
     assert params["max_iter"] == 7
     est.set_params(max_iter=9)
@@ -265,6 +254,7 @@ def test_get_set_params_round_trip():
         est.set_params(bogus=1)
 
 
-def test_unfitted_predict_raises():
+@ESTIMATORS
+def test_unfitted_predict_raises(estimator):
     with pytest.raises(RuntimeError, match="not fitted"):
-        LinearScalingBP().predict()
+        estimator().predict()

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cfosync import ExperimentConfig, run_experiment
+from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
+                     generate_measurements, generate_truth, run_experiment)
 from cfosync.errors import ConfigError
 from cfosync.metrics import rows_from_trace
 from cfosync.netsim import draw_losses, parse_timeline, validate_timeline
@@ -74,6 +75,23 @@ def test_run_is_deterministic():
     r1 = rows_from_trace(run_experiment(cfg))
     r2 = rows_from_trace(run_experiment(cfg))
     assert r1 == r2
+
+
+@pytest.mark.parametrize("algorithm, estimator",
+                         [("lsbp", LinearScalingBP), ("bp", BeliefPropagation)])
+def test_simulator_and_front_end_share_the_stop_rule(algorithm, estimator):
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           algorithm=algorithm, master_seed=8, mean_tol=1e-9,
+                           prec_tol=1e-9, l_max=3000)
+    trace = run_experiment(cfg)
+    g = parse_topology(cfg)
+    truth = generate_truth(g, cfg.max_offset, seed=[8, 1, 0])
+    meas = generate_measurements(g, truth, cfg.sigma, seed=[8, 2, 0])
+    est = estimator(max_iter=cfg.l_max, mean_tol=cfg.mean_tol,
+                    prec_tol=cfg.prec_tol).fit(g, meas, truth.reference_value)
+    assert est.converged_
+    assert trace.per_trial_converged_at[0] == est.n_iter_
+    assert trace.final_estimates == est.estimates_
 
 
 def test_message_counts_complete_graph():
