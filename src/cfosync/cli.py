@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, config_to_text, load_config
-from .errors import ConfigError, NumericError, UnobservableError
+from .errors import ConfigError, UnobservableError
 from .metrics import RunTrace, write_summary, write_trace
 from .netsim import run_experiment
 from .presets import PRESET_NAMES, preset_configs
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             any_diverged |= trace.diverged
     except (ConfigError, UnobservableError) as exc:
         return _fail(EXIT_VALIDATION, "validation", exc)
-    except NumericError as exc:
+    except ArithmeticError as exc:    # NumericError, and overflow in float arithmetic
         return _fail(EXIT_NUMERIC, "numeric", exc)
     except OSError as exc:
         return _fail(EXIT_VALIDATION, "io", exc)

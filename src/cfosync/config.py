@@ -106,23 +106,31 @@ def load_config(path) -> ExperimentConfig:
 
 # -- structured field grammars ------------------------------------------------
 
+def _random_params(text: str) -> dict[str, float]:
+    """The parameters of a 'random:k=v,...' topology: n, width and height
+    are required, radius, seed and retries have defaults, and any other key
+    is an error."""
+    params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": 50.0}
+    for part in text[len("random:"):].split(","):
+        if not part:
+            continue
+        k, _, v = (s.strip() for s in part.partition("="))
+        if k not in ("n", "width", "height", "radius", "seed", "retries"):
+            raise ConfigError(f"unknown random topology key {k!r}")
+        try:
+            params[k] = float(v)
+        except ValueError:
+            raise ConfigError(f"bad topology parameter {part!r}")
+    for req in ("n", "width", "height"):
+        if req not in params:
+            raise ConfigError(f"random topology needs {req}=")
+    return params
+
+
 def parse_topology(cfg: ExperimentConfig) -> Graph:
     text = cfg.topology.strip()
     if text.startswith("random:"):
-        params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": 50.0}
-        for part in text[len("random:"):].split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigError(f"bad topology parameter {part!r}")
-            k, v = part.split("=", 1)
-            try:
-                params[k.strip()] = float(v)
-            except ValueError:
-                raise ConfigError(f"bad topology parameter {part!r}")
-        for req in ("n", "width", "height"):
-            if req not in params:
-                raise ConfigError(f"random topology needs {req}=")
+        params = _random_params(text)
         return random_geometric(
             n=int(params["n"]), width=params["width"], height=params["height"],
             radius=params["radius"], seed=int(params["seed"]),
@@ -177,7 +185,16 @@ def parse_sigma_overrides(text: str) -> dict[tuple[int, int], float]:
             out[canonical_edge(i, j)] = float(val)
         except ValueError:
             raise ConfigError(f"bad sigma override {part!r}")
+        _check_noise_std(f"sigma override {edge}", out[canonical_edge(i, j)])
     return out
+
+
+def _check_noise_std(name: str, std: float) -> None:
+    """A noise std is 0 or positive with a variance std**2 that is neither 0
+    nor inf (generation would otherwise fail or flatten every belief)."""
+    if not (std == 0 or std > 0 and 0.0 < std * std < math.inf):
+        raise ConfigError(f"{name} must be 0 or a positive std whose square is "
+                          f"finite and nonzero, got {std!r}")
 
 
 def join_radius(cfg: ExperimentConfig) -> float:
@@ -185,10 +202,7 @@ def join_radius(cfg: ExperimentConfig) -> float:
         return cfg.radius
     text = cfg.topology.strip()
     if text.startswith("random:"):
-        for part in text[len("random:"):].split(","):
-            if part.startswith("radius="):
-                return float(part.split("=", 1)[1])
-        return DEFAULT_COMM_RADIUS
+        return _random_params(text)["radius"]
     raise ConfigError("timeline joins on an edges topology require radius=")
 
 
@@ -224,8 +238,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("mse_normalization must be > 0")
     if cfg.radius < 0:
         raise ConfigError("radius must be >= 0")
-    if cfg.sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    _check_noise_std("sigma", cfg.sigma)
     if cfg.max_offset < 0:
         raise ConfigError("max_offset must be >= 0")
     if cfg.master_seed < 0:

@@ -10,19 +10,19 @@ whose floats round-trip exactly, plus a JSON summary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MetricError
+from .errors import MetricError, NumericError
 
 
 def avg_mse(estimates: dict[int, float | None], truth: dict[int, float],
             mse_normalization: float = 1.0) -> float:
     """Average of ((estimate - truth)/B)^2 over agents with an estimate.
 
-    Agents whose estimate is None (flat belief) are excluded; callers that
-    need the excluded count use `count_flat`.  Raises MetricError when no
-    agent has an estimate.
+    Agents whose estimate is None (flat belief) are excluded.  Raises
+    MetricError when no agent has an estimate.
     """
     if mse_normalization <= 0:
         raise MetricError("mse_normalization must be > 0")
@@ -34,10 +34,6 @@ def avg_mse(estimates: dict[int, float | None], truth: dict[int, float],
     if not errs:
         raise MetricError("no agent holds an estimate; metric undefined")
     return sum(errs) / len(errs)
-
-
-def count_flat(estimates: dict[int, float | None]) -> int:
-    return sum(1 for v in estimates.values() if v is None)
 
 
 @dataclass
@@ -85,6 +81,8 @@ TRACE_COLUMNS = ("iteration", "agent", "mean", "variance", "avg_mse",
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if not math.isfinite(x):
+        raise NumericError(f"non-finite value {x!r} in the trace")
     if isinstance(x, float) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
@@ -93,17 +91,11 @@ def _fmt(x) -> str:
 def trace_to_csv(trace: RunTrace) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     for row in trace.rows:
-        for agent in sorted(row.means):
-            lines.append(",".join([
-                str(row.iteration),
-                str(agent),
-                _fmt(row.means[agent]),
-                _fmt(row.variances[agent]),
-                repr(float(row.avg_mse)),
-                _fmt(float(row.broadcasts)),
-                _fmt(float(row.deliveries)),
-                _fmt(float(row.drops)),
-            ]))
+        tail = ",".join([repr(float(row.avg_mse)), _fmt(float(row.broadcasts)),
+                         _fmt(float(row.deliveries)), _fmt(float(row.drops))])
+        lines.extend(f"{row.iteration},{agent},{_fmt(row.means[agent])},"
+                     f"{_fmt(row.variances[agent])},{tail}"
+                     for agent in sorted(row.means))
     return "\n".join(lines) + "\n"
 
 
@@ -128,26 +120,6 @@ def read_trace_csv(text: str) -> list[dict]:
         for k in ("avg_mse", "broadcasts", "deliveries", "drops"):
             rec[k] = float(rec[k])
         out.append(rec)
-    return out
-
-
-def rows_from_trace(trace: RunTrace) -> list[dict]:
-    """The same flat records trace_to_csv emits, straight from memory."""
-    out = []
-    for row in trace.rows:
-        for agent in sorted(row.means):
-            mean = row.means[agent]
-            var = row.variances[agent]
-            out.append({
-                "iteration": row.iteration,
-                "agent": agent,
-                "mean": None if mean is None else float(mean),
-                "variance": None if var is None else float(var),
-                "avg_mse": float(row.avg_mse),
-                "broadcasts": float(row.broadcasts),
-                "deliveries": float(row.deliveries),
-                "drops": float(row.drops),
-            })
     return out
 
 

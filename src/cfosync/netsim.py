@@ -19,6 +19,7 @@ tolerances and no timeline events remain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +32,7 @@ from .edges import iterate
 from .errors import ConfigError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine
-from .metrics import IterationRow, MetricError, RunTrace, avg_mse, count_flat
+from .metrics import IterationRow, MetricError, RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
                     generate_measurements, generate_truth)
 from . import oracle as oracle_mod
@@ -124,22 +125,6 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
     return BpEngine(graph, meas, truth.reference_value, cfg.reference_precision)
 
 
-def _record(iteration: int, engine, truth: GroundTruth, cfg: ExperimentConfig,
-            counters: MessageCounters, isolated: tuple[int, ...]) -> IterationRow:
-    estimates = engine.estimates()
-    variances = {a: (None if v == float("inf") else v)
-                 for a, v in engine.variances().items()}
-    try:
-        mse = avg_mse(estimates, truth.offsets, cfg.mse_normalization)
-    except MetricError:
-        mse = float("nan")
-    return IterationRow(
-        iteration=iteration, means=estimates, variances=variances,
-        avg_mse=mse, broadcasts=counters.sends,
-        deliveries=counters.deliveries, drops=counters.drops,
-        n_flat=count_flat(estimates), unobservable=isolated)
-
-
 def _isolated(engine) -> tuple[int, ...]:
     """Non-reference agents without a neighbor, in id order."""
     alone = np.flatnonzero(np.diff(engine.indptr) == 0)
@@ -160,7 +145,10 @@ def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
 
 class _Trial:
     """One Monte-Carlo trial: its graph, truth and measurements as the
-    timeline changes them, and one recorded row per round."""
+    timeline changes them, and per round a record (ids, isolated, means,
+    variances, scalars).  means and variances align to the engine's ids and
+    are NaN while flat; scalars are (mse, sends, deliveries, drops, n_flat);
+    ids and isolated are shared by the rounds of one topology."""
 
     def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
                  trial: int):
@@ -177,8 +165,8 @@ class _Trial:
         cfg = self.cfg
         engine = _make_engine(cfg, self.graph, self.meas, self.truth)
         self.isolated = _isolated(engine)
-        self.rows = [_record(0, engine, self.truth, cfg, MessageCounters(),
-                             self.isolated)]
+        self.rows: list[tuple] = []
+        self._record(engine, MessageCounters())
         changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
         engine, _, self.converged_at = iterate(
             engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
@@ -193,9 +181,22 @@ class _Trial:
             engine.async_round(self.sched_rng.permutation(engine.n), delivered, skip)
         else:
             engine.sync_round(delivered, skip)
-        counters = _count_messages(cfg, engine, delivered, skip)
-        self.rows.append(_record(len(self.rows), engine, self.truth, cfg,
-                                 counters, self.isolated))
+        self._record(engine, _count_messages(cfg, engine, delivered, skip))
+
+    def _record(self, engine, counters: MessageCounters) -> None:
+        """Append the engine's state after a round as the next record."""
+        means, prec = engine.snapshot()
+        with np.errstate(divide="ignore"):
+            variances = 1.0 / prec
+        variances[np.isinf(variances)] = np.nan
+        try:
+            mse = avg_mse(engine.estimates(), self.truth.offsets,
+                          self.cfg.mse_normalization)
+        except MetricError:
+            mse = float("nan")
+        n_flat = int(np.count_nonzero(np.isnan(means)))
+        self.rows.append((engine.ids, self.isolated, means, variances, (
+            mse, counters.sends, counters.deliveries, counters.drops, n_flat)))
 
     def _apply_event(self, ev: TimelineEvent, engine):
         cfg = self.cfg
@@ -231,29 +232,40 @@ def _count_messages(cfg: ExperimentConfig, engine, delivered, skip) -> MessageCo
                            drops=intended - n_delivered)
 
 
+def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | None]:
+    """Per agent, the mean over trials of its entries in `arrays` (one array
+    per trial, aligned to `ids`).  An agent flat (NaN) in some trials
+    averages its informative trials only, and is None when flat in all.
+    The trials are stacked as (agents, trials) so that each agent's values
+    are summed as np.mean sums a list; an axis-0 mean would not be."""
+    stack = np.stack(arrays, axis=1)
+    out = stack.mean(axis=1)
+    flat = np.isnan(stack)
+    for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
+        out[a] = np.mean(stack[a][~flat[a]])
+    return {a: (None if math.isnan(v) else v) for a, v in zip(ids, out.tolist())}
+
+
 def _aggregate(trials: list[_Trial], cfg: ExperimentConfig) -> RunTrace:
     horizon = max(len(t.rows) for t in trials)
     rows = []
     for l in range(horizon):
-        per_trial = [t.rows[min(l, len(t.rows) - 1)] for t in trials]
-        agents = sorted(per_trial[0].means)
-        means, variances = {}, {}
-        for a in agents:
-            mvals = [r.means[a] for r in per_trial if r.means.get(a) is not None]
-            vvals = [r.variances[a] for r in per_trial
-                     if r.variances.get(a) is not None]
-            means[a] = float(np.mean(mvals)) if mvals else None
-            variances[a] = float(np.mean(vvals)) if vvals else None
+        # trials share row l's topology: a trial stops early only after its last event
+        ids, isolated, means, variances, scalars = zip(
+            *(t.rows[min(l, len(t.rows) - 1)] for t in trials))
+        # (5, trials) in C order, so each scalar's trials are summed in order
+        scalars = np.array(scalars, dtype=float).T.copy()
+        mse, sends, deliveries, drops, n_flat = scalars.mean(axis=1).tolist()
         rows.append(IterationRow(
             iteration=l,
-            means=means,
-            variances=variances,
-            avg_mse=float(np.mean([r.avg_mse for r in per_trial])),
-            broadcasts=float(np.mean([r.broadcasts for r in per_trial])),
-            deliveries=float(np.mean([r.deliveries for r in per_trial])),
-            drops=float(np.mean([r.drops for r in per_trial])),
-            n_flat=int(round(np.mean([r.n_flat for r in per_trial]))),
-            unobservable=per_trial[0].unobservable,
+            means=_trial_mean(ids[0], means),
+            variances=_trial_mean(ids[0], variances),
+            avg_mse=mse,
+            broadcasts=sends,
+            deliveries=deliveries,
+            drops=drops,
+            n_flat=int(round(n_flat)),
+            unobservable=isolated[0],
         ))
     per_conv = [t.converged_at for t in trials]
     converged_at = None if any(c is None for c in per_conv) else max(per_conv)
@@ -263,7 +275,7 @@ def _aggregate(trials: list[_Trial], cfg: ExperimentConfig) -> RunTrace:
         diverged=any(t.diverged for t in trials),
         final_estimates=rows[-1].means if rows else {},
         per_trial_converged_at=per_conv,
-        per_trial_final_mse=[t.rows[-1].avg_mse for t in trials],
+        per_trial_final_mse=[t.rows[-1][4][0] for t in trials],  # scalars[0]: mse
     )
 
 

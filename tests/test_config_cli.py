@@ -4,7 +4,7 @@ import pytest
 
 from cfosync import ExperimentConfig, parse_config_text
 from cfosync.cli import main
-from cfosync.config import (FINITE_FIELDS, config_to_text,
+from cfosync.config import (FINITE_FIELDS, config_to_text, join_radius,
                             parse_sigma_overrides, parse_topology,
                             validate_config)
 from cfosync.errors import ConfigError, NumericError
@@ -50,9 +50,12 @@ def test_parse_topology_variants():
     g2 = parse_topology(ExperimentConfig(
         topology="random:n=12,width=100,height=100,radius=60,seed=1"))
     assert g2.num_agents == 12 and g2.is_connected()
-    for bad in ("grid:3x3", "random:n=5", "edges:", "edges:1_2"):
+    for bad in ("grid:3x3", "random:n=5", "edges:", "edges:1_2",
+                "random:n=12,width=100,height=100,sead=1"):
         with pytest.raises(ConfigError):
             parse_topology(ExperimentConfig(topology=bad))
+    spaced = "random:n=12, width=100, height=100, radius=60, seed=1"
+    assert join_radius(ExperimentConfig(topology=spaced)) == 60.0
 
 
 def test_validate_config_rules():
@@ -69,6 +72,8 @@ def test_validate_config_rules():
         dict(trials=0),
         dict(mse_normalization=0.0),
         dict(sigma=-1.0),
+        dict(sigma=1e200),      # variance overflows to inf
+        dict(sigma=1e-200),     # variance underflows to 0
         dict(master_seed=-1),
         dict(mean_tol=0.0),
     ]
@@ -79,8 +84,10 @@ def test_validate_config_rules():
 
 def test_parse_sigma_overrides():
     assert parse_sigma_overrides("1-2:2.0;4-3:0.5") == {(1, 2): 2.0, (3, 4): 0.5}
-    with pytest.raises(ConfigError):
-        parse_sigma_overrides("1-2")
+    assert parse_sigma_overrides("1-2:0") == {(1, 2): 0.0}
+    for bad in ("1-2", "1-2:-1", "1-2:nan", "1-2:inf", "1-2:1e200", "1-2:1e-200"):
+        with pytest.raises(ConfigError):
+            parse_sigma_overrides(bad)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -182,6 +189,15 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.startswith("error: code=4 kind=numeric")
+
+
+def test_cli_overflow_exits_numeric(tmp_path, capsys):
+    # squaring a 1e200 Hz estimation error overflows in the MSE
+    cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "max_offset = 1e200\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=4 kind=numeric")
 
 
 def test_cli_preset_expansion(tmp_path):

@@ -1,9 +1,9 @@
 import pytest
 
 from cfosync import avg_mse
-from cfosync.errors import MetricError
-from cfosync.metrics import (IterationRow, RunTrace, read_trace_csv,
-                             rows_from_trace, summary_dict, trace_to_csv)
+from cfosync.errors import MetricError, NumericError
+from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
+                             read_trace_csv, summary_dict, trace_to_csv)
 
 
 def test_avg_mse_perfect_estimates():
@@ -51,7 +51,17 @@ def _tiny_trace() -> RunTrace:
 def test_trace_csv_round_trip_is_exact():
     trace = _tiny_trace()
     parsed = read_trace_csv(trace_to_csv(trace))
-    assert parsed == rows_from_trace(trace)
+    expected = [(row.iteration, a, row.means[a], row.variances[a], row.avg_mse,
+                 row.broadcasts, row.deliveries, row.drops)
+                for row in trace.rows for a in sorted(row.means)]
+    assert [tuple(rec[c] for c in TRACE_COLUMNS) for rec in parsed] == expected
+
+
+def test_trace_csv_rejects_non_finite_values():
+    trace = _tiny_trace()
+    trace.rows[1].means[2] = float("nan")
+    with pytest.raises(NumericError):
+        trace_to_csv(trace)
 
 
 def test_trace_csv_header_checked():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 from cfosync.errors import ConfigError
-from cfosync.metrics import rows_from_trace
+from cfosync.metrics import summary_dict, trace_to_csv
 from cfosync.netsim import draw_losses, parse_timeline, validate_timeline
 from cfosync.config import parse_topology, validate_config
 
@@ -72,9 +74,25 @@ def test_run_zero_iterations_records_initial_state_only():
 def test_run_is_deterministic():
     cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
                            pdr=0.7, l_max=12, trials=2, master_seed=99)
-    r1 = rows_from_trace(run_experiment(cfg))
-    r2 = rows_from_trace(run_experiment(cfg))
-    assert r1 == r2
+    t1, t2 = run_experiment(cfg), run_experiment(cfg)
+    assert trace_to_csv(t1) == trace_to_csv(t2)
+    assert summary_dict(t1) == summary_dict(t2)
+
+
+def test_trace_bytes_are_pinned():
+    # 12 trials (numpy's pairwise sum blocks above 8 values), agents flat in
+    # some trials but not all, a leave and a join.  A deliberate change of
+    # the random streams or of the summation order updates these digests.
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           pdr=0.7, trials=12, l_max=25, master_seed=21,
+                           timeline="6:leave:5;9:join:250,250", oracle=True)
+    trace = run_experiment(cfg)
+    csv = trace_to_csv(trace).encode()
+    summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(csv).hexdigest() == \
+        "864ce28d1030b8b9c3c0270184d9318d7edcd310ff3076c1481ad36fdec16b51"
+    assert hashlib.sha256(summary).hexdigest() == \
+        "627d6925b62d51ae1dfa438c4e73cc5a293bac99b346bb271175fc4a1874180e"
 
 
 @pytest.mark.parametrize("algorithm, estimator",
