@@ -245,5 +245,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("master_seed must be >= 0")
     if cfg.mean_tol <= 0 or cfg.prec_tol <= 0:
         raise ConfigError("tolerances must be > 0")
-    if cfg.reference_precision <= 0:
-        raise ConfigError("reference_precision must be > 0")
+    # a subnormal precision has no finite variance 1/p
+    if not (cfg.reference_precision > 0 and math.isfinite(1.0 / cfg.reference_precision)):
+        raise ConfigError(f"reference_precision must be > 0 with a finite reciprocal, "
+                          f"got {cfg.reference_precision!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
-from .model import MeasurementSet
+from .model import MeasurementSet, sorted_lookup
 
 DEFAULT_REFERENCE_PRECISION = 1e12
 DEFAULT_MEAN_TOL = 1e-9
@@ -50,10 +50,9 @@ class DirectedEdges:
         n = self.n = len(self.ids)
         self.ref = self.index[graph.reference]
 
-        pairs = list(graph.edges)
-        ends = np.searchsorted(self.ids, np.array(pairs, dtype=np.intp).reshape(-1, 2))
-        obs = np.array([(m.r, m.sigma2) for m in (meas.get(i, j) for i, j in pairs)],
-                       dtype=float).reshape(-1, 2)
+        pairs = graph.edge_array
+        ends = np.searchsorted(self.ids, pairs)
+        rows = meas.rows_of(pairs)
         m = len(pairs)
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
@@ -62,8 +61,8 @@ class DirectedEdges:
         where[order] = np.arange(2 * m)
         self.src, self.dst = src[order], dst[order]
         self.rev = where[(order + m) % max(2 * m, 1)]
-        self.r = np.tile(obs[:, 0], 2)[order]
-        self.sig2 = np.tile(obs[:, 1], 2)[order]
+        self.r = np.tile(meas.r_array[rows], 2)[order]
+        self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
 
     def edge(self, receiver: int, sender: int) -> int:
@@ -161,23 +160,15 @@ class EdgeEngine(DirectedEdges):
         edges start as in a fresh engine."""
         new = self._fresh(graph, meas)
         old_ids, new_ids = np.array(self.ids), np.array(new.ids)
-        at, kept = _lookup(old_ids, new_ids)
+        at, kept = sorted_lookup(old_ids, new_ids)
         new.prec[kept] = self.prec[at[kept]]
         new.mean[kept] = self.mean[at[kept]]
-        # (receiver id, sender id) keys ascend along both edge arrays
-        span = int(max(old_ids.max(), new_ids.max())) + 1
-        at, kept = _lookup(old_ids[self.dst] * span + old_ids[self.src],
-                           new_ids[new.dst] * span + new_ids[new.src])
+        # (receiver id, sender id) pairs ascend along both edge arrays
+        at, kept = sorted_lookup(np.column_stack([old_ids[self.dst], old_ids[self.src]]),
+                                 np.column_stack([new_ids[new.dst], new_ids[new.src]]))
         new.edge_prec[kept] = self.edge_prec[at[kept]]
         new.edge_mean[kept] = self.edge_mean[at[kept]]
         return new
-
-
-def _lookup(old_keys: np.ndarray, new_keys: np.ndarray):
-    """(position in old_keys, found) for each new key; keys ascend."""
-    at = np.minimum(np.searchsorted(old_keys, new_keys), max(len(old_keys) - 1, 0))
-    found = old_keys[at] == new_keys if len(old_keys) else np.zeros(len(new_keys), bool)
-    return at, found
 
 
 # -- the round loop -----------------------------------------------------------

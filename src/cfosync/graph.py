@@ -66,6 +66,14 @@ class Graph:
             nbrs[j].add(i)
         return {i: frozenset(s) for i, s in nbrs.items()}
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges in sorted order as a read-only (|E|, 2) array, i < j
+        in each row: the canonical order of measurement arrays."""
+        arr = np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
     @property
     def num_agents(self) -> int:
         return len(self.agents)
@@ -135,48 +143,6 @@ class Graph:
             next_id=new_id + 1,
         )
         return g, new_id
-
-    # -- serialization ------------------------------------------------------
-
-    def to_edgelist_text(self) -> str:
-        lines = [f"N {self.num_agents} REF {self.reference}"]
-        for i, j in sorted(self.edges):
-            lines.append(f"{i} {j}")
-        if self.positions is not None:
-            for a in sorted(self.positions):
-                x, y = self.positions[a]
-                lines.append(f"POS {a} {x!r} {y!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edgelist_text(cls, text: str) -> "Graph":
-        """Parse the `N <n> REF <ref>` / `i j` / `POS i x y` format.
-
-        Agents are the union of ids 1..n, edge endpoints, and POS entries;
-        isolated agents above n without a POS line are not recoverable.
-        """
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("N "):
-            raise ValueError("missing 'N <num_agents> REF <reference>' header")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "N" or head[2] != "REF":
-            raise ValueError(f"malformed header: {lines[0]!r}")
-        n, ref = int(head[1]), int(head[3])
-        agents = set(range(1, n + 1))
-        edges = set()
-        positions: dict[int, tuple[float, float]] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "POS":
-                a = int(parts[1])
-                positions[a] = (float(parts[2]), float(parts[3]))
-                agents.add(a)
-            else:
-                i, j = int(parts[0]), int(parts[1])
-                edges.add(canonical_edge(i, j))
-                agents.update((i, j))
-        return cls(agents=frozenset(agents), edges=frozenset(edges),
-                   reference=ref, positions=positions or None)
 
 
 def random_geometric(n: int, width: float, height: float,

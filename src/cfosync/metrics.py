@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MetricError, NumericError
 
 
@@ -78,24 +80,29 @@ TRACE_COLUMNS = ("iteration", "agent", "mean", "variance", "avg_mse",
                  "broadcasts", "deliveries", "drops")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if not math.isfinite(x):
-        raise NumericError(f"non-finite value {x!r} in the trace")
-    if isinstance(x, float) and x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+def _cells(values: list) -> list[str]:
+    """The CSV cell of each value, in one pass: empty for None, a whole
+    number below 1e15 without its fraction, anything else by repr; a
+    non-finite value raises NumericError."""
+    x = np.array(values, dtype=float)          # None -> nan
+    if np.isinf(x).any() or np.count_nonzero(np.isnan(x)) != values.count(None):
+        bad = next(v for v in values if v is not None and not math.isfinite(v))
+        raise NumericError(f"non-finite value {bad!r} in the trace")
+    whole = ((x == np.trunc(x)) & (np.abs(x) < 1e15)).tolist()
+    return ["" if v is None else str(int(v)) if w else repr(v)
+            for v, w in zip(values, whole)]
 
 
 def trace_to_csv(trace: RunTrace) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     for row in trace.rows:
-        tail = ",".join([repr(float(row.avg_mse)), _fmt(float(row.broadcasts)),
-                         _fmt(float(row.deliveries)), _fmt(float(row.drops))])
-        lines.extend(f"{row.iteration},{agent},{_fmt(row.means[agent])},"
-                     f"{_fmt(row.variances[agent])},{tail}"
-                     for agent in sorted(row.means))
+        tail = ",".join([repr(float(row.avg_mse)), *_cells(
+            [float(row.broadcasts), float(row.deliveries), float(row.drops)])])
+        agents = sorted(row.means)
+        means = _cells([row.means[a] for a in agents])
+        variances = _cells([row.variances[a] for a in agents])
+        lines.extend(f"{row.iteration},{a},{m},{v},{tail}"
+                     for a, m, v in zip(agents, means, variances))
     return "\n".join(lines) + "\n"
 
 

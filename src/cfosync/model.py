@@ -7,8 +7,8 @@ n ~ N(0, sigma^2).  The reference agent's shift is known exactly.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,26 +42,12 @@ class GroundTruth:
         offs[agent] = float(value)
         return GroundTruth(offsets=offs, reference=self.reference)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,f\n")
-        for a in sorted(self.offsets):
-            buf.write(f"{a},{self.offsets[a]!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, reference: int = 1) -> "GroundTruth":
-        offsets = {}
-        for line in text.splitlines()[1:]:
-            if not line.strip():
-                continue
-            a, f = line.split(",")
-            offsets[int(a)] = float(f)
-        return cls(offsets=offsets, reference=reference)
-
 
 @dataclass(frozen=True)
 class Measurement:
+    """One edge's measurement as a scalar record: what MeasurementSet.get
+    returns and MeasurementSet.from_measurements takes."""
+
     edge: tuple[int, int]
     r: float
     sigma2: float
@@ -72,63 +58,101 @@ class Measurement:
         object.__setattr__(self, "edge", canonical_edge(*self.edge))
 
 
-@dataclass
 class MeasurementSet:
-    """One measurement per edge, queried symmetrically in (i, j)."""
+    """One measurement per edge, queried symmetrically in (i, j).
 
-    _by_edge: dict[tuple[int, int], Measurement] = field(default_factory=dict)
+    Stored as three aligned arrays over the canonical edges in sorted order:
+    `edge_array` (m, 2) with i < j in each row, `r_array` and `sigma2_array`
+    (m,).  A set is never changed in place; the scalar queries go through an
+    edge -> row index built on first use.
+    """
 
-    def add(self, m: Measurement) -> None:
-        self._by_edge[m.edge] = m
+    def __init__(self, edge_array: np.ndarray | None = None,
+                 r_array: np.ndarray | None = None,
+                 sigma2_array: np.ndarray | None = None):
+        self.edge_array = np.empty((0, 2), np.intp) if edge_array is None else edge_array
+        self.r_array = np.empty(0) if r_array is None else r_array
+        self.sigma2_array = np.empty(0) if sigma2_array is None else sigma2_array
+
+    @classmethod
+    def from_measurements(cls, measurements) -> "MeasurementSet":
+        """A set from Measurement records; a later record for an edge
+        replaces an earlier one."""
+        by_edge = {m.edge: m for m in measurements}
+        edges = sorted(by_edge)
+        return cls(np.array(edges, dtype=np.intp).reshape(-1, 2),
+                   np.array([by_edge[e].r for e in edges], dtype=float),
+                   np.array([by_edge[e].sigma2 for e in edges], dtype=float))
+
+    @cached_property
+    def _row(self) -> dict[tuple[int, int], int]:
+        return {e: k for k, e in enumerate(self.edges())}
+
+    def _find(self, i: int, j: int) -> int:
+        try:
+            return self._row[canonical_edge(i, j)]
+        except KeyError:
+            raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}") from None
 
     def get(self, i: int, j: int) -> Measurement:
-        try:
-            return self._by_edge[canonical_edge(i, j)]
-        except KeyError:
-            raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}")
+        k = self._find(i, j)
+        return Measurement(edge=(i, j), r=float(self.r_array[k]),
+                           sigma2=float(self.sigma2_array[k]))
 
     def r(self, i: int, j: int) -> float:
-        return self.get(i, j).r
+        return float(self.r_array[self._find(i, j)])
 
     def sigma2(self, i: int, j: int) -> float:
-        return self.get(i, j).sigma2
+        return float(self.sigma2_array[self._find(i, j)])
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._by_edge)
+        return list(map(tuple, self.edge_array.tolist()))
 
     def __len__(self) -> int:
-        return len(self._by_edge)
+        return len(self.r_array)
 
     def __iter__(self):
-        return iter(self._by_edge.values())
+        return (Measurement(edge=e, r=r, sigma2=s2) for e, r, s2 in zip(
+            self.edges(), self.r_array.tolist(), self.sigma2_array.tolist()))
+
+    def rows_of(self, edges: np.ndarray) -> np.ndarray:
+        """The row of each canonical edge in `edges` ((k, 2), any order);
+        InconsistentStateError if one has no measurement."""
+        at, found = sorted_lookup(self.edge_array, edges)
+        if not found.all():
+            i, j = edges[np.argmin(found)].tolist()
+            raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}")
+        return at
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.edge_array, self.r_array, self.sigma2_array
+
+    def _select(self, rows: np.ndarray) -> "MeasurementSet":
+        return MeasurementSet(*(a[rows] for a in self._arrays))
 
     def without_agent(self, i: int) -> "MeasurementSet":
         """Retire all measurements incident to agent i."""
-        return MeasurementSet({e: m for e, m in self._by_edge.items()
-                               if i not in e})
+        return self._select(np.all(self.edge_array != i, axis=1))
 
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
-        d = dict(self._by_edge)
-        d.update(other._by_edge)
-        return MeasurementSet(d)
+        """Both sets' measurements; on an edge in both, other's wins."""
+        _, shared = sorted_lookup(other.edge_array, self.edge_array)
+        both = MeasurementSet(*map(np.concatenate,
+                                   zip(self._select(~shared)._arrays, other._arrays)))
+        return both._select(np.lexsort(both.edge_array.T[::-1]))   # by i, then j
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,j,r,sigma2\n")
-        for (i, j) in self.edges():
-            m = self._by_edge[(i, j)]
-            buf.write(f"{i},{j},{m.r!r},{m.sigma2!r}\n")
-        return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "MeasurementSet":
-        ms = cls()
-        for line in text.splitlines()[1:]:
-            if not line.strip():
-                continue
-            i, j, r, s2 = line.split(",")
-            ms.add(Measurement(edge=(int(i), int(j)), r=float(r), sigma2=float(s2)))
-        return ms
+def sorted_lookup(keys: np.ndarray, queries: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(position in keys, found) for each query; keys ascend.  Keys and
+    queries may be (k, 2) integer pairs, ordered by first then second."""
+    if keys.ndim == 2:
+        span = int(max(keys.max(initial=0), queries.max(initial=0))) + 1
+        keys, queries = keys @ [span, 1], queries @ [span, 1]
+    at = np.minimum(np.searchsorted(keys, queries), max(len(keys) - 1, 0))
+    found = keys[at] == queries if len(keys) else np.zeros(len(queries), bool)
+    return at, found
 
 
 def generate_truth(graph: Graph, max_offset: float = DEFAULT_MAX_OFFSET_HZ,
@@ -160,26 +184,31 @@ def draw_joiner_offset(truth_seed, agent_id: int,
 def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
                           seed=0, sigma_overrides: dict[tuple[int, int], float] | None = None,
                           edges=None) -> MeasurementSet:
-    """One noisy measurement r = f_i + f_j + n per edge.
+    """One noisy measurement r = f_i + f_j + n per edge of the graph, or per
+    edge of `edges` when given.
 
     sigma is the homogeneous noise std; per-edge stds may be overridden via
     sigma_overrides.  sigma = 0 is allowed for noiseless tests; the stored
     variance then falls back to NOISELESS_SIGMA2 so weights stay finite.
-    Deterministic per seed; edges consume draws in sorted order.
+    Deterministic per seed; the edges with a positive std consume one normal
+    draw each, in sorted edge order.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    ms = MeasurementSet()
-    edge_list = sorted(edges) if edges is not None else sorted(graph.edges)
-    for (i, j) in edge_list:
-        s = sigma
-        if sigma_overrides:
-            s = sigma_overrides.get(canonical_edge(i, j), sigma)
-        noise = rng.normal(0.0, s) if s > 0 else 0.0
-        ms.add(Measurement(
-            edge=(i, j),
-            r=truth.offsets[i] + truth.offsets[j] + noise,
-            sigma2=s * s if s > 0 else NOISELESS_SIGMA2,
-        ))
-    return ms
+    pairs = graph.edge_array if edges is None else np.array(
+        sorted(canonical_edge(i, j) for i, j in edges), dtype=np.intp).reshape(-1, 2)
+    s = np.full(len(pairs), float(sigma))
+    if sigma_overrides:
+        at, found = sorted_lookup(pairs, np.array(list(sigma_overrides), dtype=np.intp))
+        s[at[found]] = np.array(list(sigma_overrides.values()), dtype=float)[found]
+    noisy = s > 0
+    noise = np.zeros(len(pairs))
+    noise[noisy] = rng.normal(0.0, s[noisy])
+    sigma2 = np.where(noisy, s * s, NOISELESS_SIGMA2)
+    if np.any(sigma2 <= 0.0):
+        raise ValueError("a positive noise std squares to a zero variance")
+    agents = np.unique(pairs)
+    f = np.array([truth.offsets[a] for a in agents.tolist()])
+    ends = np.searchsorted(agents, pairs)
+    return MeasurementSet(pairs, f[ends[:, 0]] + f[ends[:, 1]] + noise, sigma2)

@@ -29,7 +29,7 @@ from .bp import BpEngine
 from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
                      parse_topology, validate_config)
 from .edges import iterate
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine
 from .metrics import IterationRow, MetricError, RunTrace, avg_mse
@@ -189,11 +189,15 @@ class _Trial:
         with np.errstate(divide="ignore"):
             variances = 1.0 / prec
         variances[np.isinf(variances)] = np.nan
+        cfg = self.cfg
         try:
-            mse = avg_mse(engine.estimates(), self.truth.offsets,
-                          self.cfg.mse_normalization)
+            mse = avg_mse(engine.estimates(), self.truth.offsets, cfg.mse_normalization)
         except MetricError:
             mse = float("nan")
+        except OverflowError:    # Python's float ** raises where numpy gives inf
+            raise NumericError(
+                f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
+                f"mse_normalization={cfg.mse_normalization!r})") from None
         n_flat = int(np.count_nonzero(np.isnan(means)))
         self.rows.append((engine.ids, self.isolated, means, variances, (
             mse, counters.sends, counters.deliveries, counters.drops, n_flat)))

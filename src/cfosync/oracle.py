@@ -40,20 +40,14 @@ def build_linear_system(graph: Graph, meas: MeasurementSet,
     if unreachable:
         raise UnobservableError(unreachable)
     cols = nonref_agents(graph)
-    col_of = {a: k for k, a in enumerate(cols)}
-    edges = sorted(graph.edges)
-    a_mat = np.zeros((len(edges), len(cols)))
-    rhs = np.zeros(len(edges))
-    weights = np.zeros(len(edges))
-    for row, (i, j) in enumerate(edges):
-        m = meas.get(i, j)
-        rhs[row] = m.r
-        weights[row] = 1.0 / m.sigma2
-        for a in (i, j):
-            if a == graph.reference:
-                rhs[row] -= reference_value
-            else:
-                a_mat[row, col_of[a]] = 1.0
+    pairs = graph.edge_array
+    rows = meas.rows_of(pairs)
+    rhs = meas.r_array[rows]
+    rhs[np.any(pairs == graph.reference, axis=1)] -= reference_value
+    weights = 1.0 / meas.sigma2_array[rows]
+    a_mat = np.zeros((len(pairs), len(cols)))
+    edge, end = np.nonzero(pairs != graph.reference)
+    a_mat[edge, np.searchsorted(cols, pairs[edge, end])] = 1.0
     return LinearSystem(design=a_mat, rhs=rhs, weights=weights,
                         columns=tuple(cols))
 

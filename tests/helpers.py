@@ -1,12 +1,15 @@
-"""Shared generators for randomized tests: connected graphs, trees, and
-measurement sets with heterogeneous noise."""
+"""Shared generators for randomized tests (connected graphs, trees, and
+measurement sets with heterogeneous noise), the per-edge scalar reference
+for measurement generation, and text round trips of graphs, truths and
+measurement sets."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
-from cfosync.model import Measurement
+from cfosync.graph import canonical_edge
+from cfosync.model import NOISELESS_SIGMA2, GroundTruth, Measurement
 
 
 def random_tree(rng: np.random.Generator, n: int) -> Graph:
@@ -39,22 +42,22 @@ def heterogeneous_measurements(rng: np.random.Generator, graph: Graph,
                                offset_scale: float = 100.0) -> MeasurementSet:
     """Measurements with per-edge noise variance drawn from sigma2_range."""
     truth = generate_truth(graph, offset_scale, seed=int(rng.integers(2**31)))
-    ms = MeasurementSet()
+    recs = []
     for (i, j) in sorted(graph.edges):
         s2 = float(rng.uniform(*sigma2_range))
         noise = float(rng.normal(0.0, np.sqrt(s2)))
-        ms.add(Measurement(edge=(i, j),
-                           r=truth.offsets[i] + truth.offsets[j] + noise,
-                           sigma2=s2))
-    return ms
+        recs.append(Measurement(edge=(i, j),
+                                r=truth.offsets[i] + truth.offsets[j] + noise,
+                                sigma2=s2))
+    return MeasurementSet.from_measurements(recs)
 
 
 def triangle(sigma2: float = 1.0, r12: float = 0.0, r13: float = 0.0,
              r23: float = 0.0) -> tuple[Graph, MeasurementSet]:
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-    ms = MeasurementSet()
-    for e, r in (((1, 2), r12), ((1, 3), r13), ((2, 3), r23)):
-        ms.add(Measurement(edge=e, r=r, sigma2=sigma2))
+    ms = MeasurementSet.from_measurements(
+        Measurement(edge=e, r=r, sigma2=sigma2)
+        for e, r in (((1, 2), r12), ((1, 3), r13), ((2, 3), r23)))
     return g, ms
 
 
@@ -65,3 +68,78 @@ def seeded_instance(seed: int, n: int, sigma: float = 1.0):
     truth = generate_truth(g, 100.0, seed=seed + 1)
     meas = generate_measurements(g, truth, sigma, seed=seed + 2)
     return g, truth, meas
+
+
+def scalar_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
+                        seed=0, sigma_overrides=None, edges=None) -> MeasurementSet:
+    """generate_measurements one edge at a time: the scalar reference the
+    vectorized generator must match exactly."""
+    rng = np.random.default_rng(seed)
+    recs = []
+    for (i, j) in sorted(edges) if edges is not None else sorted(graph.edges):
+        s = sigma
+        if sigma_overrides:
+            s = sigma_overrides.get(canonical_edge(i, j), sigma)
+        noise = rng.normal(0.0, s) if s > 0 else 0.0
+        recs.append(Measurement(edge=(i, j),
+                                r=truth.offsets[i] + truth.offsets[j] + noise,
+                                sigma2=s * s if s > 0 else NOISELESS_SIGMA2))
+    return MeasurementSet.from_measurements(recs)
+
+
+def truth_to_csv(truth: GroundTruth) -> str:
+    return "i,f\n" + "".join(f"{a},{truth.offsets[a]!r}\n" for a in sorted(truth.offsets))
+
+
+def truth_from_csv(text: str, reference: int = 1) -> GroundTruth:
+    offsets = {}
+    for line in text.splitlines()[1:]:
+        if line.strip():
+            a, f = line.split(",")
+            offsets[int(a)] = float(f)
+    return GroundTruth(offsets=offsets, reference=reference)
+
+
+def measurements_to_csv(ms: MeasurementSet) -> str:
+    return "i,j,r,sigma2\n" + "".join(f"{m.edge[0]},{m.edge[1]},{m.r!r},{m.sigma2!r}\n"
+                                        for m in ms)
+
+
+def measurements_from_csv(text: str) -> MeasurementSet:
+    recs = []
+    for line in text.splitlines()[1:]:
+        if line.strip():
+            i, j, r, s2 = line.split(",")
+            recs.append(Measurement(edge=(int(i), int(j)), r=float(r), sigma2=float(s2)))
+    return MeasurementSet.from_measurements(recs)
+
+
+def edgelist_text(g: Graph) -> str:
+    """The `N <n> REF <ref>` / `i j` / `POS i x y` text of a graph."""
+    lines = [f"N {g.num_agents} REF {g.reference}"]
+    lines += [f"{i} {j}" for i, j in sorted(g.edges)]
+    if g.positions is not None:
+        lines += [f"POS {a} {g.positions[a][0]!r} {g.positions[a][1]!r}"
+                  for a in sorted(g.positions)]
+    return "\n".join(lines) + "\n"
+
+
+def graph_from_edgelist_text(text: str) -> Graph:
+    """Parse edgelist_text.  Agents are the union of ids 1..n, edge
+    endpoints, and POS entries."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split() if lines else []
+    if len(head) != 4 or head[0] != "N" or head[2] != "REF":
+        raise ValueError("missing 'N <num_agents> REF <reference>' header")
+    agents = set(range(1, int(head[1]) + 1))
+    edges, positions = set(), {}
+    for parts in (ln.split() for ln in lines[1:]):
+        if parts[0] == "POS":
+            positions[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            agents.add(int(parts[1]))
+        else:
+            i, j = int(parts[0]), int(parts[1])
+            edges.add(canonical_edge(i, j))
+            agents.update((i, j))
+    return Graph(agents=frozenset(agents), edges=frozenset(edges),
+                 reference=int(head[3]), positions=positions or None)

@@ -55,15 +55,15 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _random_instance(rng, n):
     graph = random_connected_graph(rng, n)
-    ms = MeasurementSet()
+    recs = []
     truth = generate_truth(graph, 100.0, seed=int(rng.integers(2**31)))
     for (i, j) in sorted(graph.edges):
         s2 = float(rng.uniform(0.25, 4.0))
         noise = float(rng.normal(0.0, math.sqrt(s2)))
-        ms.add(Measurement(edge=(i, j),
-                           r=truth.offsets[i] + truth.offsets[j] + noise,
-                           sigma2=s2))
-    return graph, truth, ms
+        recs.append(Measurement(edge=(i, j),
+                                r=truth.offsets[i] + truth.offsets[j] + noise,
+                                sigma2=s2))
+    return graph, truth, MeasurementSet.from_measurements(recs)
 
 
 def test_criterion_01_variance_map_properties():

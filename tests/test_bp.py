@@ -30,9 +30,8 @@ def test_bp_message_from_reference_uses_pin():
 
 def _chain():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=4.0, sigma2=1.0))
-    ms.add(Measurement(edge=(2, 3), r=1.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=4.0, sigma2=1.0),
+                                           Measurement(edge=(2, 3), r=1.0, sigma2=1.0)])
     return g, ms
 
 
@@ -58,8 +57,7 @@ def test_first_round_messages_from_nonreference_leaves_are_flat():
 
 def test_single_edge_one_round_estimate():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=7.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=1.0)])
     eng = BpEngine(g, ms, reference_value=2.0)
     eng.sync_round()
     assert eng.estimates()[2] == pytest.approx(5.0)

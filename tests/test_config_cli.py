@@ -74,6 +74,7 @@ def test_validate_config_rules():
         dict(sigma=-1.0),
         dict(sigma=1e200),      # variance overflows to inf
         dict(sigma=1e-200),     # variance underflows to 0
+        dict(reference_precision=1e-320),   # subnormal: 1/p overflows to inf
         dict(master_seed=-1),
         dict(mean_tol=0.0),
     ]
@@ -150,6 +151,16 @@ def test_cli_rejects_negative_radius(tmp_path, capsys):
     assert "radius must be >= 0" in err[0]
 
 
+def test_cli_rejects_subnormal_reference_precision(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "reference_precision = 1e-320\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=validation")
+    assert "reference_precision must be > 0 with a finite reciprocal" in err[0]
+
+
 def test_cli_unknown_key_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, "pdrr = 0.5\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -198,6 +209,7 @@ def test_cli_overflow_exits_numeric(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: code=4 kind=numeric")
+    assert "overflow computing the MSE (max_offset=1e+200" in err[0]
 
 
 def test_cli_preset_expansion(tmp_path):

@@ -111,11 +111,10 @@ def _leave_and_join(g, ms, rng):
     pos = g.positions[victim]
     g, ms = g.remove_agent(victim), ms.without_agent(victim)
     g, new_id = g.add_agent(pos, 400)
-    fresh = MeasurementSet()
-    for e in sorted(g.edges):
-        if new_id in e:
-            fresh.add(Measurement(edge=e, r=float(rng.normal(0, 50)),
-                                  sigma2=float(rng.uniform(0.25, 4.0))))
+    fresh = MeasurementSet.from_measurements(
+        Measurement(edge=e, r=float(rng.normal(0, 50)),
+                    sigma2=float(rng.uniform(0.25, 4.0)))
+        for e in sorted(g.edges) if new_id in e)
     return g, ms.merged_with(fresh)
 
 
@@ -181,9 +180,9 @@ def _preset_density_graph(n: int, seed: int) -> Graph:
 def test_engine_state_is_linear_in_edges():
     n = 3000
     g = _preset_density_graph(n, seed=5)
-    ms = MeasurementSet()
-    for (i, j) in g.edges:
-        ms.add(Measurement(edge=(i, j), r=0.5 * (i % 7) - j % 5, sigma2=1.0))
+    ms = MeasurementSet.from_measurements(
+        Measurement(edge=(i, j), r=0.5 * (i % 7) - j % 5, sigma2=1.0)
+        for (i, j) in g.edges)
     rng = np.random.default_rng(6)
     masks = [draw_losses(rng, n, 0.8, 0.1) for _ in range(3)]
     engines = [LsbpEngine(g, ms, BeliefInit(), 0.0), BpEngine(g, ms, 0.0)]

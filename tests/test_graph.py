@@ -4,7 +4,7 @@ import pytest
 from cfosync import Graph, random_geometric
 from cfosync.errors import GenerationError, UnknownAgentError
 
-from helpers import random_connected_graph
+from helpers import edgelist_text, graph_from_edgelist_text, random_connected_graph
 
 
 def test_neighbors_triangle_and_path():
@@ -108,7 +108,7 @@ def test_add_agent_requires_positions():
 
 def test_edgelist_round_trip():
     g = random_geometric(15, 500, 500, radius=250, seed=2)
-    back = Graph.from_edgelist_text(g.to_edgelist_text())
+    back = graph_from_edgelist_text(edgelist_text(g))
     assert back.agents == g.agents
     assert back.edges == g.edges
     assert back.reference == g.reference
@@ -117,10 +117,10 @@ def test_edgelist_round_trip():
 
 def test_edgelist_round_trip_without_positions():
     g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-    back = Graph.from_edgelist_text(g.to_edgelist_text())
+    back = graph_from_edgelist_text(edgelist_text(g))
     assert back.agents == g.agents and back.edges == g.edges
 
 
 def test_edgelist_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
-        Graph.from_edgelist_text("1 2\n")
+        graph_from_edgelist_text("1 2\n")

@@ -31,8 +31,7 @@ def test_variance_map_flat_neighbors_keep_reference_edge():
 
 def test_variance_map_isolated_agent_is_zero():
     g = Graph.from_edges(3, [(1, 2)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=0.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0)])
     out = variance_map(g, ms, np.zeros(2))
     assert out[1] == 0.0  # agent 3 has no neighbors
 
@@ -142,8 +141,7 @@ def _engine(graph, meas, mu1=0.0, init=None):
 
 def test_single_edge_one_round():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=7.0, sigma2=2.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=2.0)])
     eng = _engine(g, ms, mu1=2.0)
     eng.sync_round()
     assert eng.estimates()[2] == pytest.approx(5.0)

@@ -6,6 +6,9 @@ from cfosync.errors import InconsistentStateError
 from cfosync.model import (DEFAULT_MAX_OFFSET_HZ, NOISELESS_SIGMA2,
                            GroundTruth, Measurement, MeasurementSet,
                            draw_joiner_offset)
+from helpers import (measurements_from_csv, measurements_to_csv,
+                     random_connected_graph, scalar_measurements,
+                     truth_from_csv, truth_to_csv)
 
 MOMENT_MEAN_TOL = 0.02
 MOMENT_VAR_TOL = 0.05
@@ -123,9 +126,51 @@ def test_csv_round_trips():
     g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     truth = generate_truth(g, 100.0, seed=12)
     ms = generate_measurements(g, truth, 1.5, seed=13)
-    t_back = GroundTruth.from_csv(truth.to_csv())
+    t_back = truth_from_csv(truth_to_csv(truth))
     assert t_back.offsets == truth.offsets
-    ms_back = MeasurementSet.from_csv(ms.to_csv())
+    ms_back = measurements_from_csv(measurements_to_csv(ms))
     assert ms_back.edges() == ms.edges()
     for e in ms.edges():
         assert ms_back.get(*e) == ms.get(*e)
+
+
+def _as_dict(ms: MeasurementSet) -> dict:
+    return {m.edge: (m.r, m.sigma2) for m in ms}
+
+
+def _assert_same(ms: MeasurementSet, expected: dict) -> None:
+    assert ms.edges() == sorted(expected)
+    assert _as_dict(ms) == expected      # exact: every r and sigma2 bit for bit
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_vectorized_generation_matches_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(8, 40)), extra_edge_frac=2.0)
+    truth = generate_truth(g, 200.0, seed=seed + 10)
+    edges = sorted(g.edges)
+    overrides = {e: (0.0 if k % 3 == 0 else float(rng.uniform(0.1, 5.0)))
+                 for k, e in enumerate(edges[::2])}
+    subset = [e for e in edges if max(g.agents) in e]
+    cases = [dict(sigma=1.0), dict(sigma=2.5), dict(sigma=0.0),
+             dict(sigma=1.5, sigma_overrides=overrides),
+             dict(sigma=0.0, sigma_overrides=overrides),
+             dict(sigma=1.0, sigma_overrides=overrides, edges=subset)]
+    for kw in cases:
+        noise_seed = [seed, 2, 7]
+        fast = generate_measurements(g, truth, seed=noise_seed, **kw)
+        _assert_same(fast, _as_dict(scalar_measurements(g, truth, seed=noise_seed, **kw)))
+
+    # set operations against a dict reference
+    ms = generate_measurements(g, truth, 1.0, seed=seed)
+    ref = _as_dict(ms)
+    victim = int(rng.integers(2, max(g.agents) + 1))
+    _assert_same(ms.without_agent(victim),
+                 {e: v for e, v in ref.items() if victim not in e})
+    joiner = max(g.agents) + 1
+    later = scalar_measurements(g, truth.with_offset(joiner, 5.0), 3.0, seed=seed + 99,
+                                edges=edges[::3] + [(1, joiner), (victim, joiner)])
+    merged = dict(ref)
+    merged.update(_as_dict(later))       # the later set wins on a shared edge
+    _assert_same(ms.merged_with(later), merged)
+    _assert_same(later.merged_with(ms), {**_as_dict(later), **ref})

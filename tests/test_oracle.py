@@ -18,8 +18,7 @@ K_OFFDIAG = 1.0 - GOLDEN          # (1/(1+P*)) / (1 + 1/(1+P*)) at sigma2=1
 
 def test_wls_single_edge():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=7.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=1.0)])
     sol = wls_solve(build_linear_system(g, ms, reference_value=2.0))
     assert sol[2] == pytest.approx(5.0)
 
@@ -36,9 +35,8 @@ def test_wls_triangle_closed_form():
 def test_wls_chain_middle_estimate_ignores_far_edge():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     for r23 in (-5.0, 0.0, 11.0):
-        ms = MeasurementSet()
-        ms.add(Measurement(edge=(1, 2), r=4.0, sigma2=1.0))
-        ms.add(Measurement(edge=(2, 3), r=r23, sigma2=1.0))
+        ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=4.0, sigma2=1.0),
+                                               Measurement(edge=(2, 3), r=r23, sigma2=1.0)])
         sol = wls_solve(build_linear_system(g, ms, 0.0))
         assert sol[2] == pytest.approx(4.0, rel=1e-12)
 
@@ -58,9 +56,8 @@ def test_wls_residual_orthogonality():
 
 def test_unobservable_component_raises_with_names():
     g = Graph.from_edges(4, [(1, 2), (3, 4)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=0.0, sigma2=1.0))
-    ms.add(Measurement(edge=(3, 4), r=0.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0),
+                                           Measurement(edge=(3, 4), r=0.0, sigma2=1.0)])
     with pytest.raises(UnobservableError) as exc:
         build_linear_system(g, ms, 0.0)
     assert exc.value.agents == [3, 4]
@@ -68,8 +65,7 @@ def test_unobservable_component_raises_with_names():
 
 def test_crlb_single_edge_and_triangle():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet()
-    ms.add(Measurement(edge=(1, 2), r=0.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0)])
     assert crlb(build_linear_system(g, ms, 0.0))[2] == pytest.approx(1.0)
 
     gt, mst = triangle(sigma2=1.0)
@@ -82,9 +78,8 @@ def test_crlb_single_edge_and_triangle():
 def test_crlb_scales_linearly_with_noise():
     g, truth, ms = seeded_instance(44, 10)
     base = crlb(build_linear_system(g, ms, truth.reference_value))
-    doubled = MeasurementSet()
-    for m in ms:
-        doubled.add(Measurement(edge=m.edge, r=m.r, sigma2=2 * m.sigma2))
+    doubled = MeasurementSet.from_measurements(
+        Measurement(edge=m.edge, r=m.r, sigma2=2 * m.sigma2) for m in ms)
     scaled = crlb(build_linear_system(g, doubled, truth.reference_value))
     for a in base:
         assert scaled[a] == pytest.approx(2 * base[a], rel=1e-10)
@@ -109,9 +104,8 @@ def test_fixed_point_system_triangle():
 
 def test_fixed_point_system_star_has_zero_matrix():
     g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    ms = MeasurementSet()
-    for e in [(1, 2), (1, 3), (1, 4)]:
-        ms.add(Measurement(edge=e, r=1.0, sigma2=1.0))
+    ms = MeasurementSet.from_measurements(
+        Measurement(edge=e, r=1.0, sigma2=1.0) for e in [(1, 2), (1, 3), (1, 4)])
     pstar = variance_fixed_point(g, ms)
     fps = build_fixed_point_system(g, ms, pstar, reference_value=0.0)
     assert np.all(fps.K == 0.0)
@@ -212,12 +206,13 @@ def test_fixed_point_estimator_is_unbiased():
     sums = None
     n_draws = 2000
     for _ in range(n_draws):
-        ms = MeasurementSet()
+        recs = []
         for (i, j) in sorted(g.edges):
             noise = float(rng.normal(0.0, sigma))
-            ms.add(Measurement(edge=(i, j),
-                               r=truth.offsets[i] + truth.offsets[j] + noise,
-                               sigma2=sigma * sigma))
+            recs.append(Measurement(edge=(i, j),
+                                    r=truth.offsets[i] + truth.offsets[j] + noise,
+                                    sigma2=sigma * sigma))
+        ms = MeasurementSet.from_measurements(recs)
         if pstar is None:
             pstar = variance_fixed_point(g, ms)
         fps = build_fixed_point_system(g, ms, pstar, truth.reference_value)
