@@ -13,30 +13,14 @@ DIVERGED instead of raising, since that is an expected, reportable outcome.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
                     EdgeEngine, MessagePassingEstimator, message_precision)
-from .gaussian import FLAT, Gaussian1D, edge_message
 from .graph import Graph
 from .model import MeasurementSet
 
 DIVERGENCE_GUARD_HZ = 1e12
-
-
-def bp_message(j: int, i: int, incoming: dict[int, Gaussian1D], r: float,
-               sigma2: float, reference: int | None = None,
-               reference_belief: Gaussian1D | None = None) -> Gaussian1D:
-    """Message j -> i from j's received messages `incoming` (keyed by
-    sender).  For the reference agent the cavity is its pinned belief;
-    otherwise it is the product of the messages from all but i."""
-    if reference is not None and j == reference:
-        cavity = reference_belief
-    else:
-        cavity = math.prod((m for k, m in incoming.items() if k != i), start=FLAT)
-    return edge_message(r, sigma2, cavity)
 
 
 class BpEngine(EdgeEngine):
@@ -51,34 +35,33 @@ class BpEngine(EdgeEngine):
         return BpEngine(graph, meas, self.reference_value, self.reference_precision)
 
     def _guard(self, values: np.ndarray) -> None:
-        if not np.all(np.isfinite(values)) or \
-                np.max(np.abs(values), initial=0.0) > DIVERGENCE_GUARD_HZ:
-            self.diverged = True
+        """Flag the trials with a non-finite or overlarge entry in their row."""
+        self.diverged = self.diverged | ~np.all(np.isfinite(values), axis=1) | (
+            np.max(np.abs(values), axis=1, initial=0.0) > DIVERGENCE_GUARD_HZ)
 
     def _outgoing(self) -> tuple[np.ndarray, np.ndarray]:
         """New message on every directed edge from the current inboxes: the
         sender's cavity excludes what arrived over the reverse edge."""
         wm = self.edge_prec * self.edge_mean
-        tot_prec = np.bincount(self.dst, self.edge_prec, self.n)
-        tot_wm = np.bincount(self.dst, wm, self.n)
-        cav_prec = np.maximum(tot_prec[self.src] - self.edge_prec[self.rev], 0.0)
-        cav_wm = tot_wm[self.src] - wm[self.rev]
+        tot_prec = self._agent_sums(self.edge_prec)
+        tot_wm = self._agent_sums(wm)
+        cav_prec = np.maximum(tot_prec[:, self.src] - self.edge_prec[:, self.rev], 0.0)
+        cav_wm = tot_wm[:, self.src] - wm[:, self.rev]
         cav_mean = np.divide(cav_wm, cav_prec, out=np.zeros_like(cav_wm),
                              where=cav_prec > 0)
-        from_ref = self.src == self.ref
-        cav_prec[from_ref] = self.reference_precision
-        cav_mean[from_ref] = self.reference_value
+        from_ref = np.flatnonzero(self.src == self.ref)
+        cav_prec[:, from_ref] = self.reference_precision
+        cav_mean[:, from_ref] = self.reference_value
         out_prec = message_precision(self.sig2, cav_prec)
         out_mean = np.where(out_prec > 0, self.r - cav_mean, 0.0)
         self._guard(out_mean)
         return out_prec, out_mean
 
-    def sync_round(self, delivered: np.ndarray | None = None,
-                   skip: np.ndarray | None = None) -> None:
-        """Recompute every directed message from the previous snapshot,
-        deliver subject to the [receiver, sender] mask, refresh beliefs."""
+    def sync_round(self, arrived: np.ndarray | None = None) -> None:
+        """In every trial, recompute every directed message from the
+        previous snapshot, deliver those the (T, 2|E|) delivery_mask lets
+        through (None: all), refresh beliefs."""
         out_prec, out_mean = self._outgoing()
-        arrived = self.delivery_mask(delivered, skip)
         if arrived is not None:
             out_prec = np.where(arrived, out_prec, self.edge_prec)
             out_mean = np.where(arrived, out_mean, self.edge_mean)

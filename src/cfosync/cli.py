@@ -43,18 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# command-line option -> the config field it overrides when given
+OVERRIDES = {"algo": "algorithm", "pdr": "pdr", "seed": "master_seed",
+             "iters": "l_max", "trials": "trials"}
+
+
 def _overrides(args) -> dict:
-    out = {}
-    if args.algo is not None:
-        out["algorithm"] = args.algo
-    if args.pdr is not None:
-        out["pdr"] = args.pdr
-    if args.seed is not None:
-        out["master_seed"] = args.seed
-    if args.iters is not None:
-        out["l_max"] = args.iters
-    if args.trials is not None:
-        out["trials"] = args.trials
+    out = {field: getattr(args, opt) for opt, field in OVERRIDES.items()
+           if getattr(args, opt) is not None}
     if args.oracle:
         out["oracle"] = True
     return out

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, GenerationError
 from .graph import DEFAULT_COMM_RADIUS, Graph, canonical_edge, random_geometric
 
 
@@ -128,7 +128,18 @@ def _random_params(text: str) -> dict[str, float]:
 
 
 def parse_topology(cfg: ExperimentConfig) -> Graph:
-    text = cfg.topology.strip()
+    """The configured graph; a topology the graph constructors reject (a
+    self loop, a reference or position outside the graph, a placement that
+    cannot be drawn or connected) is a ConfigError."""
+    try:
+        return _build_topology(cfg, cfg.topology.strip())
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError, GenerationError) as exc:
+        raise ConfigError(f"invalid topology {cfg.topology!r}: {exc}") from None
+
+
+def _build_topology(cfg: ExperimentConfig, text: str) -> Graph:
     if text.startswith("random:"):
         params = _random_params(text)
         return random_geometric(
@@ -136,23 +147,13 @@ def parse_topology(cfg: ExperimentConfig) -> Graph:
             radius=params["radius"], seed=int(params["seed"]),
             retry_budget=int(params["retries"]), reference=cfg.reference)
     if text.startswith("edges:"):
-        edges = []
-        ids = set()
-        for part in text[len("edges:"):].split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                i, j = (int(s) for s in part.split("-"))
-            except ValueError:
-                raise ConfigError(f"bad edge {part!r}")
-            edges.append((i, j))
-            ids.update((i, j))
+        # "i-j" pairs; a malformed one fails as a ValueError in parse_topology
+        edges = [tuple(map(int, part.split("-")))
+                 for part in text[len("edges:"):].split(";") if part.strip()]
         if not edges:
             raise ConfigError("edges topology has no edges")
         positions = parse_positions(cfg.positions) if cfg.positions else None
-        n = max(ids)
-        return Graph.from_edges(n, edges, reference=cfg.reference,
+        return Graph.from_edges(max(map(max, edges)), edges, reference=cfg.reference,
                                 positions=positions)
     raise ConfigError(f"topology must start with 'random:' or 'edges:', "
                       f"got {text!r}")
@@ -224,8 +225,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("asynchronous scheduling is only defined for lsbp")
     if cfg.init_mode not in ("zero_precision", "uniform"):
         raise ConfigError(f"unknown init_mode {cfg.init_mode!r}")
-    if cfg.init_mode == "uniform" and cfg.init_variance <= 0:
-        raise ConfigError("uniform init requires init_variance > 0")
+    # the initial belief in information form: precision 1/v, weighted mean m/v
+    if cfg.init_mode == "uniform" and not (
+            cfg.init_variance > 0 and math.isfinite(cfg.init_mean * (1.0 / cfg.init_variance))):
+        raise ConfigError("uniform init requires init_variance > 0 with a finite "
+                          "precision-weighted mean init_mean / init_variance")
     if not 0.0 <= cfg.pdr <= 1.0:
         raise ConfigError("pdr must lie in [0, 1]")
     if not 0.0 <= cfg.skip_prob < 1.0:

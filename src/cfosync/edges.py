@@ -9,7 +9,10 @@ however many agents there are.
 
 The engines differ only in the payload a directed edge holds: the broadcast
 engine keeps the receiver's cached copy of the sender's belief, per-edge BP
-the last cavity message that arrived.
+the last cavity message that arrived.  An engine advances a batch of T
+Monte-Carlo trials on one topology: the edge structure is shared, and every
+per-trial array has a leading trial axis (beliefs (T, n), payloads and
+measurements (T, 2|E|)).  The estimator front ends run the T = 1 case.
 
 `iterate` is the one round loop and stop rule, shared by the simulator and
 by both estimator front ends (`MessagePassingEstimator`).
@@ -36,13 +39,16 @@ def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
     for a flat sender (p = 0)."""
     var = np.divide(1.0, sender_prec, out=np.full(np.shape(sender_prec), np.inf),
                     where=sender_prec > 0)
-    return 1.0 / (sig2 + var)
+    var += sig2   # in place: a batch's (T, 2|E|) temporaries cost peak memory
+    return np.divide(1.0, var, out=var)
 
 
 class DirectedEdges:
-    """The directed edges of a graph with their measurements `r` and noise
-    variances `sig2`.  Agents are numbered by position in the sorted id
-    list `ids`; `index` maps an id to its position."""
+    """The directed edges of a graph with their noise variances `sig2` and,
+    per trial, their measurements `r` (T, 2|E|): `meas` holds one row of
+    measurements per trial over shared edges and variances (a 1-D set is one
+    trial).  Agents are numbered by position in the sorted id list `ids`;
+    `index` maps an id to its position."""
 
     def __init__(self, graph: Graph, meas: MeasurementSet):
         self.ids = sorted(graph.agents)
@@ -60,8 +66,9 @@ class DirectedEdges:
         where = np.empty_like(order)
         where[order] = np.arange(2 * m)
         self.src, self.dst = src[order], dst[order]
+        self.cells = self.dst * n + self.src   # [receiver, sender] in a flat (n, n) array
         self.rev = where[(order + m) % max(2 * m, 1)]
-        self.r = np.tile(meas.r_array[rows], 2)[order]
+        self.r = np.tile(np.atleast_2d(meas.r_array)[:, rows], 2)[:, order]
         self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
 
@@ -76,80 +83,98 @@ class DirectedEdges:
 
 
 class EdgeEngine(DirectedEdges):
-    """Round-engine state: belief precision/mean per agent, and per directed
-    edge j -> i the payload `edge_prec`/`edge_mean` that receiver i holds.
+    """Round-engine state of a batch of trials: per trial, belief
+    precision/mean per agent (T, n), and per directed edge j -> i the
+    payload `edge_prec`/`edge_mean` (T, 2|E|) that receiver i holds.
     Payloads start flat and change only on a successful delivery, which is
     what keeps the update well-defined under packet loss.  The reference
-    agent's belief is pinned."""
+    agent's belief is pinned.  Row k of every per-trial array belongs to
+    trial `trials[k]`; `diverged` flags the trials whose beliefs blew up."""
 
-    # set by an engine whose beliefs blow up; iterate() stops on it
-    diverged = False
+    _per_trial = ("trials", "diverged", "prec", "mean", "edge_prec", "edge_mean", "r")
 
     def __init__(self, graph: Graph, meas: MeasurementSet, reference_value: float,
                  reference_precision: float = DEFAULT_REFERENCE_PRECISION):
         super().__init__(graph, meas)
-        self.graph = graph
-        self.meas = meas
         self.reference_value = float(reference_value)
         self.reference_precision = float(reference_precision)
-        self.prec = np.zeros(self.n)
-        self.mean = np.zeros(self.n)
-        self.prec[self.ref] = self.reference_precision
-        self.mean[self.ref] = self.reference_value
-        self.edge_prec = np.zeros(len(self.src))
-        self.edge_mean = np.zeros(len(self.src))
+        self.trials, self.diverged = np.arange(len(self.r)), np.zeros(len(self.r), bool)
+        self.prec, self.mean = np.zeros((2, len(self.r), self.n))
+        self.prec[:, self.ref] = self.reference_precision
+        self.mean[:, self.ref] = self.reference_value
+        self.edge_prec, self.edge_mean = np.zeros((2, *self.r.shape))
+        self.take(slice(None))
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "EdgeEngine":
         """A new engine of the same kind and parameters on another graph."""
         raise NotImplementedError
 
-    def delivery_mask(self, delivered: np.ndarray | None,
-                      skip: np.ndarray | None) -> np.ndarray | None:
-        """Per directed edge: does this round's message arrive?  Gathered from
-        an (n, n) [receiver, sender] mask and per-agent skips; None when every
-        message arrives."""
-        arrived = None if delivered is None else delivered[self.dst, self.src]
-        if skip is not None:
-            sending = ~skip[self.src]
-            arrived = sending if arrived is None else arrived & sending
+    def take(self, rows: np.ndarray) -> "EdgeEngine":
+        """Keep only the trials at row positions `rows`, in that order."""
+        for name in self._per_trial:
+            setattr(self, name, getattr(self, name)[rows])
+        self._bins = (self.dst + self.n * np.arange(len(self.trials))[:, None]).ravel()
+        return self
+
+    def delivery_mask(self, losses) -> np.ndarray | None:
+        """Per trial and directed edge (T, 2|E|): does this round's message
+        arrive?  `losses` holds each trial's (skip, delivered) draw: per-agent
+        skips and an (n, n) [receiver, sender] mask, each None when nothing
+        is skipped or lost.  None when every message arrives everywhere."""
+        if all(skip is None and delivered is None for skip, delivered in losses):
+            return None
+        arrived = np.ones((len(losses), len(self.src)), bool)
+        for row, (skip, delivered) in zip(arrived, losses):
+            if delivered is not None:
+                row &= np.take(delivered, self.cells)
+            if skip is not None:
+                row &= ~skip[self.src]
         return arrived
+
+    def _agent_sums(self, values: np.ndarray) -> np.ndarray:
+        """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over
+        dst + t*n, which adds each agent's terms in CSR order (float even
+        without edges, where bincount gives integers)."""
+        sums = np.bincount(self._bins, values.ravel(), len(self.trials) * self.n)
+        return sums.reshape(len(self.trials), self.n).astype(float, copy=False)
 
     def _set_beliefs(self, msg_prec: np.ndarray, msg_wm: np.ndarray) -> None:
         """Every belief becomes the product of its incoming messages, given
         per edge as precision and precision-weighted mean; the reference
         stays pinned."""
-        prec = np.bincount(self.dst, msg_prec, self.n)
-        wm = np.bincount(self.dst, msg_wm, self.n)
-        mean = np.divide(wm, prec, out=np.zeros(self.n), where=prec > 0)
-        prec[self.ref] = self.reference_precision
-        mean[self.ref] = self.reference_value
+        prec = self._agent_sums(msg_prec)
+        wm = self._agent_sums(msg_wm)
+        mean = np.divide(wm, prec, out=np.zeros_like(prec), where=prec > 0)
+        prec[:, self.ref] = self.reference_precision
+        mean[:, self.ref] = self.reference_value
         self.prec, self.mean = prec, mean
 
     # -- state views --------------------------------------------------------
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """(means with NaN at flat agents, precisions), aligned to self.ids."""
+        """(means with NaN at flat agents, precisions), (T, n) aligned to
+        self.ids."""
         means = self.mean.copy()
         means[self.prec == 0.0] = np.nan
         return means, self.prec.copy()
 
-    def has_pending_information(self) -> bool:
-        """True while some agent's belief is still flat even though its
-        inbox holds an informative entry; a zero-delta round in that state
-        is start-up lag, not convergence."""
-        return bool(np.any(self.prec[self.dst[self.edge_prec > 0.0]] == 0.0))
+    def has_pending_information(self) -> np.ndarray:
+        """Per trial: is some agent's belief still flat although its inbox
+        holds an informative entry?  A zero-delta round in that state is
+        start-up lag, not convergence."""
+        return np.any((self.edge_prec > 0.0) & (self.prec[:, self.dst] == 0.0), axis=1)
 
-    def estimates(self) -> dict[int, float | None]:
-        return {a: (m if p > 0 else None)
-                for a, m, p in zip(self.ids, self.mean.tolist(), self.prec.tolist())}
+    def estimates(self, row: int = 0) -> dict[int, float | None]:
+        return {a: (m if p > 0 else None) for a, m, p in
+                zip(self.ids, self.mean[row].tolist(), self.prec[row].tolist())}
 
-    def variances(self) -> dict[int, float]:
+    def variances(self, row: int = 0) -> dict[int, float]:
         return {a: (1.0 / p if p > 0 else math.inf)
-                for a, p in zip(self.ids, self.prec.tolist())}
+                for a, p in zip(self.ids, self.prec[row].tolist())}
 
-    def beliefs(self) -> dict[int, Gaussian1D]:
-        return {a: (Gaussian1D(p, p * m) if p > 0 else FLAT)
-                for a, m, p in zip(self.ids, self.mean.tolist(), self.prec.tolist())}
+    def beliefs(self, row: int = 0) -> dict[int, Gaussian1D]:
+        return {a: (Gaussian1D(p, p * m) if p > 0 else FLAT) for a, m, p in
+                zip(self.ids, self.mean[row].tolist(), self.prec[row].tolist())}
 
     # -- dynamic topology ----------------------------------------------------
 
@@ -157,77 +182,82 @@ class EdgeEngine(DirectedEdges):
         """Engine for a changed topology, carrying over the beliefs of the
         surviving agents and the payloads of the surviving directed edges.
         Departed agents' entries go with them; newly joined agents and their
-        edges start as in a fresh engine."""
-        new = self._fresh(graph, meas)
+        edges start as in a fresh engine.  `meas` holds a row for every
+        trial; the new engine keeps this engine's trials."""
+        new = self._fresh(graph, meas).take(self.trials)
         old_ids, new_ids = np.array(self.ids), np.array(new.ids)
         at, kept = sorted_lookup(old_ids, new_ids)
-        new.prec[kept] = self.prec[at[kept]]
-        new.mean[kept] = self.mean[at[kept]]
+        new.prec[:, kept] = self.prec[:, at[kept]]
+        new.mean[:, kept] = self.mean[:, at[kept]]
         # (receiver id, sender id) pairs ascend along both edge arrays
         at, kept = sorted_lookup(np.column_stack([old_ids[self.dst], old_ids[self.src]]),
                                  np.column_stack([new_ids[new.dst], new_ids[new.src]]))
-        new.edge_prec[kept] = self.edge_prec[at[kept]]
-        new.edge_mean[kept] = self.edge_mean[at[kept]]
+        new.edge_prec[:, kept] = self.edge_prec[:, at[kept]]
+        new.edge_mean[:, kept] = self.edge_mean[:, at[kept]]
         return new
 
 
 # -- the round loop -----------------------------------------------------------
 
 def step_delta(prev: tuple[np.ndarray, np.ndarray],
-               cur: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """(max mean change, max precision change) between two snapshots.
-    An agent switching between flat and informative counts as an infinite
-    mean change; flat-to-flat contributes nothing."""
+               cur: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial (the last axis holds the agents): (max mean change, max
+    precision change) between two snapshots.  An agent switching between
+    flat and informative counts as an infinite mean change; flat-to-flat
+    contributes nothing."""
     m0, p0 = prev
     m1, p1 = cur
-    dprec = float(np.max(np.abs(p1 - p0), initial=0.0))
-    flat0, flat1 = p0 == 0, p1 == 0
-    if np.any(flat0 != flat1):
-        return math.inf, dprec
-    both = ~flat0
-    dmean = float(np.max(np.abs(m1[both] - m0[both]), initial=0.0))
-    return dmean, dprec
+    dprec = np.max(np.abs(p1 - p0), axis=-1, initial=0.0)
+    flat0 = p0 == 0
+    dmean = np.max(np.abs(np.where(flat0, 0.0, m1 - m0)), axis=-1, initial=0.0)
+    return np.where(np.any(flat0 != (p1 == 0), axis=-1), math.inf, dmean), dprec
 
 
 def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
             max_rounds: int, mean_tol: float, prec_tol: float,
             changes: Sequence[tuple[int, Callable[[EdgeEngine], EdgeEngine]]] = ()
-            ) -> tuple[EdgeEngine, int, int | None]:
-    """Run rounds `step(engine)` until the beliefs settle, the engine
-    diverges, or `max_rounds` rounds have run.
+            ) -> tuple[EdgeEngine, list[int], list[int | None], list[bool]]:
+    """Run rounds `step(engine)` on the engine's live trials until each
+    trial's beliefs settle, it diverges, or `max_rounds` rounds have run.
 
-    A round is settled when it moved every mean by less than mean_tol and
-    every precision by less than prec_tol, and no agent still waits for
-    information already in its inbox (a zero-delta round then is start-up
-    lag, not convergence).  `changes` are (k, change) pairs in order of k:
-    after round k, `change(engine)` returns the engine to go on with and the
-    convergence test starts over.  The loop stops at the first settled round
-    once no change is pending.
+    A trial's round is settled when it moved every mean by less than
+    mean_tol and every precision by less than prec_tol, and no agent still
+    waits for information already in its inbox (a zero-delta round then is
+    start-up lag, not convergence).  `changes` are (k, change) pairs in order
+    of k: after round k, `change(engine)` returns the engine to go on with
+    and every trial's convergence test starts over.  A trial stops at its
+    first settled round once no change is pending, or when it diverges; its
+    rows then leave the engine (the last trial's stay).
 
-    Returns (engine, rounds run, first settled round since the last change,
-    or None).
+    Returns (engine, and per trial: rounds run, first settled round since
+    the last change or None, diverged).
     """
     pending = list(changes)
+    rounds, settled_at = np.zeros((2, len(engine.trials)), int)   # 0: not settled
+    diverged = np.zeros(len(engine.trials), bool)
     prev = engine.snapshot()
-    settled_at = None
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        while pending and pending[0][0] < rounds:
+    for k in range(1, max_rounds + 1):
+        while pending and pending[0][0] < k:
             _, change = pending.pop(0)
             engine = change(engine)
-            prev, settled_at = engine.snapshot(), None
+            prev = engine.snapshot()
+            settled_at[engine.trials] = 0
         step(engine)
-        if engine.diverged:
-            break
         cur = engine.snapshot()
         dmean, dprec = step_delta(prev, cur)
-        prev = cur
-        if settled_at is None and dmean < mean_tol and dprec < prec_tol and \
-                not engine.has_pending_information():
-            settled_at = rounds
-        if settled_at is not None and not pending:
+        live = engine.trials
+        rounds[live], diverged[live] = k, engine.diverged
+        settled = (dmean < mean_tol) & (dprec < prec_tol) & ~engine.has_pending_information()
+        settled_at[live] = np.where((settled_at[live] == 0) & settled & ~engine.diverged,
+                                    k, settled_at[live])
+        stop = engine.diverged | ((settled_at[live] > 0) & (not pending))
+        if stop.all():
             break
-    return engine, rounds, settled_at
+        if stop.any():
+            engine.take(~stop)
+            cur = (cur[0][~stop], cur[1][~stop])
+        prev = cur
+    return engine, rounds.tolist(), [s or None for s in settled_at.tolist()], diverged.tolist()
 
 
 # -- estimator front ends -----------------------------------------------------
@@ -263,10 +293,10 @@ class MessagePassingEstimator:
     def fit(self, graph: Graph, measurements: MeasurementSet,
             reference_value: float = 0.0) -> "MessagePassingEstimator":
         engine, step = self._start(graph, measurements, reference_value)
-        engine, self.n_iter_, settled_at = iterate(
+        engine, rounds, settled_at, diverged = iterate(
             engine, step, self.max_iter, self.mean_tol, self.prec_tol)
-        self.converged_ = settled_at is not None
-        self.diverged_ = engine.diverged
+        self.n_iter_, self.converged_ = rounds[0], settled_at[0] is not None
+        self.diverged_ = diverged[0]
         self.estimates_ = engine.estimates()
         self.variances_ = engine.variances()
         self.engine_ = engine

@@ -165,7 +165,8 @@ def random_geometric(n: int, width: float, height: float,
         xs = rng.uniform(0.0, width, n)
         ys = rng.uniform(0.0, height, n)
         pos = np.column_stack([xs, ys])
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        with np.errstate(over="raise"):   # a placement too wide to measure
+            dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
         close = (dist <= radius) & ~np.eye(n, dtype=bool)
         ii, jj = np.nonzero(np.triu(close))
         edges = frozenset(canonical_edge(int(a) + 1, int(b) + 1)

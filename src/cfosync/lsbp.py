@@ -15,6 +15,7 @@ graphs, so they converge from arbitrary initial means.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,52 +145,53 @@ class LsbpEngine(EdgeEngine):
         g0 = init.as_gaussian()
         if not g0.is_flat:
             others = np.arange(self.n) != self.ref
-            self.prec[others] = g0.precision
-            self.mean[others] = g0.mean()
+            self.prec[:, others] = g0.precision
+            self.mean[:, others] = g0.mean()
             # the reference's declared initial belief is its pin
-            self.edge_prec = self.prec[self.src]
-            self.edge_mean = self.mean[self.src]
+            self.edge_prec = self.prec[:, self.src]
+            self.edge_mean = self.mean[:, self.src]
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "LsbpEngine":
         return LsbpEngine(graph, meas, self.init, self.reference_value,
                           self.reference_precision)
 
-    def sync_round(self, delivered: np.ndarray | None = None,
-                   skip: np.ndarray | None = None) -> None:
-        """One synchronous round: every non-skipped agent broadcasts its
-        current belief, deliveries land in the caches, then all agents
-        recompute from the cache snapshot."""
-        arrived = self.delivery_mask(delivered, skip)
+    def sync_round(self, arrived: np.ndarray | None = None) -> None:
+        """One synchronous round in every trial: every non-skipped agent
+        broadcasts its current belief, deliveries land in the caches, then
+        all agents recompute from the cache snapshot.  `arrived` is the
+        (T, 2|E|) delivery_mask; None delivers everything."""
+        sent_prec, sent_mean = (np.take(a, self.src, axis=1) for a in (self.prec, self.mean))
         if arrived is None:
-            self.edge_prec, self.edge_mean = self.prec[self.src], self.mean[self.src]
+            self.edge_prec, self.edge_mean = sent_prec, sent_mean
         else:
-            self.edge_prec = np.where(arrived, self.prec[self.src], self.edge_prec)
-            self.edge_mean = np.where(arrived, self.mean[self.src], self.edge_mean)
+            self.edge_prec = np.where(arrived, sent_prec, self.edge_prec)
+            self.edge_mean = np.where(arrived, sent_mean, self.edge_mean)
         w = message_precision(self.sig2, self.edge_prec)
         self._set_beliefs(w, w * (self.r - self.edge_mean))
 
-    def async_round(self, order: np.ndarray,
-                    delivered: np.ndarray | None = None,
-                    skip: np.ndarray | None = None) -> None:
-        """Agents update one at a time in `order`, a permutation of engine
-        positions; each updated agent broadcasts before the next one
-        updates."""
-        arrived = self.delivery_mask(delivered, None)
-        for k in order.tolist():
-            inbox = slice(self.indptr[k], self.indptr[k + 1])
-            if k != self.ref:
-                w = message_precision(self.sig2[inbox], self.edge_prec[inbox])
-                p = w.sum()
-                self.prec[k] = p
-                self.mean[k] = (w * (self.r[inbox] - self.edge_mean[inbox])).sum() / p \
-                    if p > 0 else 0.0
-            if skip is not None and skip[k]:
-                continue
-            out = self.rev[inbox]
-            if arrived is not None:
-                out = out[arrived[out]]
-            self.edge_prec[out] = self.prec[k]
-            self.edge_mean[out] = self.mean[k]
+    def async_round(self, orders: Sequence[np.ndarray],
+                    arrived: np.ndarray | None = None) -> None:
+        """In each trial, agents update one at a time in that trial's order
+        (a permutation of engine positions, one per trial); each updated
+        agent broadcasts before the next one updates.  A trial's agents run
+        on its own rows, so each inbox sum keeps numpy's pairwise order."""
+        # per agent: its inbox and the reverse edges it sends on
+        inboxes = [(slice(lo, hi), self.rev[lo:hi])
+                   for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())]
+        for row, order in enumerate(orders):
+            prec, mean, edge_prec, edge_mean, r = (
+                a[row] for a in (self.prec, self.mean, self.edge_prec, self.edge_mean, self.r))
+            for k in order.tolist():
+                inbox, out = inboxes[k]
+                if k != self.ref:
+                    w = message_precision(self.sig2[inbox], edge_prec[inbox])
+                    p = w.sum()
+                    prec[k] = p
+                    mean[k] = (w * (r[inbox] - edge_mean[inbox])).sum() / p if p > 0 else 0.0
+                if arrived is not None:
+                    out = out[arrived[row, out]]
+                edge_prec[out] = prec[k]
+                edge_mean[out] = mean[k]
 
 
 # ---------------------------------------------------------------------------
@@ -233,4 +235,4 @@ class LinearScalingBP(MessagePassingEstimator):
         if self.schedule == "synchronous":
             return engine, LsbpEngine.sync_round
         rng = np.random.default_rng(self.seed)
-        return engine, lambda eng: eng.async_round(rng.permutation(eng.n))
+        return engine, lambda eng: eng.async_round([rng.permutation(eng.n)])

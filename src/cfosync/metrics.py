@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,13 +27,17 @@ def avg_mse(estimates: dict[int, float | None], truth: dict[int, float],
     Agents whose estimate is None (flat belief) are excluded.  Raises
     MetricError when no agent has an estimate.
     """
+    return mean_square_error(((v, truth[a]) for a, v in estimates.items()
+                              if v is not None), mse_normalization)
+
+
+def mean_square_error(pairs: Iterable[tuple[float, float]],
+                      mse_normalization: float = 1.0) -> float:
+    """Average of ((estimate - truth)/B)^2 over (estimate, truth) pairs,
+    summed left to right; MetricError when there are none."""
     if mse_normalization <= 0:
         raise MetricError("mse_normalization must be > 0")
-    errs = []
-    for agent, value in estimates.items():
-        if value is None:
-            continue
-        errs.append(((value - truth[agent]) / mse_normalization) ** 2)
+    errs = [((v - f) / mse_normalization) ** 2 for v, f in pairs]
     if not errs:
         raise MetricError("no agent holds an estimate; metric undefined")
     return sum(errs) / len(errs)
@@ -108,26 +113,6 @@ def trace_to_csv(trace: RunTrace) -> str:
 
 def write_trace(trace: RunTrace, path) -> None:
     Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
-
-
-def read_trace_csv(text: str) -> list[dict]:
-    """Parse trace CSV back into row dicts; floats round-trip exactly."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    if tuple(header) != TRACE_COLUMNS:
-        raise ValueError(f"unexpected trace header {header}")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rec = dict(zip(header, parts))
-        rec["iteration"] = int(rec["iteration"])
-        rec["agent"] = int(rec["agent"])
-        for k in ("mean", "variance"):
-            rec[k] = float(rec[k]) if rec[k] else None
-        for k in ("avg_mse", "broadcasts", "deliveries", "drops"):
-            rec[k] = float(rec[k])
-        out.append(rec)
-    return out
 
 
 def summary_dict(trace: RunTrace) -> dict:

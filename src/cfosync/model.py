@@ -63,8 +63,10 @@ class MeasurementSet:
 
     Stored as three aligned arrays over the canonical edges in sorted order:
     `edge_array` (m, 2) with i < j in each row, `r_array` and `sigma2_array`
-    (m,).  A set is never changed in place; the scalar queries go through an
-    edge -> row index built on first use.
+    (m,).  A batch of trials over the same edges and variances keeps one
+    row of measurements per trial, `r_array` (T, m) (see `stacked`).  A set
+    is never changed in place; the scalar queries go through an edge -> row
+    index built on first use.
     """
 
     def __init__(self, edge_array: np.ndarray | None = None,
@@ -83,6 +85,12 @@ class MeasurementSet:
         return cls(np.array(edges, dtype=np.intp).reshape(-1, 2),
                    np.array([by_edge[e].r for e in edges], dtype=float),
                    np.array([by_edge[e].sigma2 for e in edges], dtype=float))
+
+    @classmethod
+    def stacked(cls, sets: list["MeasurementSet"]) -> "MeasurementSet":
+        """One batch from per-trial sets over the same edges and variances."""
+        return cls(sets[0].edge_array, np.stack([m.r_array for m in sets]),
+                   sets[0].sigma2_array)
 
     @cached_property
     def _row(self) -> dict[tuple[int, int], int]:
@@ -109,7 +117,7 @@ class MeasurementSet:
         return list(map(tuple, self.edge_array.tolist()))
 
     def __len__(self) -> int:
-        return len(self.r_array)
+        return len(self.edge_array)
 
     def __iter__(self):
         return (Measurement(edge=e, r=r, sigma2=s2) for e, r, s2 in zip(
@@ -124,12 +132,9 @@ class MeasurementSet:
             raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}")
         return at
 
-    @property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.edge_array, self.r_array, self.sigma2_array
-
     def _select(self, rows: np.ndarray) -> "MeasurementSet":
-        return MeasurementSet(*(a[rows] for a in self._arrays))
+        return MeasurementSet(self.edge_array[rows], self.r_array[..., rows],
+                              self.sigma2_array[rows])
 
     def without_agent(self, i: int) -> "MeasurementSet":
         """Retire all measurements incident to agent i."""
@@ -138,8 +143,10 @@ class MeasurementSet:
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
         """Both sets' measurements; on an edge in both, other's wins."""
         _, shared = sorted_lookup(other.edge_array, self.edge_array)
-        both = MeasurementSet(*map(np.concatenate,
-                                   zip(self._select(~shared)._arrays, other._arrays)))
+        mine = self._select(~shared)
+        both = MeasurementSet(np.concatenate([mine.edge_array, other.edge_array]),
+                              np.concatenate([mine.r_array, other.r_array], axis=-1),
+                              np.concatenate([mine.sigma2_array, other.sigma2_array]))
         return both._select(np.lexsort(both.edge_array.T[::-1]))   # by i, then j
 
 

@@ -11,10 +11,11 @@ the master seed, so whole experiments are bit-reproducible:
 
 Timeline semantics: an event stamped k fires at the boundary after round k
 has been recorded, so its first visible effect is in row k+1.  A joining
-agent broadcasts for the first time in round k+1.  Each trial runs its
-rounds through `edges.iterate`, the stop rule the estimator front ends use:
-it stops early once the per-round change falls below the configured
-tolerances and no timeline events remain.
+agent broadcasts for the first time in round k+1.  The trials advance
+together through one engine with a leading trial axis, each on its own
+streams, and run their rounds through `edges.iterate`, the stop rule the
+estimator front ends use: a trial stops early once its per-round change
+falls below the configured tolerances and no timeline events remain.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
 from .edges import iterate
 from .errors import ConfigError, NumericError
 from .graph import Graph
-from .lsbp import BeliefInit, LsbpEngine
-from .metrics import IterationRow, MetricError, RunTrace, avg_mse
+from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
+# one trial's MSE, under the name the benchmark's tracer wraps (netsim.avg_mse)
+from .metrics import IterationRow, MetricError, RunTrace, mean_square_error as avg_mse
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
                     generate_measurements, generate_truth)
 from . import oracle as oracle_mod
-from .lsbp import variance_fixed_point
 
 STREAM_TRUTH = 1
 STREAM_NOISE = 2
@@ -100,7 +101,6 @@ def validate_timeline(events: list[TimelineEvent], graph: Graph,
         else:
             if sim.positions is None:
                 raise ConfigError("timeline joins require a positioned topology")
-            join_radius(cfg)  # raises if unavailable
             sim, _ = sim.add_agent(ev.position, join_radius(cfg))
 
 
@@ -125,12 +125,6 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
     return BpEngine(graph, meas, truth.reference_value, cfg.reference_precision)
 
 
-def _isolated(engine) -> tuple[int, ...]:
-    """Non-reference agents without a neighbor, in id order."""
-    alone = np.flatnonzero(np.diff(engine.indptr) == 0)
-    return tuple(engine.ids[k] for k in alone if k != engine.ref)
-
-
 def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """One round's (skip, delivered): with probability skip_prob an agent
@@ -143,66 +137,94 @@ def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
     return skip, delivered
 
 
-class _Trial:
-    """One Monte-Carlo trial: its graph, truth and measurements as the
-    timeline changes them, and per round a record (ids, isolated, means,
-    variances, scalars).  means and variances align to the engine's ids and
-    are NaN while flat; scalars are (mse, sends, deliveries, drops, n_flat);
-    ids and isolated are shared by the rounds of one topology."""
+class _Batch:
+    """The Monte-Carlo trials of one run, advanced together through one
+    engine.  They share the graph and truth, which each timeline event
+    changes once for all of them, and hold one row each of the measurements.
+    Per trial: its loss and schedule streams, and per round a record (ids,
+    isolated, means, variances, scalars).  means and variances align to the
+    engine's ids and are NaN while flat; scalars are (mse, sends,
+    deliveries, drops, n_flat); ids and isolated are shared by the rounds of
+    one topology."""
 
-    def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
-                 trial: int):
-        self.cfg, self.graph, self.truth, self.trial = cfg, graph, truth, trial
-        self.meas = generate_measurements(
-            graph, truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, trial],
-            sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides))
-        self.loss_rng = np.random.default_rng([cfg.master_seed, STREAM_LOSS, trial])
-        self.sched_rng = np.random.default_rng([cfg.master_seed, STREAM_SCHEDULE, trial])
+    def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth):
+        self.cfg, self.graph, self.truth = cfg, graph, truth
+        self.meas = self._measure()
+        self.loss_rngs, self.sched_rngs = (
+            [np.random.default_rng([cfg.master_seed, stream, t]) for t in range(cfg.trials)]
+            for stream in (STREAM_LOSS, STREAM_SCHEDULE))
+        self.rows: list[list[tuple]] = [[] for _ in range(cfg.trials)]
 
-    def run(self, events: list[TimelineEvent]) -> "_Trial":
+    def _measure(self, *key: int, edges=None) -> MeasurementSet:
+        """Every trial's measurements on the current graph (only on `edges`
+        if given), trial t's noise drawn from [master_seed, 2, t, *key]."""
+        cfg = self.cfg
+        return MeasurementSet.stacked([generate_measurements(
+            self.graph, self.truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, t, *key],
+            sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides), edges=edges)
+            for t in range(cfg.trials)])
+
+    def run(self, events: list[TimelineEvent]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
-        timeline; sets rows, converged_at and diverged."""
+        timeline; sets rows, converged_at and diverged (per trial)."""
         cfg = self.cfg
         engine = _make_engine(cfg, self.graph, self.meas, self.truth)
-        self.isolated = _isolated(engine)
-        self.rows: list[tuple] = []
-        self._record(engine, MessageCounters())
+        self._topology(engine)
+        self._record(engine, [MessageCounters()] * cfg.trials)
         changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
-        engine, _, self.converged_at = iterate(
+        _, _, self.converged_at, self.diverged = iterate(
             engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
-        self.diverged = engine.diverged
         return self
 
-    def _round(self, engine) -> None:
-        """One lossy round, recorded as the next row."""
-        cfg = self.cfg
-        skip, delivered = draw_losses(self.loss_rng, engine.n, cfg.pdr, cfg.skip_prob)
-        if cfg.schedule == "asynchronous":   # lsbp only, by validate_config
-            engine.async_round(self.sched_rng.permutation(engine.n), delivered, skip)
-        else:
-            engine.sync_round(delivered, skip)
-        self._record(engine, _count_messages(cfg, engine, delivered, skip))
+    def _topology(self, engine) -> None:
+        """What the records of one topology share: the non-reference agents
+        without a neighbor and the true offsets, in the engine's id order."""
+        alone = np.flatnonzero(np.diff(engine.indptr) == 0)
+        self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
+        self.offsets = [self.truth.offsets[a] for a in engine.ids]
 
-    def _record(self, engine, counters: MessageCounters) -> None:
-        """Append the engine's state after a round as the next record."""
+    def _round(self, engine) -> None:
+        """One lossy round of every live trial, recorded as their next rows."""
+        cfg = self.cfg
+        live = engine.trials.tolist()
+        losses = [draw_losses(self.loss_rngs[t], engine.n, cfg.pdr, cfg.skip_prob)
+                  for t in live]
+        arrived = engine.delivery_mask(losses)
+        if cfg.schedule == "asynchronous":   # lsbp only, by validate_config
+            engine.async_round([self.sched_rngs[t].permutation(engine.n) for t in live],
+                               arrived)
+        else:
+            engine.sync_round(arrived)
+        self._record(engine, [
+            _count_messages(cfg, engine, skip, None if arrived is None else arrived[row])
+            for row, (skip, _) in enumerate(losses)])
+
+    def _record(self, engine, counters: list[MessageCounters]) -> None:
+        """Append each live trial's state after a round as its next record."""
         means, prec = engine.snapshot()
         with np.errstate(divide="ignore"):
             variances = 1.0 / prec
         variances[np.isinf(variances)] = np.nan
+        n_flat = np.count_nonzero(np.isnan(means), axis=1).tolist()
         cfg = self.cfg
-        try:
-            mse = avg_mse(engine.estimates(), self.truth.offsets, cfg.mse_normalization)
-        except MetricError:
-            mse = float("nan")
-        except OverflowError:    # Python's float ** raises where numpy gives inf
-            raise NumericError(
-                f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
-                f"mse_normalization={cfg.mse_normalization!r})") from None
-        n_flat = int(np.count_nonzero(np.isnan(means)))
-        self.rows.append((engine.ids, self.isolated, means, variances, (
-            mse, counters.sends, counters.deliveries, counters.drops, n_flat)))
+        for row, (t, c) in enumerate(zip(engine.trials.tolist(), counters)):
+            try:
+                mse = avg_mse(
+                    [(m, f) for m, p, f in zip(means[row].tolist(), prec[row].tolist(),
+                                               self.offsets) if p > 0],
+                    cfg.mse_normalization)
+            except MetricError:
+                mse = float("nan")
+            except OverflowError:    # Python's float ** raises where numpy gives inf
+                raise NumericError(
+                    f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
+                    f"mse_normalization={cfg.mse_normalization!r})") from None
+            self.rows[t].append((engine.ids, self.isolated, means[row], variances[row], (
+                mse, c.sends, c.deliveries, c.drops, n_flat[row])))
 
     def _apply_event(self, ev: TimelineEvent, engine):
+        """Apply one timeline event to the shared topology and to every
+        trial's measurements; only the joiner's draw is per trial."""
         cfg = self.cfg
         if ev.kind == "leave":
             self.graph = self.graph.remove_agent(ev.agent)
@@ -212,28 +234,21 @@ class _Trial:
             self.truth = self.truth.with_offset(
                 new_id, draw_joiner_offset([cfg.master_seed, STREAM_TRUTH], new_id,
                                            cfg.max_offset))
-            new_edges = [e for e in self.graph.edges if new_id in e]
-            fresh = generate_measurements(
-                self.graph, self.truth, cfg.sigma,
-                seed=[cfg.master_seed, STREAM_NOISE, self.trial, new_id],
-                sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides),
-                edges=new_edges)
-            self.meas = self.meas.merged_with(fresh)
+            self.meas = self.meas.merged_with(self._measure(
+                new_id, edges=[e for e in self.graph.edges if new_id in e]))
         engine = engine.rebuilt(self.graph, self.meas)
-        self.isolated = _isolated(engine)
+        self._topology(engine)
         return engine
 
 
-def _count_messages(cfg: ExperimentConfig, engine, delivered, skip) -> MessageCounters:
+def _count_messages(cfg: ExperimentConfig, engine, skip: np.ndarray | None,
+                    arrived: np.ndarray | None) -> MessageCounters:
+    """One trial's round, from its skips and its row of the delivery mask."""
     intended = len(engine.src) if skip is None else int((~skip[engine.src]).sum())
-    arrived = engine.delivery_mask(delivered, skip)
     n_delivered = intended if arrived is None else int(arrived.sum())
-    if cfg.algorithm == "lsbp":
-        sends = engine.n if skip is None else int((~skip).sum())
-    else:
-        sends = intended
-    return MessageCounters(sends=sends, deliveries=n_delivered,
-                           drops=intended - n_delivered)
+    sends = intended if cfg.algorithm == "bp" else \
+        engine.n if skip is None else int((~skip).sum())
+    return MessageCounters(sends, n_delivered, intended - n_delivered)
 
 
 def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | None]:
@@ -250,13 +265,13 @@ def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | N
     return {a: (None if math.isnan(v) else v) for a, v in zip(ids, out.tolist())}
 
 
-def _aggregate(trials: list[_Trial], cfg: ExperimentConfig) -> RunTrace:
-    horizon = max(len(t.rows) for t in trials)
+def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
+    horizon = max(len(rows) for rows in batch.rows)
     rows = []
     for l in range(horizon):
         # trials share row l's topology: a trial stops early only after its last event
         ids, isolated, means, variances, scalars = zip(
-            *(t.rows[min(l, len(t.rows) - 1)] for t in trials))
+            *(trial[min(l, len(trial) - 1)] for trial in batch.rows))
         # (5, trials) in C order, so each scalar's trials are summed in order
         scalars = np.array(scalars, dtype=float).T.copy()
         mse, sends, deliveries, drops, n_flat = scalars.mean(axis=1).tolist()
@@ -271,40 +286,36 @@ def _aggregate(trials: list[_Trial], cfg: ExperimentConfig) -> RunTrace:
             n_flat=int(round(n_flat)),
             unobservable=isolated[0],
         ))
-    per_conv = [t.converged_at for t in trials]
+    per_conv = batch.converged_at
     converged_at = None if any(c is None for c in per_conv) else max(per_conv)
     return RunTrace(
         rows=rows,
         converged_at=converged_at,
-        diverged=any(t.diverged for t in trials),
+        diverged=any(batch.diverged),
         final_estimates=rows[-1].means if rows else {},
         per_trial_converged_at=per_conv,
-        per_trial_final_mse=[t.rows[-1][4][0] for t in trials],  # scalars[0]: mse
+        per_trial_final_mse=[trial[-1][4][0] for trial in batch.rows],  # scalars[0]: mse
     )
 
 
-def _attach_oracle(trace: RunTrace, trials: list[_Trial],
-                   cfg: ExperimentConfig) -> None:
-    final_graph = trials[0].graph
-    truth = trials[0].truth
-    pstar = variance_fixed_point(final_graph, trials[0].meas,
-                                 cfg.reference_precision)
-    wls_acc: dict[int, list[float]] = {}
-    for t in trials:
-        sys = oracle_mod.build_linear_system(t.graph, t.meas,
-                                             truth.reference_value)
-        for a, v in oracle_mod.wls_solve(sys).items():
-            wls_acc.setdefault(a, []).append(v)
-    sys0 = oracle_mod.build_linear_system(final_graph, trials[0].meas,
-                                          truth.reference_value)
+def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
+    """WLS means over the trials, CRLB and rho_K on the final topology: one
+    linear system, whose normal matrix every trial's solve and the CRLB
+    share."""
+    graph, truth, meas = batch.graph, batch.truth, batch.meas
+    if len(graph.agents) < 2:
+        raise ConfigError("the oracle needs an agent besides the reference")
+    pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
+    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
+    wls = [oracle_mod.wls_solve(system, rhs) for rhs in system.rhs]
     fps = oracle_mod.build_fixed_point_system(
-        final_graph, trials[0].meas, pstar, truth.reference_value,
-        cfg.reference_precision)
+        graph, MeasurementSet(meas.edge_array, meas.r_array[0], meas.sigma2_array),
+        pstar, truth.reference_value, cfg.reference_precision)
     trace.oracle = {
         "rho_K": oracle_mod.spectral_radius(fps.K),
-        "crlb": oracle_mod.crlb(sys0),
-        "crlb_avg": oracle_mod.avg_crlb(sys0, cfg.mse_normalization),
-        "wls_mean": {a: float(np.mean(vs)) for a, vs in sorted(wls_acc.items())},
+        "crlb": oracle_mod.crlb(system),
+        "crlb_avg": oracle_mod.avg_crlb(system, cfg.mse_normalization),
+        "wls_mean": {a: float(np.mean([w[a] for w in wls])) for a in sorted(wls[0])},
     }
 
 
@@ -327,8 +338,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
             raise ConfigError(f"sigma override for non-edge {edge}")
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
-    trials = [_Trial(cfg, graph, truth, t).run(events) for t in range(cfg.trials)]
-    trace = _aggregate(trials, cfg)
+    batch = _Batch(cfg, graph, truth).run(events)
+    with np.errstate(over="raise"):   # a trial average beyond the float range
+        trace = _aggregate(batch, cfg)
     if cfg.oracle:
-        _attach_oracle(trace, trials, cfg)
+        _attach_oracle(trace, batch, cfg)
     return trace

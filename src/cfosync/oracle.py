@@ -10,6 +10,7 @@ governs the broadcast algorithm's belief means once variances have settled
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,18 @@ class LinearSystem:
 
     design: (|E|, N-1) with +1 per non-reference endpoint per row.
     weights: 1/sigma2 per edge.
+    rhs: (|E|,), or (T, |E|) with one row per trial of a batch.
     """
 
     design: np.ndarray
     rhs: np.ndarray
     weights: np.ndarray
     columns: tuple[int, ...]   # agent id per design column
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """A^T W A: the normal matrix, which is also the Fisher information."""
+        return self.design.T @ (self.weights[:, None] * self.design)
 
 
 def build_linear_system(graph: Graph, meas: MeasurementSet,
@@ -42,8 +49,8 @@ def build_linear_system(graph: Graph, meas: MeasurementSet,
     cols = nonref_agents(graph)
     pairs = graph.edge_array
     rows = meas.rows_of(pairs)
-    rhs = meas.r_array[rows]
-    rhs[np.any(pairs == graph.reference, axis=1)] -= reference_value
+    rhs = meas.r_array[..., rows]
+    rhs[..., np.any(pairs == graph.reference, axis=1)] -= reference_value
     weights = 1.0 / meas.sigma2_array[rows]
     a_mat = np.zeros((len(pairs), len(cols)))
     edge, end = np.nonzero(pairs != graph.reference)
@@ -52,13 +59,13 @@ def build_linear_system(graph: Graph, meas: MeasurementSet,
                         columns=tuple(cols))
 
 
-def wls_solve(sys: LinearSystem) -> dict[int, float]:
-    """argmin of the weighted squared residual via the normal equations."""
-    a, w = sys.design, sys.weights
-    normal = a.T @ (w[:, None] * a)
-    target = a.T @ (w * sys.rhs)
+def wls_solve(sys: LinearSystem, rhs: np.ndarray | None = None) -> dict[int, float]:
+    """argmin of the weighted squared residual via the normal equations, for
+    one right-hand side: `rhs` (one trial's row), by default sys.rhs."""
+    rhs = sys.rhs if rhs is None else rhs
+    target = sys.design.T @ (sys.weights * rhs)
     try:
-        sol = np.linalg.solve(normal, target)
+        sol = np.linalg.solve(sys.normal, target)
     except np.linalg.LinAlgError as exc:
         raise UnobservableError(sys.columns) from exc
     return {a_id: float(v) for a_id, v in zip(sys.columns, sol)}
@@ -67,10 +74,8 @@ def wls_solve(sys: LinearSystem) -> dict[int, float]:
 def crlb(sys: LinearSystem) -> dict[int, float]:
     """Per-agent minimum estimator variance: diagonal of the inverse Fisher
     information of the stacked linear Gaussian model, in Hz^2."""
-    a, w = sys.design, sys.weights
-    fisher = a.T @ (w[:, None] * a)
     try:
-        cov = np.linalg.inv(fisher)
+        cov = np.linalg.inv(sys.normal)
     except np.linalg.LinAlgError as exc:
         raise UnobservableError(sys.columns) from exc
     return {a_id: float(v) for a_id, v in zip(sys.columns, np.diag(cov))}
@@ -167,24 +172,7 @@ def spectral_radius(k_mat: np.ndarray, tol: float = 1e-10,
     raise NumericError(f"power iteration did not converge in {max_iter} steps")
 
 
-def mean_fixed_point(sys: FixedPointSystem, iter_tol: float = 1e-10,
-                     max_iter: int = 1000000,
-                     agreement_tol: float = 1e-8) -> dict[int, float]:
-    """Solve mu = eta - K mu directly and confirm by running the iteration
-    itself; disagreement beyond agreement_tol raises NumericError."""
-    n = sys.K.shape[0]
-    direct = np.linalg.solve(np.eye(n) + sys.K, sys.eta)
-    mu = np.zeros(n)
-    for _ in range(max_iter):
-        mu_next = sys.eta - sys.K @ mu
-        if np.max(np.abs(mu_next - mu), initial=0.0) <= iter_tol:
-            mu = mu_next
-            break
-        mu = mu_next
-    else:
-        raise NumericError("mean fixed-point iteration did not settle")
-    gap = float(np.max(np.abs(mu - direct), initial=0.0))
-    if gap > agreement_tol:
-        raise NumericError(
-            f"direct solve and iteration disagree by {gap:.3e}")
+def mean_fixed_point(sys: FixedPointSystem) -> dict[int, float]:
+    """The broadcast fixed point: mu = eta - K mu, solved directly."""
+    direct = np.linalg.solve(np.eye(sys.K.shape[0]) + sys.K, sys.eta)
     return {a: float(v) for a, v in zip(sys.rows, direct)}

@@ -54,11 +54,7 @@ def variance_sweep(overrides: dict | None = None) -> list[tuple[str, ExperimentC
         init_mode="uniform", init_mean=0.0, sigma=1.0,
         l_max=100, trials=1, master_seed=101, mean_tol=FLOOR_MEAN_TOL)
     base = _with(base, **(overrides or {}))
-    out = []
-    for v in SWEEP_VARIANCES:
-        label = f"p0-{v:g}"
-        out.append((label, _with(base, init_variance=v)))
-    return out
+    return [(f"p0-{v:g}", _with(base, init_variance=v)) for v in SWEEP_VARIANCES]
 
 
 def pdr_sweep(overrides: dict | None = None) -> list[tuple[str, ExperimentConfig]]:
@@ -66,12 +62,8 @@ def pdr_sweep(overrides: dict | None = None) -> list[tuple[str, ExperimentConfig
         topology=DENSE_TOPOLOGY, sigma=1.0, l_max=100, trials=200,
         master_seed=202, mean_tol=FLOOR_MEAN_TOL, oracle=True)
     base = _with(base, **(overrides or {}))
-    out = []
-    for algo in ("lsbp", "bp"):
-        for pdr in (0.6, 0.8):
-            label = f"{algo}-pdr{int(pdr * 100)}"
-            out.append((label, _with(base, algorithm=algo, pdr=pdr)))
-    return out
+    return [(f"{algo}-pdr{int(pdr * 100)}", _with(base, algorithm=algo, pdr=pdr))
+            for algo in ("lsbp", "bp") for pdr in (0.6, 0.8)]
 
 
 def dynamic_topology(overrides: dict | None = None) -> list[tuple[str, ExperimentConfig]]:

@@ -1,14 +1,18 @@
 """Shared generators for randomized tests (connected graphs, trees, and
-measurement sets with heterogeneous noise), the per-edge scalar reference
-for measurement generation, and text round trips of graphs, truths and
-measurement sets."""
+measurement sets with heterogeneous noise), scalar references (per-edge
+measurement generation, the BP cavity message), and text round trips of
+graphs, truths, measurement sets and traces."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
+from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.graph import canonical_edge
+from cfosync.metrics import TRACE_COLUMNS
 from cfosync.model import NOISELESS_SIGMA2, GroundTruth, Measurement
 
 
@@ -143,3 +147,36 @@ def graph_from_edgelist_text(text: str) -> Graph:
             agents.update((i, j))
     return Graph(agents=frozenset(agents), edges=frozenset(edges),
                  reference=int(head[3]), positions=positions or None)
+
+
+def bp_message(j: int, i: int, incoming: dict[int, Gaussian1D], r: float,
+               sigma2: float, reference: int | None = None,
+               reference_belief: Gaussian1D | None = None) -> Gaussian1D:
+    """Message j -> i from j's received messages `incoming` (keyed by
+    sender).  For the reference agent the cavity is its pinned belief;
+    otherwise it is the product of the messages from all but i."""
+    if reference is not None and j == reference:
+        cavity = reference_belief
+    else:
+        cavity = math.prod((m for k, m in incoming.items() if k != i), start=FLAT)
+    return edge_message(r, sigma2, cavity)
+
+
+def read_trace_csv(text: str) -> list[dict]:
+    """Parse trace CSV back into row dicts; floats round-trip exactly."""
+    lines = [ln for ln in text.splitlines() if ln]
+    header = lines[0].split(",")
+    if tuple(header) != TRACE_COLUMNS:
+        raise ValueError(f"unexpected trace header {header}")
+    out = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        rec = dict(zip(header, parts))
+        rec["iteration"] = int(rec["iteration"])
+        rec["agent"] = int(rec["agent"])
+        for k in ("mean", "variance"):
+            rec[k] = float(rec[k]) if rec[k] else None
+        for k in ("avg_mse", "broadcasts", "deliveries", "drops"):
+            rec[k] = float(rec[k])
+        out.append(rec)
+    return out

@@ -3,11 +3,11 @@ import pytest
 
 from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
                      build_linear_system, wls_solve)
-from cfosync.bp import BpEngine, bp_message
+from cfosync.bp import BpEngine
 from cfosync.gaussian import FLAT, Gaussian1D
 from cfosync.model import Measurement
 
-from helpers import random_tree, seeded_instance, triangle
+from helpers import bp_message, random_tree, seeded_instance, triangle
 
 TREE_TOL = 1e-9
 LOOPY_WLS_TOL = 1e-6
@@ -50,9 +50,9 @@ def test_first_round_messages_from_nonreference_leaves_are_flat():
     eng = BpEngine(g, ms, reference_value=0.0)
     eng.sync_round()
     # message 3 -> 2 (leaf, non-reference) still flat after round 1
-    assert eng.edge_prec[eng.edge(2, 3)] == 0.0
+    assert eng.edge_prec[0, eng.edge(2, 3)] == 0.0
     # message 1 -> 2 (reference) informative immediately
-    assert eng.edge_prec[eng.edge(2, 1)] > 0.0
+    assert eng.edge_prec[0, eng.edge(2, 1)] > 0.0
 
 
 def test_single_edge_one_round_estimate():
@@ -108,8 +108,8 @@ def test_divergence_guard_flags_blowup():
     g, ms = triangle()
     eng = BpEngine(g, ms, reference_value=0.0)
     eng.sync_round()
-    eng.edge_mean[eng.edge(2, 3)] = 1e13
-    eng.edge_prec[eng.edge(2, 3)] = 1.0
+    eng.edge_mean[0, eng.edge(2, 3)] = 1e13
+    eng.edge_prec[0, eng.edge(2, 3)] = 1.0
     eng.sync_round()
     assert eng.diverged
 

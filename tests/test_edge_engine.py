@@ -1,6 +1,7 @@
 """Both directed-edge engines against a scalar reference built from
 edge_message and Gaussian1D products, on seeded lossy graphs with skips,
-both init modes and a leave/join rebuild; plus the O(|E|) state check."""
+both init modes and a leave/join rebuild; a batch of trials against the
+same trials run one engine each; plus the O(|E|) state check."""
 
 import math
 import time
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from cfosync import Graph, random_geometric
-from cfosync.bp import BpEngine, bp_message
+from cfosync.bp import BpEngine
 from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.lsbp import BeliefInit, LsbpEngine
 from cfosync.model import Measurement, MeasurementSet
+from cfosync.edges import iterate
 from cfosync.netsim import draw_losses
 
-from helpers import heterogeneous_measurements
+from helpers import bp_message, heterogeneous_measurements
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -90,11 +92,11 @@ def _close(got_prec, got_mean, want: Gaussian1D) -> bool:
 
 def _assert_matches(engine, ref: ScalarEngine, where: str):
     for a, k in engine.index.items():
-        assert _close(engine.prec[k], engine.mean[k], ref.belief[a]), \
+        assert _close(engine.prec[0, k], engine.mean[0, k], ref.belief[a]), \
             f"{where}: belief of agent {a}"
     for (i, j), want in ref.box.items():
         e = engine.edge(i, j)
-        assert _close(engine.edge_prec[e], engine.edge_mean[e], want), \
+        assert _close(engine.edge_prec[0, e], engine.edge_mean[0, e], want), \
             f"{where}: payload {j} -> {i}"
 
 
@@ -128,13 +130,14 @@ def _run(engine, ref, g, ms, rng, schedule, skip_prob, rounds=12, rebuild_at=6):
             ref._retopologize(g, ms)
             _assert_matches(engine, ref, f"rebuilt before round {l}")
         skip, delivered = draw_losses(rng, engine.n, 0.7, skip_prob)
+        arrived = engine.delivery_mask([(skip, delivered)])
         if schedule == "asynchronous":
             order = sched.permutation(engine.n)
-            engine.async_round(order, delivered, skip)
+            engine.async_round([order], arrived)
             ref.async_round(engine.ids, [engine.ids[k] for k in order],
                             delivered, skip)
         else:
-            engine.sync_round(delivered, skip)
+            engine.sync_round(arrived)
             ref.sync_round(engine.ids, delivered, skip)
         _assert_matches(engine, ref, f"round {l}")
 
@@ -159,6 +162,87 @@ def test_bp_engine_matches_scalar_reference(skip_prob, seed):
     ref = ScalarEngine("bp", g, ms, ref_value)
     _run(engine, ref, g, ms, rng, "synchronous", skip_prob)
     assert not engine.diverged
+
+
+# -- a batch of trials against one engine per trial ---------------------------
+
+BATCH_TRIALS = 4
+BATCH_CASES = [("lsbp", "synchronous", BeliefInit()),
+               ("lsbp", "asynchronous", BeliefInit()),
+               ("lsbp", "synchronous", BeliefInit("uniform", 4.0, 1.5)),
+               ("lsbp", "asynchronous", BeliefInit("uniform", 4.0, 1.5)),
+               ("bp", "synchronous", None)]
+
+
+def _per_trial_measurements(g, rng, edges=None):
+    """One measurement set per trial over the same edges and variances."""
+    pairs = g.edge_array if edges is None else np.array(sorted(edges)).reshape(-1, 2)
+    sig2 = rng.uniform(0.25, 4.0, len(pairs))
+    return [MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
+            for _ in range(BATCH_TRIALS)]
+
+
+def _batch_run(engine, trial_ids, timeline, schedule):
+    """iterate() over an engine whose rows run the trials `trial_ids`, each
+    on its own loss and order streams (trial 0 lossless, the others lossy
+    with skips), through the (k, graph, per-trial sets) timeline.  Returns
+    per trial iterate's (rounds, settled_at, diverged) and its (prec, mean,
+    edge_prec, edge_mean) after every round."""
+    streams = {t: (np.random.default_rng([21, t]), np.random.default_rng([21, t, 1]))
+               for t in trial_ids}
+    states = {t: [] for t in trial_ids}
+
+    def step(eng):
+        live = [trial_ids[row] for row in eng.trials.tolist()]
+        losses = [draw_losses(streams[t][0], eng.n, 1.0 if t == 0 else 0.7,
+                              0.0 if t == 0 else 0.2) for t in live]
+        arrived = eng.delivery_mask(losses)
+        if schedule == "asynchronous":
+            eng.async_round([streams[t][1].permutation(eng.n) for t in live], arrived)
+        else:
+            eng.sync_round(arrived)
+        for row, t in enumerate(live):
+            states[t].append(tuple(a[row].copy() for a in (
+                eng.prec, eng.mean, eng.edge_prec, eng.edge_mean)))
+
+    changes = [(k, lambda eng, g=g, sets=sets: eng.rebuilt(
+        g, MeasurementSet.stacked([sets[t] for t in trial_ids])))
+        for k, g, sets in timeline]
+    _, *results = iterate(engine, step, 300, 1e-6, 1e-9, changes)
+    return {t: tuple(r[row] for r in results) for row, t in enumerate(trial_ids)}, states
+
+
+@pytest.mark.parametrize("algo,schedule,init", BATCH_CASES)
+def test_batch_matches_independent_trials(algo, schedule, init):
+    g0 = random_geometric(n=14, width=900, height=900, radius=400, seed=7)
+    rng = np.random.default_rng(8)
+    ref_value = float(rng.uniform(-200, 200))
+    sets0 = _per_trial_measurements(g0, rng)
+    victim = max(g0.agents - {g0.reference})
+    g1 = g0.remove_agent(victim)
+    g2, new_id = g1.add_agent(g0.positions[victim], 400)
+    sets1 = [m.without_agent(victim) for m in sets0]
+    sets2 = [m.merged_with(f) for m, f in zip(
+        sets1, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))]
+    timeline = [(3, g1, sets1), (5, g2, sets2)]   # leave, then a join at its place
+
+    def engine(trial_ids):
+        meas = MeasurementSet.stacked([sets0[t] for t in trial_ids])
+        if algo == "bp":
+            return BpEngine(g0, meas, ref_value, REF_PREC)
+        return LsbpEngine(g0, meas, init, ref_value, REF_PREC)
+
+    trials = list(range(BATCH_TRIALS))
+    batch, batch_states = _batch_run(engine(trials), trials, timeline, schedule)
+    for t in trials:
+        alone, states = _batch_run(engine([t]), [t], timeline, schedule)
+        assert batch[t] == alone[t], f"trial {t}: (rounds, settled_at, diverged)"
+        assert len(batch_states[t]) == len(states[t]) == batch[t][0]
+        for k, (got, want) in enumerate(zip(batch_states[t], states[t])):
+            for name, x, y in zip(("prec", "mean", "edge_prec", "edge_mean"), got, want):
+                assert np.array_equal(x, y), f"trial {t} round {k + 1}: {name}"
+    stopped = [batch[t][0] for t in trials]
+    assert len(set(stopped)) > 2, f"trials should stop at different rounds: {stopped}"
 
 
 def _preset_density_graph(n: int, seed: int) -> Graph:
@@ -189,7 +273,7 @@ def test_engine_state_is_linear_in_edges():
     t0 = time.perf_counter()
     for engine in engines:
         for skip, delivered in masks:
-            engine.sync_round(delivered, skip)
+            engine.sync_round(engine.delivery_mask([(skip, delivered)]))
     elapsed = time.perf_counter() - t0
     for engine in engines:
         assert 20 * n < len(engine.src) < 30 * n   # preset density

@@ -172,7 +172,7 @@ def test_zero_pdr_freezes_inboxes():
     eng = _engine(g, ms, truth.reference_value)
     nothing = np.zeros((eng.n, eng.n), dtype=bool)
     for _ in range(4):
-        eng.sync_round(delivered=nothing)
+        eng.sync_round(eng.delivery_mask([(None, nothing)]))
     ests = eng.estimates()
     assert all(v is None for a, v in ests.items() if a != g.reference)
 
@@ -194,10 +194,10 @@ def test_uniform_init_seeds_caches_with_declared_beliefs():
     init = BeliefInit(mode="uniform", variance=4.0, mean=1.5)
     eng = _engine(g, ms, mu1=0.0, init=init)
     e23 = eng.edge(2, 3)
-    assert eng.edge_prec[e23] == pytest.approx(0.25)
-    assert eng.edge_mean[e23] == pytest.approx(1.5)
+    assert eng.edge_prec[0, e23] == pytest.approx(0.25)
+    assert eng.edge_mean[0, e23] == pytest.approx(1.5)
     # the reference's declared initial belief is its pin
-    assert eng.edge_prec[eng.edge(2, 1)] == eng.reference_precision
+    assert eng.edge_prec[0, eng.edge(2, 1)] == eng.reference_precision
 
 
 def test_rebuilt_purges_leaver_and_carries_survivors():
@@ -211,7 +211,7 @@ def test_rebuilt_purges_leaver_and_carries_survivors():
     eng2 = eng.rebuilt(g2, ms2)
     assert victim not in eng2.index
     for a in g2.agents:
-        assert eng2.prec[eng2.index[a]] == eng.prec[eng.index[a]]
+        assert eng2.prec[0, eng2.index[a]] == eng.prec[0, eng.index[a]]
 
 
 # -- convergence detection ----------------------------------------------------

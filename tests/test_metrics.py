@@ -3,7 +3,9 @@ import pytest
 from cfosync import avg_mse
 from cfosync.errors import MetricError, NumericError
 from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
-                             read_trace_csv, summary_dict, trace_to_csv)
+                             summary_dict, trace_to_csv)
+
+from helpers import read_trace_csv
 
 
 def test_avg_mse_perfect_estimates():
