@@ -2,8 +2,8 @@
 
 Runs a single configured experiment or a named preset batch, writing
 trace.csv / summary.json per run.  Exit codes: 0 success, 2 invalid
-configuration or unobservable system, 3 a run diverged (per-edge BP only),
-4 numeric failure.  Errors print one machine-parseable line to stderr.
+configuration or unobservable system, 4 numeric failure.  Errors print one
+machine-parseable line to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .presets import PRESET_NAMES, preset_configs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_DIVERGED = 3
 EXIT_NUMERIC = 4
 
 
@@ -70,8 +69,6 @@ def _describe(label: str, trace: RunTrace) -> str:
     bits = [f"iterations={trace.rows[-1].iteration if trace.rows else 0}",
             f"converged_at={trace.converged_at}",
             f"mse={trace.final_mse:.6g}" if trace.rows else "mse=nan"]
-    if trace.diverged:
-        bits.append("DIVERGED")
     if trace.oracle:
         bits.append(f"rho_K={trace.oracle['rho_K']:.6g}")
         bits.append(f"crlb_avg={trace.oracle['crlb_avg']:.6g}")
@@ -98,20 +95,18 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, **_overrides(args))
             batch = [("run", cfg)]
 
-        any_diverged = False
         for label, cfg in batch:
             trace = run_experiment(cfg)
             outdir = args.out if len(batch) == 1 else args.out / label
             _write_outputs(trace, cfg, outdir, args.emit)
             print(_describe(label, trace))
-            any_diverged |= trace.diverged
     except (ConfigError, UnobservableError) as exc:
         return _fail(EXIT_VALIDATION, "validation", exc)
     except ArithmeticError as exc:    # NumericError, and overflow in float arithmetic
         return _fail(EXIT_NUMERIC, "numeric", exc)
     except OSError as exc:
         return _fail(EXIT_VALIDATION, "io", exc)
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericError
 from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
 from .model import MeasurementSet, sorted_lookup
@@ -89,16 +90,16 @@ class EdgeEngine(DirectedEdges):
     Payloads start flat and change only on a successful delivery, which is
     what keeps the update well-defined under packet loss.  The reference
     agent's belief is pinned.  Row k of every per-trial array belongs to
-    trial `trials[k]`; `diverged` flags the trials whose beliefs blew up."""
+    trial `trials[k]`."""
 
-    _per_trial = ("trials", "diverged", "prec", "mean", "edge_prec", "edge_mean", "r")
+    _per_trial = ("trials", "prec", "mean", "edge_prec", "edge_mean", "r")
 
     def __init__(self, graph: Graph, meas: MeasurementSet, reference_value: float,
                  reference_precision: float = DEFAULT_REFERENCE_PRECISION):
         super().__init__(graph, meas)
         self.reference_value = float(reference_value)
         self.reference_precision = float(reference_precision)
-        self.trials, self.diverged = np.arange(len(self.r)), np.zeros(len(self.r), bool)
+        self.trials = np.arange(len(self.r))
         self.prec, self.mean = np.zeros((2, len(self.r), self.n))
         self.prec[:, self.ref] = self.reference_precision
         self.mean[:, self.ref] = self.reference_value
@@ -216,9 +217,9 @@ def step_delta(prev: tuple[np.ndarray, np.ndarray],
 def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
             max_rounds: int, mean_tol: float, prec_tol: float,
             changes: Sequence[tuple[int, Callable[[EdgeEngine], EdgeEngine]]] = ()
-            ) -> tuple[EdgeEngine, list[int], list[int | None], list[bool]]:
+            ) -> tuple[EdgeEngine, list[int], list[int | None]]:
     """Run rounds `step(engine)` on the engine's live trials until each
-    trial's beliefs settle, it diverges, or `max_rounds` rounds have run.
+    trial's beliefs settle or `max_rounds` rounds have run.
 
     A trial's round is settled when it moved every mean by less than
     mean_tol and every precision by less than prec_tol, and no agent still
@@ -226,15 +227,15 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
     start-up lag, not convergence).  `changes` are (k, change) pairs in order
     of k: after round k, `change(engine)` returns the engine to go on with
     and every trial's convergence test starts over.  A trial stops at its
-    first settled round once no change is pending, or when it diverges; its
-    rows then leave the engine (the last trial's stay).
+    first settled round once no change is pending; its rows then leave the
+    engine (the last trial's stay).  A non-finite belief after a round
+    raises NumericError.
 
     Returns (engine, and per trial: rounds run, first settled round since
-    the last change or None, diverged).
+    the last change or None).
     """
     pending = list(changes)
     rounds, settled_at = np.zeros((2, len(engine.trials)), int)   # 0: not settled
-    diverged = np.zeros(len(engine.trials), bool)
     prev = engine.snapshot()
     for k in range(1, max_rounds + 1):
         while pending and pending[0][0] < k:
@@ -243,21 +244,22 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
             prev = engine.snapshot()
             settled_at[engine.trials] = 0
         step(engine)
+        if not (np.isfinite(engine.prec).all() and np.isfinite(engine.mean).all()):
+            raise NumericError(f"non-finite belief after round {k}")
         cur = engine.snapshot()
         dmean, dprec = step_delta(prev, cur)
         live = engine.trials
-        rounds[live], diverged[live] = k, engine.diverged
+        rounds[live] = k
         settled = (dmean < mean_tol) & (dprec < prec_tol) & ~engine.has_pending_information()
-        settled_at[live] = np.where((settled_at[live] == 0) & settled & ~engine.diverged,
-                                    k, settled_at[live])
-        stop = engine.diverged | ((settled_at[live] > 0) & (not pending))
+        settled_at[live] = np.where((settled_at[live] == 0) & settled, k, settled_at[live])
+        stop = (settled_at[live] > 0) & (not pending)
         if stop.all():
             break
         if stop.any():
             engine.take(~stop)
             cur = (cur[0][~stop], cur[1][~stop])
         prev = cur
-    return engine, rounds.tolist(), [s or None for s in settled_at.tolist()], diverged.tolist()
+    return engine, rounds.tolist(), [s or None for s in settled_at.tolist()]
 
 
 # -- estimator front ends -----------------------------------------------------
@@ -267,9 +269,9 @@ class MessagePassingEstimator:
 
     The constructor carries the parameters named in `_param_names`
     (get_params/set_params).  fit() runs rounds until the per-round change
-    falls below mean_tol/prec_tol, the run diverges, or max_iter rounds have
-    run, then exposes estimates_ (dict id -> Hz, None while flat),
-    variances_, n_iter_, converged_ and diverged_.
+    falls below mean_tol/prec_tol or max_iter rounds have run, then exposes
+    estimates_ (dict id -> Hz, None while flat), variances_, n_iter_ and
+    converged_.
     """
 
     _param_names: tuple[str, ...] = ()
@@ -293,10 +295,9 @@ class MessagePassingEstimator:
     def fit(self, graph: Graph, measurements: MeasurementSet,
             reference_value: float = 0.0) -> "MessagePassingEstimator":
         engine, step = self._start(graph, measurements, reference_value)
-        engine, rounds, settled_at, diverged = iterate(
+        engine, rounds, settled_at = iterate(
             engine, step, self.max_iter, self.mean_tol, self.prec_tol)
         self.n_iter_, self.converged_ = rounds[0], settled_at[0] is not None
-        self.diverged_ = diverged[0]
         self.estimates_ = engine.estimates()
         self.variances_ = engine.variances()
         self.engine_ = engine

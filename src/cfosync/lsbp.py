@@ -201,8 +201,7 @@ class LsbpEngine(EdgeEngine):
 class LinearScalingBP(MessagePassingEstimator):
     """Estimator-style front end for the broadcast algorithm, synchronous or
     asynchronous (a seeded random update order per round); see
-    MessagePassingEstimator for fit() and the fitted attributes.  diverged_
-    is always False: the broadcast recursion converges."""
+    MessagePassingEstimator for fit() and the fitted attributes."""
 
     def __init__(self, init: str = ZERO_PRECISION, init_variance: float = 1.0,
                  init_mean: float = 0.0, max_iter: int = 1000,

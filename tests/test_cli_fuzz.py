@@ -96,6 +96,7 @@ def config_texts(draw):
 @example(_text(init_mode="uniform", init_mean="1e308", init_variance="0.5"))
 @example(_text(init_mode="uniform", init_variance="1e308"))      # trial mean overflows
 @example(_text(timeline="1:leave:2;1:leave:3", oracle="true"))   # oracle, no unknowns
+@example(_text(algorithm="bp", max_offset="1e13"))               # no divergence
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \

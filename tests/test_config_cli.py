@@ -8,7 +8,7 @@ from cfosync.config import (FINITE_FIELDS, config_to_text, join_radius,
                             parse_sigma_overrides, parse_topology,
                             validate_config)
 from cfosync.errors import ConfigError, NumericError
-from cfosync.metrics import RunTrace, IterationRow
+from cfosync.lsbp import LsbpEngine
 
 TRIANGLE_CFG = """
 topology = edges:1-2;1-3;2-3
@@ -185,12 +185,17 @@ def test_cli_override_flags(tmp_path):
     assert "master_seed = 5" in run_cfg and "trials = 2" in run_cfg
 
 
-def test_cli_diverged_exit_code(tmp_path, monkeypatch):
-    diverged = RunTrace(rows=[IterationRow(0, {1: 0.0}, {1: 1.0}, 0.0)],
-                        diverged=True, final_estimates={1: 0.0})
-    monkeypatch.setattr("cfosync.cli.run_experiment", lambda cfg: diverged)
+def test_cli_non_finite_belief_exits_numeric(tmp_path, monkeypatch, capsys):
+    sync_round = LsbpEngine.sync_round
+
+    def poisoned(engine, arrived=None):
+        sync_round(engine, arrived)
+        engine.mean[:, engine.index[3]] = float("nan")
+    monkeypatch.setattr(LsbpEngine, "sync_round", poisoned)
     cfg = _write_cfg(tmp_path)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: code=4 kind=numeric reason=non-finite belief after round 1"]
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

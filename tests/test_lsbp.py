@@ -6,7 +6,8 @@ import pytest
 from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
                      generate_measurements, generate_truth, is_feasible_start,
                      variance_fixed_point, variance_map, variance_map_bound)
-from cfosync.edges import step_delta
+from cfosync.edges import iterate, step_delta
+from cfosync.errors import NumericError
 from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
 from cfosync.model import Measurement
@@ -212,6 +213,15 @@ def test_rebuilt_purges_leaver_and_carries_survivors():
     assert victim not in eng2.index
     for a in g2.agents:
         assert eng2.prec[0, eng2.index[a]] == eng.prec[0, eng.index[a]]
+
+
+def test_async_nan_mean_raises_numeric_error():
+    g, ms = triangle()
+    eng = _engine(g, ms, mu1=0.0)
+    eng.r[0, eng.dst == eng.index[2]] = np.nan   # agent 2's inbox measurements
+    rng = np.random.default_rng(4)
+    with pytest.raises(NumericError, match="non-finite belief after round"):
+        iterate(eng, lambda e: e.async_round([rng.permutation(e.n)]), 50, 1e-9, 1e-12)
 
 
 # -- convergence detection ----------------------------------------------------
