@@ -69,7 +69,7 @@ class DirectedEdges:
         self.src, self.dst = src[order], dst[order]
         self.cells = self.dst * n + self.src   # [receiver, sender] in a flat (n, n) array
         self.rev = where[(order + m) % max(2 * m, 1)]
-        self.r = np.tile(np.atleast_2d(meas.r_array)[:, rows], 2)[:, order]
+        self.r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
         self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
 

@@ -148,8 +148,8 @@ class LsbpEngine(EdgeEngine):
             self.prec[:, others] = g0.precision
             self.mean[:, others] = g0.mean()
             # the reference's declared initial belief is its pin
-            self.edge_prec = self.prec[:, self.src]
-            self.edge_mean = self.mean[:, self.src]
+            self.edge_prec, self.edge_mean = (np.take(a, self.src, axis=1)
+                                              for a in (self.prec, self.mean))
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "LsbpEngine":
         return LsbpEngine(graph, meas, self.init, self.reference_value,
@@ -173,25 +173,46 @@ class LsbpEngine(EdgeEngine):
                     arrived: np.ndarray | None = None) -> None:
         """In each trial, agents update one at a time in that trial's order
         (a permutation of engine positions, one per trial); each updated
-        agent broadcasts before the next one updates.  A trial's agents run
-        on its own rows, so each inbox sum keeps numpy's pairwise order."""
-        # per agent: its inbox and the reverse edges it sends on
-        inboxes = [(slice(lo, hi), self.rev[lo:hi])
-                   for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())]
-        for row, order in enumerate(orders):
-            prec, mean, edge_prec, edge_mean, r = (
-                a[row] for a in (self.prec, self.mean, self.edge_prec, self.edge_mean, self.r))
-            for k in order.tolist():
-                inbox, out = inboxes[k]
-                if k != self.ref:
-                    w = message_precision(self.sig2[inbox], edge_prec[inbox])
-                    p = w.sum()
-                    prec[k] = p
-                    mean[k] = (w * (r[inbox] - edge_mean[inbox])).sum() / p if p > 0 else 0.0
-                if arrived is not None:
-                    out = out[arrived[row, out]]
-                edge_prec[out] = prec[k]
-                edge_mean[out] = mean[k]
+        agent broadcasts before the next one updates, over the edges the
+        (T, 2|E|) delivery_mask lets through (None: all).  Step s updates
+        agent orders[t][s] of every trial t at once.  An inbox is summed left
+        to right in CSR order, as in sync_round."""
+        t, n, m = len(self.trials), self.n, len(self.src)
+        agents = np.asarray(orders).T.ravel()           # step-major: (step, trial)
+        rows = np.tile(np.arange(t), n)
+        cells = rows * n + agents                       # flat (trial, agent)
+        # every step's inboxes, concatenated (a ragged arange over indptr)
+        deg = np.diff(self.indptr)[agents]
+        ends = np.cumsum(deg)
+        edge = np.repeat(self.indptr[agents] + deg - ends, deg) + np.arange(ends[-1])
+        row = np.repeat(rows, deg)
+        inbox = row * m + edge                          # flat (trial, edge)
+        sig2, r = self.sig2[edge], self.r.reshape(-1)[inbox]
+        bounds = np.concatenate([[0], ends[t - 1::t]])  # where each step starts
+        # the reverse edges carry each new belief out, where it arrives
+        out, sender, out_bounds = row * m + self.rev[edge], np.repeat(cells, deg), bounds
+        if arrived is not None:
+            keep = arrived.reshape(-1)[out]
+            out, sender = out[keep], sender[keep]
+            out_bounds = np.concatenate([[0], np.cumsum(keep)])[bounds]
+        # flat views: every per-trial array is C-contiguous
+        prec, mean = self.prec.reshape(-1), self.mean.reshape(-1)
+        edge_prec, edge_mean = self.edge_prec.reshape(-1), self.edge_mean.reshape(-1)
+        bounds, out_bounds = bounds.tolist(), out_bounds.tolist()
+        for s in range(n):
+            lo, hi = bounds[s], bounds[s + 1]
+            f, tr = inbox[lo:hi], row[lo:hi]
+            w = message_precision(sig2[lo:hi], edge_prec[f])
+            p = np.bincount(tr, w, t)
+            wm = np.bincount(tr, w * (r[lo:hi] - edge_mean[f]), t)
+            at = cells[s * t:(s + 1) * t]
+            prec[at] = p
+            mean[at] = np.divide(wm, p, out=np.zeros(t), where=p > 0)
+            self.prec[:, self.ref] = self.reference_precision   # the reference only sends
+            self.mean[:, self.ref] = self.reference_value
+            lo, hi = out_bounds[s], out_bounds[s + 1]
+            edge_prec[out[lo:hi]] = prec[sender[lo:hi]]
+            edge_mean[out[lo:hi]] = mean[sender[lo:hi]]
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,18 @@ def validate_timeline(events: list[TimelineEvent], graph: Graph,
             sim, _ = sim.add_agent(ev.position, join_radius(cfg))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MessageCounters:
-    """One round's messages: `sends` in the algorithm's own unit (broadcasts
-    for lsbp, directed sends for bp), and the directed deliveries and drops
-    of the messages sent."""
+    """One round's messages in each live trial, a (3, T) integer array of
+    rows sends, deliveries and drops: sends in the algorithm's own unit
+    (broadcasts for lsbp, directed sends for bp), deliveries and drops of
+    the directed messages sent.  The named totals sum over the trials."""
 
-    sends: int = 0
-    deliveries: int = 0
-    drops: int = 0
+    counts: np.ndarray
+
+    sends = property(lambda self: int(self.counts[0].sum()))
+    deliveries = property(lambda self: int(self.counts[1].sum()))
+    drops = property(lambda self: int(self.counts[2].sum()))
 
 
 def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
@@ -170,7 +173,7 @@ class _Batch:
         cfg = self.cfg
         engine = _make_engine(cfg, self.graph, self.meas, self.truth)
         self._topology(engine)
-        self._record(engine, [MessageCounters()] * cfg.trials)
+        self._record(engine, MessageCounters(np.zeros((3, cfg.trials), int)))
         changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
         _, _, self.converged_at = iterate(
             engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
@@ -195,11 +198,10 @@ class _Batch:
                                arrived)
         else:
             engine.sync_round(arrived)
-        self._record(engine, [
-            _count_messages(cfg, engine, skip, None if arrived is None else arrived[row])
-            for row, (skip, _) in enumerate(losses)])
+        skips = np.array([skip for skip, _ in losses]) if cfg.skip_prob > 0 else None
+        self._record(engine, _count_messages(cfg, engine, skips, arrived))
 
-    def _record(self, engine, counters: list[MessageCounters]) -> None:
+    def _record(self, engine, counters: MessageCounters) -> None:
         """Append each live trial's state after a round as its next record."""
         means, prec = engine.snapshot()
         with np.errstate(divide="ignore"):
@@ -207,7 +209,8 @@ class _Batch:
         variances[np.isinf(variances)] = np.nan
         n_flat = np.count_nonzero(np.isnan(means), axis=1).tolist()
         cfg = self.cfg
-        for row, (t, c) in enumerate(zip(engine.trials.tolist(), counters)):
+        sends, deliveries, drops = counters.counts.tolist()
+        for row, t in enumerate(engine.trials.tolist()):
             try:
                 mse = avg_mse(
                     [(m, f) for m, p, f in zip(means[row].tolist(), prec[row].tolist(),
@@ -220,7 +223,7 @@ class _Batch:
                     f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
                     f"mse_normalization={cfg.mse_normalization!r})") from None
             self.rows[t].append((engine.ids, self.isolated, means[row], variances[row], (
-                mse, c.sends, c.deliveries, c.drops, n_flat[row])))
+                mse, sends[row], deliveries[row], drops[row], n_flat[row])))
 
     def _apply_event(self, ev: TimelineEvent, engine):
         """Apply one timeline event to the shared topology and to every
@@ -241,14 +244,17 @@ class _Batch:
         return engine
 
 
-def _count_messages(cfg: ExperimentConfig, engine, skip: np.ndarray | None,
+def _count_messages(cfg: ExperimentConfig, engine, skips: np.ndarray | None,
                     arrived: np.ndarray | None) -> MessageCounters:
-    """One trial's round, from its skips and its row of the delivery mask."""
-    intended = len(engine.src) if skip is None else int((~skip[engine.src]).sum())
-    n_delivered = intended if arrived is None else int(arrived.sum())
+    """Every live trial's round, from the (T, n) skips and the (T, 2|E|)
+    delivery mask (None: no agent skips, or every message arrives)."""
+    t = len(engine.trials)
+    intended = np.full(t, len(engine.src)) if skips is None else \
+        np.count_nonzero(~skips[:, engine.src], axis=1)
+    delivered = intended if arrived is None else np.count_nonzero(arrived, axis=1)
     sends = intended if cfg.algorithm == "bp" else \
-        engine.n if skip is None else int((~skip).sum())
-    return MessageCounters(sends, n_delivered, intended - n_delivered)
+        np.full(t, engine.n) if skips is None else np.count_nonzero(~skips, axis=1)
+    return MessageCounters(np.stack([sends, delivered, intended - delivered]))
 
 
 def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | None]:

@@ -1,7 +1,8 @@
 """Both directed-edge engines against a scalar reference built from
 edge_message and Gaussian1D products, on seeded lossy graphs with skips,
 both init modes and a leave/join rebuild; a batch of trials against the
-same trials run one engine each; plus the O(|E|) state check."""
+same trials run one engine each; the batched asynchronous round's array
+layout, summation order and calls per round; plus the O(|E|) state check."""
 
 import math
 import time
@@ -9,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from cfosync import Graph, random_geometric
+from cfosync import Graph, lsbp, random_geometric
 from cfosync.bp import BpEngine
 from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.lsbp import BeliefInit, LsbpEngine
 from cfosync.model import Measurement, MeasurementSet
-from cfosync.edges import iterate
+from cfosync.edges import iterate, message_precision
 from cfosync.netsim import draw_losses
 
 from helpers import bp_message, heterogeneous_measurements
@@ -242,6 +243,82 @@ def test_batch_matches_independent_trials(algo, schedule, init):
                 assert np.array_equal(x, y), f"trial {t} round {k + 1}: {name}"
     stopped = [batch[t][0] for t in trials]
     assert len(set(stopped)) > 2, f"trials should stop at different rounds: {stopped}"
+
+
+def _batch_engine(init, trials, seed=9):
+    """(graph, measurements, engine, rng): an LSBP engine of `trials`
+    trials on a dense geometric graph, whose largest inboxes hold more
+    edges than numpy's unrolled pairwise-sum block (8)."""
+    g = random_geometric(n=24, width=900, height=900, radius=450, seed=seed)
+    rng = np.random.default_rng(seed)
+    pairs = g.edge_array
+    sig2 = rng.uniform(0.25, 4.0, len(pairs))
+    meas = MeasurementSet.stacked([MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
+                                   for _ in range(trials)])
+    engine = LsbpEngine(g, meas, init, float(rng.uniform(-200, 200)), REF_PREC)
+    return g, meas, engine, rng
+
+
+def _lossy(engine, rng):
+    """A delivery mask with losses (pdr 0.7) and skips (0.2) in every trial."""
+    return engine.delivery_mask([draw_losses(rng, engine.n, 0.7, 0.2)
+                                 for _ in engine.trials])
+
+
+@pytest.mark.parametrize("init", [BeliefInit(), BeliefInit("uniform", 4.0, 1.5)])
+def test_per_trial_arrays_stay_c_contiguous(init):
+    # async_round reads and writes the per-trial arrays through flat views
+    g, meas, engine, rng = _batch_engine(init, trials=4)
+
+    def check(eng, when):
+        for name in eng._per_trial:
+            assert getattr(eng, name).flags.c_contiguous, f"{name} after {when}"
+
+    check(engine, "init")
+    engine.sync_round(_lossy(engine, rng))
+    check(engine, "a sync round")
+    engine.async_round([rng.permutation(engine.n) for _ in engine.trials], _lossy(engine, rng))
+    check(engine, "an async round")
+    engine.take(np.array([True, False, True, True]))
+    check(engine, "take")
+    victim = max(g.agents - {g.reference})
+    engine = engine.rebuilt(g.remove_agent(victim), meas.without_agent(victim))
+    check(engine, "rebuilt")
+
+
+def test_async_update_sums_like_sync_round():
+    # the first agent of each trial's order reads caches no update has
+    # touched, so its belief is the sync round's per-agent sums, bit for bit
+    *_, engine, rng = _batch_engine(BeliefInit("uniform", 4.0, 1.5), trials=5)
+    for _ in range(3):
+        engine.sync_round(_lossy(engine, rng))
+    w = message_precision(engine.sig2, engine.edge_prec)
+    prec = engine._agent_sums(w)
+    wm = engine._agent_sums(w * (engine.r - engine.edge_mean))
+    mean = np.divide(wm, prec, out=np.zeros_like(wm), where=prec > 0)
+    deg = np.diff(engine.indptr)
+    firsts = [k for k in np.argsort(-deg, kind="stable") if k != engine.ref][:5]
+    assert deg[firsts].min() > 8   # beyond numpy's unrolled pairwise block
+    orders = [np.concatenate([[k], np.setdiff1d(np.arange(engine.n), [k])])
+              for k in firsts]
+    engine.async_round(orders, _lossy(engine, rng))
+    for row, k in enumerate(firsts):
+        assert prec[row, k] > 0
+        assert engine.prec[row, k] == prec[row, k]
+        assert engine.mean[row, k] == mean[row, k]
+
+
+def test_async_round_work_does_not_grow_with_trials(monkeypatch):
+    *_, engine, rng = _batch_engine(BeliefInit("uniform", 4.0, 1.5), trials=8)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return message_precision(*args)
+
+    monkeypatch.setattr(lsbp, "message_precision", counted)
+    engine.async_round([rng.permutation(engine.n) for _ in engine.trials], _lossy(engine, rng))
+    assert 0 < len(calls) <= engine.n
 
 
 def _preset_density_graph(n: int, seed: int) -> Graph:

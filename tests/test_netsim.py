@@ -95,6 +95,24 @@ def test_trace_bytes_are_pinned():
         "627d6925b62d51ae1dfa438c4e73cc5a293bac99b346bb271175fc4a1874180e"
 
 
+def test_async_trace_bytes_are_pinned():
+    # asynchronous LSBP with skips and losses over 12 trials, a leave and a
+    # join.  Each inbox is summed left to right in CSR order, as in the
+    # synchronous round; a change of that order or of the update schedule
+    # updates these digests.
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           schedule="asynchronous", pdr=0.7, skip_prob=0.1, trials=12,
+                           l_max=25, master_seed=21, timeline="6:leave:5;9:join:250,250",
+                           oracle=True)
+    trace = run_experiment(cfg)
+    csv = trace_to_csv(trace).encode()
+    summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(csv).hexdigest() == \
+        "624f4d123acda5e6e1a61e8e0ce8eba9b4443f7dc93cc0613bc120b1ed33bc8f"
+    assert hashlib.sha256(summary).hexdigest() == \
+        "a2af8959a0bb460052dd040171f9fe278b139d74ba4baf6e4d7503d9eb83c5aa"
+
+
 @pytest.mark.parametrize("algorithm, estimator",
                          [("lsbp", LinearScalingBP), ("bp", BeliefPropagation)])
 def test_simulator_and_front_end_share_the_stop_rule(algorithm, estimator):
