@@ -305,22 +305,20 @@ def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
 
 def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
     """WLS means over the trials, CRLB and rho_K on the final topology: one
-    linear system, whose normal matrix every trial's solve and the CRLB
-    share."""
+    linear system, whose normal matrix is solved once for every trial and
+    inverted once for the CRLB."""
     graph, truth, meas = batch.graph, batch.truth, batch.meas
     if len(graph.agents) < 2:
         raise ConfigError("the oracle needs an agent besides the reference")
     pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
     system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
-    wls = [oracle_mod.wls_solve(system, rhs) for rhs in system.rhs]
-    fps = oracle_mod.build_fixed_point_system(
-        graph, MeasurementSet(meas.edge_array, meas.r_array[0], meas.sigma2_array),
-        pstar, truth.reference_value, cfg.reference_precision)
+    fps = oracle_mod.build_fixed_point_system(graph, meas, pstar, truth.reference_value,
+                                              cfg.reference_precision)
     trace.oracle = {
         "rho_K": oracle_mod.spectral_radius(fps.K),
         "crlb": oracle_mod.crlb(system),
         "crlb_avg": oracle_mod.avg_crlb(system, cfg.mse_normalization),
-        "wls_mean": {a: float(np.mean([w[a] for w in wls])) for a in sorted(wls[0])},
+        "wls_mean": {a: float(np.mean(v)) for a, v in oracle_mod.wls_solve(system).items()},
     }
 
 

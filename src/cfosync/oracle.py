@@ -4,7 +4,9 @@ Everything the distributed algorithms are judged against lives here: the
 weighted-least-squares estimator over the stacked edge measurements, the
 Cramer-Rao bound for the linear Gaussian model, and the linear system that
 governs the broadcast algorithm's belief means once variances have settled
-(iteration matrix, constant term, spectral radius, fixed point).
+(iteration matrix, constant term, spectral radius, fixed point).  Both
+are read off the engines' `DirectedEdges`; on a stacked measurement set
+(one row per trial) the results hold a length-T array per agent.
 """
 
 from __future__ import annotations
@@ -14,31 +16,61 @@ from functools import cached_property
 
 import numpy as np
 
+from .edges import DirectedEdges, message_precision
 from .errors import NumericError, UnobservableError
 from .graph import Graph
 from .lsbp import DEFAULT_REFERENCE_PRECISION, nonref_agents
 from .model import MeasurementSet
 
 
+def _reduced_matrix(edges: DirectedEdges, w: np.ndarray, diag=None) -> np.ndarray:
+    """Dense matrix over the non-reference agents in id order: w[e] at
+    [dst[e], src[e]] and `diag` (per agent, default 0) on the diagonal; the
+    reference's row and column are dropped."""
+    n, ref = edges.n, edges.ref
+    at = np.arange(n) - (np.arange(n) > ref)   # position once ref is dropped
+    off = (edges.src != ref) & (edges.dst != ref)
+    mat = np.zeros((n - 1, n - 1))
+    mat[at[edges.dst[off]], at[edges.src[off]]] = w[off]
+    if diag is not None:
+        np.fill_diagonal(mat, np.delete(diag, ref))
+    return mat
+
+
+def _inbox_sums(edges: DirectedEdges, w: np.ndarray, reference_value: float,
+                stacked: bool) -> np.ndarray:
+    """Per trial and non-reference agent i: the sum over its inbox of
+    w[e] * r[e], with the known reference value taken out of the reference's
+    measurements.  (T, N-1) on a stacked set, else (N-1,)."""
+    terms = w * (edges.r - np.where(edges.src == edges.ref, reference_value, 0.0))
+    sums = np.delete([np.bincount(edges.dst, row, edges.n) for row in terms],
+                     edges.ref, axis=1)
+    return sums if stacked else sums[0]
+
+
+def _by_agent(ids: tuple[int, ...], values: np.ndarray) -> dict[int, float | np.ndarray]:
+    """Per agent id: a float, or a length-T array for a (N-1, T) result."""
+    return dict(zip(ids, values.tolist() if values.ndim == 1 else values))
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """Stacked edge measurements r = f_i + f_j + n as A f = rhs over the
-    non-reference unknowns; reference contributions are folded into rhs.
+    """Normal equations `normal` f = `target` of the stacked edge measurements
+    A f = rhs (r = f_i + f_j + n, the reference's value folded into rhs)
+    over the non-reference unknowns, W = diag(1/sigma2): normal = A^T W A,
+    the Fisher information; target = A^T W rhs, (N-1,) or (T, N-1)."""
 
-    design: (|E|, N-1) with +1 per non-reference endpoint per row.
-    weights: 1/sigma2 per edge.
-    rhs: (|E|,), or (T, |E|) with one row per trial of a batch.
-    """
-
-    design: np.ndarray
-    rhs: np.ndarray
-    weights: np.ndarray
-    columns: tuple[int, ...]   # agent id per design column
+    normal: np.ndarray
+    target: np.ndarray
+    columns: tuple[int, ...]   # agent id per unknown
 
     @cached_property
-    def normal(self) -> np.ndarray:
-        """A^T W A: the normal matrix, which is also the Fisher information."""
-        return self.design.T @ (self.weights[:, None] * self.design)
+    def covariance(self) -> np.ndarray:
+        """The inverse Fisher information, factored once per system."""
+        try:
+            return np.linalg.inv(self.normal)
+        except np.linalg.LinAlgError as exc:
+            raise UnobservableError(self.columns) from exc
 
 
 def build_linear_system(graph: Graph, meas: MeasurementSet,
@@ -46,64 +78,49 @@ def build_linear_system(graph: Graph, meas: MeasurementSet,
     unreachable = graph.unreachable_agents()
     if unreachable:
         raise UnobservableError(unreachable)
-    cols = nonref_agents(graph)
-    pairs = graph.edge_array
-    rows = meas.rows_of(pairs)
-    rhs = meas.r_array[..., rows]
-    rhs[..., np.any(pairs == graph.reference, axis=1)] -= reference_value
-    weights = 1.0 / meas.sigma2_array[rows]
-    a_mat = np.zeros((len(pairs), len(cols)))
-    edge, end = np.nonzero(pairs != graph.reference)
-    a_mat[edge, np.searchsorted(cols, pairs[edge, end])] = 1.0
-    return LinearSystem(design=a_mat, rhs=rhs, weights=weights,
-                        columns=tuple(cols))
+    edges = DirectedEdges(graph, meas)
+    w = 1.0 / edges.sig2
+    return LinearSystem(
+        normal=_reduced_matrix(edges, w, np.bincount(edges.dst, w, edges.n)),
+        target=_inbox_sums(edges, w, reference_value, meas.r_array.ndim == 2),
+        columns=tuple(nonref_agents(graph)))
 
 
-def wls_solve(sys: LinearSystem, rhs: np.ndarray | None = None) -> dict[int, float]:
-    """argmin of the weighted squared residual via the normal equations, for
-    one right-hand side: `rhs` (one trial's row), by default sys.rhs."""
-    rhs = sys.rhs if rhs is None else rhs
-    target = sys.design.T @ (sys.weights * rhs)
+def wls_solve(sys: LinearSystem) -> dict[int, float | np.ndarray]:
+    """argmin of the weighted squared residual via the normal equations, all
+    trials in one solve: per agent a float, on a stacked set a length-T
+    array."""
     try:
-        sol = np.linalg.solve(sys.normal, target)
+        sol = np.linalg.solve(sys.normal, sys.target.T)
     except np.linalg.LinAlgError as exc:
         raise UnobservableError(sys.columns) from exc
-    return {a_id: float(v) for a_id, v in zip(sys.columns, sol)}
+    return _by_agent(sys.columns, sol)
 
 
 def crlb(sys: LinearSystem) -> dict[int, float]:
     """Per-agent minimum estimator variance: diagonal of the inverse Fisher
     information of the stacked linear Gaussian model, in Hz^2."""
-    try:
-        cov = np.linalg.inv(sys.normal)
-    except np.linalg.LinAlgError as exc:
-        raise UnobservableError(sys.columns) from exc
-    return {a_id: float(v) for a_id, v in zip(sys.columns, np.diag(cov))}
+    return _by_agent(sys.columns, np.diag(sys.covariance))
 
 
 def avg_crlb(sys: LinearSystem, mse_normalization: float = 1.0) -> float:
     """Mean of the per-agent bounds, scaled by the same constant as the
     MSE metric so the two curves are directly comparable."""
-    values = crlb(sys)
-    return float(np.mean(list(values.values()))) / mse_normalization ** 2
+    return float(np.mean(list(crlb(sys).values()))) / mse_normalization ** 2
 
 
 @dataclass(frozen=True)
 class FixedPointSystem:
     """Belief-mean update at converged variances: mu <- eta - K mu over
-    non-reference agents.
-
-    K[i, j] is the weight agent `rows[i]` puts on neighbor `rows[j]`'s
-    previous mean: the neighbor's converged message precision divided by the
-    agent's total incoming precision.  eta folds the measurement term xi and
-    the known reference mean.
-    """
+    non-reference agents.  K[i, j] is the weight agent `rows[i]` puts on
+    neighbor `rows[j]`'s previous mean: the neighbor's converged message
+    precision divided by the agent's total incoming precision.  eta folds
+    the measurements and the known reference mean: (N-1,), or (T, N-1) on a
+    stacked set."""
 
     K: np.ndarray
-    xi: np.ndarray
     eta: np.ndarray
     rows: tuple[int, ...]
-    belief_variance: dict[int, float]
 
 
 def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
@@ -111,35 +128,18 @@ def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
                              reference_value: float,
                              reference_precision: float = DEFAULT_REFERENCE_PRECISION
                              ) -> FixedPointSystem:
-    """Materialize (K, xi, eta) from converged belief precisions (vector
-    over non-reference agents in sorted-id order)."""
-    ids = nonref_agents(graph)
-    if len(converged_precisions) != len(ids):
+    """Materialize (K, eta) from converged belief precisions (vector over
+    non-reference agents in sorted-id order)."""
+    edges = DirectedEdges(graph, meas)
+    if len(converged_precisions) != edges.n - 1:
         raise ValueError("converged_precisions misaligned with non-reference agents")
-    pstar = {a: 1.0 / p for a, p in zip(ids, converged_precisions)}
-    pstar[graph.reference] = 1.0 / reference_precision
-    idx = {a: k for k, a in enumerate(ids)}
-    n = len(ids)
-    k_mat = np.zeros((n, n))
-    xi = np.zeros(n)
-    eta = np.zeros(n)
-    belief_var = {}
-    for a in ids:
-        row = idx[a]
-        inv_c = {}
-        for j in graph.neighbors(a):
-            inv_c[j] = 1.0 / (meas.sigma2(a, j) + pstar[j])
-        tot = sum(inv_c.values())
-        belief_var[a] = 1.0 / tot
-        xi[row] = sum(ic * meas.r(a, j) for j, ic in inv_c.items()) / tot
-        eta[row] = xi[row]
-        for j, ic in inv_c.items():
-            if j == graph.reference:
-                eta[row] -= (ic / tot) * reference_value
-            else:
-                k_mat[row, idx[j]] = ic / tot
-    return FixedPointSystem(K=k_mat, xi=xi, eta=eta, rows=tuple(ids),
-                            belief_variance=belief_var)
+    prec = np.insert(converged_precisions, edges.ref, reference_precision)
+    c = message_precision(edges.sig2, prec[edges.src])
+    w = c / np.bincount(edges.dst, c, edges.n)[edges.dst]
+    return FixedPointSystem(
+        K=_reduced_matrix(edges, w),
+        eta=_inbox_sums(edges, w, reference_value, meas.r_array.ndim == 2),
+        rows=tuple(nonref_agents(graph)))
 
 
 def spectral_radius(k_mat: np.ndarray, tol: float = 1e-10,
@@ -172,7 +172,7 @@ def spectral_radius(k_mat: np.ndarray, tol: float = 1e-10,
     raise NumericError(f"power iteration did not converge in {max_iter} steps")
 
 
-def mean_fixed_point(sys: FixedPointSystem) -> dict[int, float]:
-    """The broadcast fixed point: mu = eta - K mu, solved directly."""
-    direct = np.linalg.solve(np.eye(sys.K.shape[0]) + sys.K, sys.eta)
-    return {a: float(v) for a, v in zip(sys.rows, direct)}
+def mean_fixed_point(sys: FixedPointSystem) -> dict[int, float | np.ndarray]:
+    """The broadcast fixed point: mu = eta - K mu, solved directly for every
+    trial at once (a length-T array per agent on a stacked set)."""
+    return _by_agent(sys.rows, np.linalg.solve(np.eye(sys.K.shape[0]) + sys.K, sys.eta.T))

@@ -1,7 +1,8 @@
 """Shared generators for randomized tests (connected graphs, trees, and
 measurement sets with heterogeneous noise), scalar references (per-edge
-measurement generation, the BP cavity message), and text round trips of
-graphs, truths, measurement sets and traces."""
+measurement generation, the BP cavity message, the oracle's dense design
+and fixed-point loop), and text round trips of graphs, truths, measurement
+sets and traces."""
 
 from __future__ import annotations
 
@@ -89,6 +90,49 @@ def scalar_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
                                 r=truth.offsets[i] + truth.offsets[j] + noise,
                                 sigma2=s * s if s > 0 else NOISELESS_SIGMA2))
     return MeasurementSet.from_measurements(recs)
+
+
+def dense_linear_system(graph: Graph, meas: MeasurementSet, reference_value: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The stacked measurements r = f_i + f_j + n as A f = rhs over the
+    non-reference unknowns, with a dense design: (A, rhs, weights, columns).
+
+    A: (|E|, N-1) with +1 per non-reference endpoint per row; rhs: (|E|,),
+    or (T, |E|) on a stacked set, the reference's value folded in; weights:
+    1/sigma2 per edge; columns: the agent id per column of A."""
+    cols = sorted(graph.agents - {graph.reference})
+    pairs = graph.edge_array
+    rows = meas.rows_of(pairs)
+    rhs = meas.r_array[..., rows]
+    rhs[..., np.any(pairs == graph.reference, axis=1)] -= reference_value
+    a_mat = np.zeros((len(pairs), len(cols)))
+    edge, end = np.nonzero(pairs != graph.reference)
+    a_mat[edge, np.searchsorted(cols, pairs[edge, end])] = 1.0
+    return a_mat, rhs, 1.0 / meas.sigma2_array[rows], tuple(cols)
+
+
+def scalar_fixed_point_system(graph: Graph, meas: MeasurementSet,
+                              converged_precisions: np.ndarray, reference_value: float,
+                              reference_precision: float = 1e12
+                              ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(K, eta, rows) of the broadcast mean update mu <- eta - K mu, one
+    agent and one scalar measurement lookup at a time (a 1-D set)."""
+    ids = sorted(graph.agents - {graph.reference})
+    pstar = {a: 1.0 / p for a, p in zip(ids, converged_precisions)}
+    pstar[graph.reference] = 1.0 / reference_precision
+    idx = {a: k for k, a in enumerate(ids)}
+    k_mat = np.zeros((len(ids), len(ids)))
+    eta = np.zeros(len(ids))
+    for a in ids:
+        inv_c = {j: 1.0 / (meas.sigma2(a, j) + pstar[j]) for j in graph.neighbors(a)}
+        tot = sum(inv_c.values())
+        eta[idx[a]] = sum(ic * meas.r(a, j) for j, ic in inv_c.items()) / tot
+        for j, ic in inv_c.items():
+            if j == graph.reference:
+                eta[idx[a]] -= (ic / tot) * reference_value
+            else:
+                k_mat[idx[a], idx[j]] = ic / tot
+    return k_mat, eta, tuple(ids)
 
 
 def truth_to_csv(truth: GroundTruth) -> str:

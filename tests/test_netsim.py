@@ -92,7 +92,7 @@ def test_trace_bytes_are_pinned():
     assert hashlib.sha256(csv).hexdigest() == \
         "864ce28d1030b8b9c3c0270184d9318d7edcd310ff3076c1481ad36fdec16b51"
     assert hashlib.sha256(summary).hexdigest() == \
-        "627d6925b62d51ae1dfa438c4e73cc5a293bac99b346bb271175fc4a1874180e"
+        "cc009fa410e8d325ccb54bd37db7faa4a8c2f5df7b38d8d489d6b1dd01972b44"
 
 
 def test_async_trace_bytes_are_pinned():
@@ -110,7 +110,7 @@ def test_async_trace_bytes_are_pinned():
     assert hashlib.sha256(csv).hexdigest() == \
         "624f4d123acda5e6e1a61e8e0ce8eba9b4443f7dc93cc0613bc120b1ed33bc8f"
     assert hashlib.sha256(summary).hexdigest() == \
-        "a2af8959a0bb460052dd040171f9fe278b139d74ba4baf6e4d7503d9eb83c5aa"
+        "82ca661a33597712e69029e3ea31c6a223b39b3e278a7afa95f39b7294077e95"
 
 
 @pytest.mark.parametrize("algorithm, estimator",

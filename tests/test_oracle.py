@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfosync import (Graph, LinearScalingBP, MeasurementSet, avg_crlb,
+from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
                      generate_measurements, generate_truth, mean_fixed_point,
-                     spectral_radius, variance_fixed_point, wls_solve)
+                     random_geometric, run_experiment, spectral_radius,
+                     variance_fixed_point, wls_solve)
 from cfosync.errors import NumericError, UnobservableError
 from cfosync.model import Measurement
 
-from helpers import random_connected_graph, random_tree, seeded_instance, triangle
+from helpers import (dense_linear_system, heterogeneous_measurements,
+                     random_connected_graph, random_tree, scalar_fixed_point_system,
+                     seeded_instance, triangle)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 K_OFFDIAG = 1.0 - GOLDEN          # (1/(1+P*)) / (1 + 1/(1+P*)) at sigma2=1
@@ -42,16 +47,125 @@ def test_wls_chain_middle_estimate_ignores_far_edge():
 
 
 def test_wls_residual_orthogonality():
-    rng = np.random.default_rng(6)
     for seed in (1, 2, 3):
         g, truth, ms = seeded_instance(seed, 15)
-        sys = build_linear_system(g, ms, truth.reference_value)
-        sol = wls_solve(sys)
-        f = np.array([sol[a] for a in sys.columns])
-        resid = sys.rhs - sys.design @ f
-        grad = sys.design.T @ (sys.weights * resid)
-        scale = max(1.0, float(np.abs(sys.design.T @ (sys.weights * sys.rhs)).max()))
+        design, rhs, weights, columns = dense_linear_system(g, ms, truth.reference_value)
+        sol = wls_solve(build_linear_system(g, ms, truth.reference_value))
+        f = np.array([sol[a] for a in columns])
+        resid = rhs - design @ f
+        grad = design.T @ (weights * resid)
+        scale = max(1.0, float(np.abs(design.T @ (weights * rhs)).max()))
         assert np.max(np.abs(grad)) / scale < 1e-8
+
+
+def _oracle_case(seed: int) -> tuple[Graph, MeasurementSet, float]:
+    """(graph, measurements, reference precision) of a seeded case; by
+    seed % 5: uniform noise, per-edge variances with a reference other than
+    agent 1, a tree, ids with a gap (a leave then a join), and a stacked
+    batch of 5 trials over per-edge variances."""
+    rng = np.random.default_rng(5000 + seed)
+    kind = seed % 5
+    n = int(rng.integers(4, 25))
+    if kind == 3:
+        g = random_geometric(n, 1000.0, 1000.0, radius=600.0, seed=seed)
+        gone = next(a for a in sorted(g.agents - {1}) if g.remove_agent(a).is_connected())
+        g, _ = g.remove_agent(gone).add_agent(g.positions[gone], 600.0)
+    else:
+        g = random_tree(rng, n) if kind == 2 else random_connected_graph(rng, n)
+    if kind in (1, 3):
+        g = dataclasses.replace(g, reference=int(rng.choice(sorted(g.agents - {1}))))
+    if kind == 0:
+        truth = generate_truth(g, 100.0, seed=seed)
+        return g, generate_measurements(g, truth, 1.0, seed=seed), 1e12
+    ms = heterogeneous_measurements(rng, g)
+    if kind == 4:
+        noise = rng.normal(0.0, np.sqrt(ms.sigma2_array), (5, len(ms)))
+        ms = MeasurementSet(ms.edge_array, ms.r_array + noise, ms.sigma2_array)
+    return g, ms, float(rng.choice([1e12, 1e6]))
+
+
+def _assert_close(new, ref, rtol: float) -> None:
+    """Agreement to rtol of the largest reference entry."""
+    ref = np.asarray(ref)
+    np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_oracle_matches_dense_reference(seed):
+    g, ms, ref_prec = _oracle_case(seed)
+    ref_value = 17.25
+    sys = build_linear_system(g, ms, ref_value)
+    pstar = variance_fixed_point(g, ms, ref_prec)
+    fps = build_fixed_point_system(g, ms, pstar, ref_value, ref_prec)
+    wls, bound = wls_solve(sys), crlb(sys)
+    for t, r in enumerate(np.atleast_2d(ms.r_array)):
+        trial = MeasurementSet(ms.edge_array, r, ms.sigma2_array)
+        design, rhs, weights, columns = dense_linear_system(g, trial, ref_value)
+        normal = design.T @ (weights[:, None] * design)
+        assert sys.columns == fps.rows == columns
+        np.testing.assert_allclose(sys.normal, normal, rtol=1e-12, atol=0)
+        sol = np.linalg.solve(normal, design.T @ (weights * rhs))
+        _assert_close([np.atleast_1d(wls[a])[t] for a in columns], sol, 1e-10)
+        _assert_close([bound[a] for a in columns], np.diag(np.linalg.inv(normal)), 1e-10)
+        k_mat, eta, _ = scalar_fixed_point_system(g, trial, pstar, ref_value, ref_prec)
+        np.testing.assert_allclose(fps.K, k_mat, rtol=1e-12, atol=0)
+        _assert_close(np.atleast_2d(fps.eta)[t], eta, 1e-12)
+    assert np.shape(sys.target) == np.shape(fps.eta) == (*ms.r_array.shape[:-1], len(columns))
+
+
+def test_fixed_point_system_on_stacked_set():
+    g, truth, _ = seeded_instance(31, 14)
+    trials = [generate_measurements(g, truth, 1.0, seed=[31, t]) for t in range(3)]
+    pstar = variance_fixed_point(g, trials[0])
+    fps = build_fixed_point_system(g, MeasurementSet.stacked(trials), pstar,
+                                   truth.reference_value)
+    mu = mean_fixed_point(fps)
+    for t, ms in enumerate(trials):
+        one = build_fixed_point_system(g, ms, pstar, truth.reference_value)
+        np.testing.assert_array_equal(fps.K, one.K)
+        np.testing.assert_array_equal(fps.eta[t], one.eta)
+        for a, v in mean_fixed_point(one).items():
+            assert mu[a][t] == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+
+def test_oracle_holds_no_edge_by_agent_array():
+    # preset density (100 agents on 3 km x 4 km, 1 km radius) at N = 2000:
+    # a dense |E| x (N-1) design alone would take ~377 MiB
+    n = 2000
+    scale = math.sqrt(n / 100)
+    g = random_geometric(n, 3000 * scale, 4000 * scale, radius=1000.0, seed=7)
+    truth = generate_truth(g, 100.0, seed=1)
+    ms = generate_measurements(g, truth, 1.0, seed=2)
+    tracemalloc.start()
+    try:
+        sys = build_linear_system(g, ms, truth.reference_value)
+        wls_solve(sys)
+        crlb(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) > 10 * n
+    assert peak < 4 * (n - 1) ** 2 * 8
+
+
+def test_oracle_factors_once_per_run(monkeypatch):
+    calls = {"solve": 0, "inv": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           pdr=0.7, trials=12, l_max=25, master_seed=21, oracle=True)
+    trace = run_experiment(cfg)
+    assert len(trace.oracle["wls_mean"]) == 19
+    assert calls == {"solve": 1, "inv": 1}
 
 
 def test_unobservable_component_raises_with_names():
