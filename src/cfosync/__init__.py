@@ -11,13 +11,12 @@ reference for verifying them.
 
 from .bp import BeliefPropagation, BpEngine
 from .config import ExperimentConfig, load_config, parse_config_text
-from .gaussian import FLAT, Gaussian1D, edge_message
 from .graph import Graph, random_geometric
 from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, is_feasible_start,
                    variance_fixed_point, variance_map, variance_map_bound)
 from .metrics import RunTrace, avg_mse
-from .model import (GroundTruth, Measurement, MeasurementSet,
-                    generate_measurements, generate_truth)
+from .model import (GroundTruth, MeasurementSet, generate_measurements,
+                    generate_truth)
 from .netsim import TimelineEvent, run_experiment
 from .oracle import (FixedPointSystem, LinearSystem, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
@@ -25,16 +24,14 @@ from .oracle import (FixedPointSystem, LinearSystem, avg_crlb,
 from .presets import preset_configs
 
 __all__ = [
-    "BeliefInit", "BeliefPropagation", "BpEngine", "ExperimentConfig", "FLAT",
-    "FixedPointSystem", "Gaussian1D", "Graph", "GroundTruth", "LinearScalingBP",
-    "LinearSystem", "LsbpEngine", "Measurement", "MeasurementSet",
-    "RunTrace", "TimelineEvent", "avg_crlb", "avg_mse",
-    "build_fixed_point_system", "build_linear_system", "crlb",
-    "edge_message", "generate_measurements",
-    "generate_truth", "is_feasible_start", "load_config", "mean_fixed_point",
-    "parse_config_text", "preset_configs", "random_geometric",
-    "run_experiment", "spectral_radius", "variance_fixed_point",
-    "variance_map", "variance_map_bound", "wls_solve",
+    "BeliefInit", "BeliefPropagation", "BpEngine", "ExperimentConfig",
+    "FixedPointSystem", "Graph", "GroundTruth", "LinearScalingBP",
+    "LinearSystem", "LsbpEngine", "MeasurementSet", "RunTrace",
+    "TimelineEvent", "avg_crlb", "avg_mse", "build_fixed_point_system",
+    "build_linear_system", "crlb", "generate_measurements", "generate_truth",
+    "is_feasible_start", "load_config", "mean_fixed_point", "parse_config_text",
+    "preset_configs", "random_geometric", "run_experiment", "spectral_radius",
+    "variance_fixed_point", "variance_map", "variance_map_bound", "wls_solve",
 ]
 
 __version__ = "0.1.0"

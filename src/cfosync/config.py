@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, GenerationError
 from .graph import DEFAULT_COMM_RADIUS, Graph, canonical_edge, random_geometric
+from .lsbp import BeliefInit
 
 
 @dataclass
@@ -223,13 +224,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown schedule {cfg.schedule!r}")
     if cfg.algorithm == "bp" and cfg.schedule == "asynchronous":
         raise ConfigError("asynchronous scheduling is only defined for lsbp")
-    if cfg.init_mode not in ("zero_precision", "uniform"):
-        raise ConfigError(f"unknown init_mode {cfg.init_mode!r}")
-    # the initial belief in information form: precision 1/v, weighted mean m/v
-    if cfg.init_mode == "uniform" and not (
-            cfg.init_variance > 0 and math.isfinite(cfg.init_mean * (1.0 / cfg.init_variance))):
-        raise ConfigError("uniform init requires init_variance > 0 with a finite "
-                          "precision-weighted mean init_mean / init_variance")
+    try:
+        BeliefInit(cfg.init_mode, cfg.init_variance, cfg.init_mean)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if not 0.0 <= cfg.pdr <= 1.0:
         raise ConfigError("pdr must lie in [0, 1]")
     if not 0.0 <= cfg.skip_prob < 1.0:

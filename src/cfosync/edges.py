@@ -26,7 +26,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
 from .model import MeasurementSet, sorted_lookup
 
@@ -36,8 +35,9 @@ DEFAULT_PREC_TOL = 1e-12
 
 
 def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
-    """Precision of edge_message for each edge: 1 / (sigma2 + 1/p), and 0
-    for a flat sender (p = 0)."""
+    """Precision of the message a sender belief of precision p implies
+    through an edge of noise variance sigma2: 1 / (sigma2 + 1/p), and 0 for
+    a flat sender (p = 0)."""
     var = np.divide(1.0, sender_prec, out=np.full(np.shape(sender_prec), np.inf),
                     where=sender_prec > 0)
     var += sig2   # in place: a batch's (T, 2|E|) temporaries cost peak memory
@@ -72,15 +72,6 @@ class DirectedEdges:
         self.r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
         self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
-
-    def edge(self, receiver: int, sender: int) -> int:
-        """Position of the directed edge sender -> receiver (agent ids)."""
-        k, j = self.index[receiver], self.index[sender]
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        pos = lo + int(np.searchsorted(self.src[lo:hi], j))
-        if pos == hi or self.src[pos] != j:
-            raise KeyError(f"no edge {sender} -> {receiver}")
-        return pos
 
 
 class EdgeEngine(DirectedEdges):
@@ -172,10 +163,6 @@ class EdgeEngine(DirectedEdges):
     def variances(self, row: int = 0) -> dict[int, float]:
         return {a: (1.0 / p if p > 0 else math.inf)
                 for a, p in zip(self.ids, self.prec[row].tolist())}
-
-    def beliefs(self, row: int = 0) -> dict[int, Gaussian1D]:
-        return {a: (Gaussian1D(p, p * m) if p > 0 else FLAT) for a, m, p in
-                zip(self.ids, self.mean[row].tolist(), self.prec[row].tolist())}
 
     # -- dynamic topology ----------------------------------------------------
 

@@ -15,6 +15,7 @@ graphs, so they converge from arbitrary initial means.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import NumericError
 from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
                     DirectedEdges, EdgeEngine, MessagePassingEstimator,
                     message_precision)
-from .gaussian import FLAT, Gaussian1D
 from .graph import Graph
 from .model import MeasurementSet
 
@@ -37,7 +37,9 @@ class BeliefInit:
     """Initial belief for every non-reference agent.
 
     zero_precision starts flat (the always-feasible choice); uniform starts
-    every agent at N(mean, variance), reproducing fixed-variance sweeps.
+    every agent at N(mean, variance), reproducing fixed-variance sweeps.  In
+    information form that start is precision 1/variance and weighted mean
+    mean/variance; both must be finite.
     """
 
     mode: str = ZERO_PRECISION
@@ -47,13 +49,11 @@ class BeliefInit:
     def __post_init__(self):
         if self.mode not in (ZERO_PRECISION, UNIFORM_VARIANCE):
             raise ValueError(f"unknown init mode {self.mode!r}")
-        if self.mode == UNIFORM_VARIANCE and self.variance <= 0:
-            raise ValueError("uniform init requires variance > 0")
-
-    def as_gaussian(self) -> Gaussian1D:
-        if self.mode == ZERO_PRECISION:
-            return FLAT
-        return Gaussian1D.from_moments(self.mean, self.variance)
+        if self.mode == UNIFORM_VARIANCE and not (
+                self.variance > 0 and math.isfinite(1.0 / self.variance)
+                and math.isfinite(self.mean * (1.0 / self.variance))):
+            raise ValueError("uniform init requires variance > 0 with a finite precision "
+                             "1/variance and a finite weighted mean mean/variance")
 
 
 def nonref_agents(graph: Graph) -> list[int]:
@@ -142,11 +142,14 @@ class LsbpEngine(EdgeEngine):
                  reference_precision: float = DEFAULT_REFERENCE_PRECISION):
         super().__init__(graph, meas, reference_value, reference_precision)
         self.init = init
-        g0 = init.as_gaussian()
-        if not g0.is_flat:
+        p0 = 1.0 / init.variance if init.mode == UNIFORM_VARIANCE else 0.0
+        if p0 > 0:   # else flat, as is an infinite variance
             others = np.arange(self.n) != self.ref
-            self.prec[:, others] = g0.precision
-            self.mean[:, others] = g0.mean()
+            self.prec[:, others] = p0
+            # the information-form start's mean (p0 * m) / p0, not m: m alone
+            # differs in the last ulp for about one (m, v) in ten, and would
+            # move the output bytes of such runs with init_mean != 0
+            self.mean[:, others] = (p0 * init.mean) / p0
             # the reference's declared initial belief is its pin
             self.edge_prec, self.edge_mean = (np.take(a, self.src, axis=1)
                                               for a in (self.prec, self.mean))

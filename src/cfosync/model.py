@@ -8,7 +8,6 @@ n ~ N(0, sigma^2).  The reference agent's shift is known exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,30 +42,14 @@ class GroundTruth:
         return GroundTruth(offsets=offs, reference=self.reference)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One edge's measurement as a scalar record: what MeasurementSet.get
-    returns and MeasurementSet.from_measurements takes."""
-
-    edge: tuple[int, int]
-    r: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        object.__setattr__(self, "edge", canonical_edge(*self.edge))
-
-
 class MeasurementSet:
-    """One measurement per edge, queried symmetrically in (i, j).
+    """One measurement per edge.
 
     Stored as three aligned arrays over the canonical edges in sorted order:
     `edge_array` (m, 2) with i < j in each row, `r_array` and `sigma2_array`
     (m,).  A batch of trials over the same edges and variances keeps one
     row of measurements per trial, `r_array` (T, m) (see `stacked`).  A set
-    is never changed in place; the scalar queries go through an edge -> row
-    index built on first use.
+    is never changed in place.
     """
 
     def __init__(self, edge_array: np.ndarray | None = None,
@@ -77,51 +60,13 @@ class MeasurementSet:
         self.sigma2_array = np.empty(0) if sigma2_array is None else sigma2_array
 
     @classmethod
-    def from_measurements(cls, measurements) -> "MeasurementSet":
-        """A set from Measurement records; a later record for an edge
-        replaces an earlier one."""
-        by_edge = {m.edge: m for m in measurements}
-        edges = sorted(by_edge)
-        return cls(np.array(edges, dtype=np.intp).reshape(-1, 2),
-                   np.array([by_edge[e].r for e in edges], dtype=float),
-                   np.array([by_edge[e].sigma2 for e in edges], dtype=float))
-
-    @classmethod
     def stacked(cls, sets: list["MeasurementSet"]) -> "MeasurementSet":
         """One batch from per-trial sets over the same edges and variances."""
         return cls(sets[0].edge_array, np.stack([m.r_array for m in sets]),
                    sets[0].sigma2_array)
 
-    @cached_property
-    def _row(self) -> dict[tuple[int, int], int]:
-        return {e: k for k, e in enumerate(self.edges())}
-
-    def _find(self, i: int, j: int) -> int:
-        try:
-            return self._row[canonical_edge(i, j)]
-        except KeyError:
-            raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}") from None
-
-    def get(self, i: int, j: int) -> Measurement:
-        k = self._find(i, j)
-        return Measurement(edge=(i, j), r=float(self.r_array[k]),
-                           sigma2=float(self.sigma2_array[k]))
-
-    def r(self, i: int, j: int) -> float:
-        return float(self.r_array[self._find(i, j)])
-
-    def sigma2(self, i: int, j: int) -> float:
-        return float(self.sigma2_array[self._find(i, j)])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.edge_array.tolist()))
-
     def __len__(self) -> int:
         return len(self.edge_array)
-
-    def __iter__(self):
-        return (Measurement(edge=e, r=r, sigma2=s2) for e, r, s2 in zip(
-            self.edges(), self.r_array.tolist(), self.sigma2_array.tolist()))
 
     def rows_of(self, edges: np.ndarray) -> np.ndarray:
         """The row of each canonical edge in `edges` ((k, 2), any order);

@@ -1,20 +1,118 @@
 """Shared generators for randomized tests (connected graphs, trees, and
-measurement sets with heterogeneous noise), scalar references (per-edge
-measurement generation, the BP cavity message, the oracle's dense design
-and fixed-point loop), and text round trips of graphs, truths, measurement
-sets and traces."""
+measurement sets with heterogeneous noise), scalar references (information-
+form Gaussians and the edge and BP cavity messages, per-edge measurement
+generation and lookups, the oracle's dense design and fixed-point loop),
+and text round trips of graphs, truths, measurement sets and traces."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
-from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.graph import canonical_edge
 from cfosync.metrics import TRACE_COLUMNS
-from cfosync.model import NOISELESS_SIGMA2, GroundTruth, Measurement
+from cfosync.model import NOISELESS_SIGMA2, GroundTruth
+
+
+@dataclass(frozen=True)
+class Gaussian1D:
+    """Scalar Gaussian in information form: precision and precision * mean.
+    Precision 0 is the flat (uninformative) density, an ordinary value that
+    flows through the same arithmetic as informative ones."""
+
+    precision: float = 0.0
+    weighted_mean: float = 0.0
+
+    def __post_init__(self):
+        if not (self.precision >= 0.0):
+            raise ValueError(f"precision must be >= 0, got {self.precision}")
+        if not math.isfinite(self.weighted_mean):
+            raise ValueError("weighted_mean must be finite")
+        if self.precision == 0.0 and self.weighted_mean != 0.0:
+            raise ValueError("flat value (precision 0) must have weighted_mean 0")
+
+    @classmethod
+    def from_moments(cls, mean: float, variance: float) -> "Gaussian1D":
+        if variance <= 0.0:
+            raise ValueError(f"variance must be > 0, got {variance}")
+        lam = 1.0 / variance
+        return cls(precision=lam, weighted_mean=lam * mean)
+
+    @property
+    def is_flat(self) -> bool:
+        return self.precision == 0.0
+
+    def mean(self) -> float:
+        if self.is_flat:
+            raise ValueError("mean of a flat Gaussian is undefined")
+        return self.weighted_mean / self.precision
+
+    def variance(self) -> float:
+        return math.inf if self.is_flat else 1.0 / self.precision
+
+    def __mul__(self, other: "Gaussian1D") -> "Gaussian1D":
+        # product of densities up to normalization; flat is the identity
+        return Gaussian1D(self.precision + other.precision,
+                          self.weighted_mean + other.weighted_mean)
+
+
+FLAT = Gaussian1D()
+
+
+def edge_message(r: float, sigma2: float, neighbor: Gaussian1D) -> Gaussian1D:
+    """Gaussian in f_i implied by the pairwise measurement r = f_i + f_j + n
+    (noise variance sigma2) and a belief about f_j: mean r - mean(f_j),
+    variance sigma2 + var(f_j) (max-marginalizing and integrating out f_j
+    coincide).  A flat neighbor belief yields a flat message."""
+    if sigma2 <= 0.0:
+        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
+    if neighbor.is_flat:
+        return FLAT
+    return Gaussian1D.from_moments(r - neighbor.mean(), sigma2 + neighbor.variance())
+
+
+def beliefs(engine, row: int = 0) -> dict[int, Gaussian1D]:
+    """An engine's beliefs in trial `row` as scalar Gaussians, by agent id."""
+    return {a: (Gaussian1D(p, p * m) if p > 0 else FLAT) for a, m, p in
+            zip(engine.ids, engine.mean[row].tolist(), engine.prec[row].tolist())}
+
+
+def directed_edge(edges, receiver: int, sender: int) -> int:
+    """Position of the directed edge sender -> receiver (agent ids) in a
+    DirectedEdges."""
+    k, j = edges.index[receiver], edges.index[sender]
+    return int(np.flatnonzero((edges.dst == k) & (edges.src == j))[0])
+
+
+def measurement_set(records: dict[tuple[int, int], tuple[float, float]]
+                    ) -> MeasurementSet:
+    """A set from {(i, j): (r, sigma2)}, edges in any order and orientation."""
+    by_edge = {canonical_edge(*e): v for e, v in records.items()}
+    edges = sorted(by_edge)
+    r, sigma2 = np.array([by_edge[e] for e in edges], dtype=float).reshape(-1, 2).T.copy()
+    return MeasurementSet(np.array(edges, dtype=np.intp).reshape(-1, 2), r, sigma2)
+
+
+def measurement_dict(ms: MeasurementSet) -> dict[tuple[int, int], tuple[float, float]]:
+    """{(i, j): (r, sigma2)} of a 1-D set, in its edge order."""
+    return {(i, j): (r, s2) for (i, j), r, s2 in zip(
+        ms.edge_array.tolist(), ms.r_array.tolist(), ms.sigma2_array.tolist())}
+
+
+def _row(ms: MeasurementSet, i: int, j: int) -> int:
+    return int(ms.rows_of(np.array([canonical_edge(i, j)]))[0])
+
+
+def meas_r(ms: MeasurementSet, i: int, j: int) -> float:
+    """The measurement of edge {i, j}; InconsistentStateError without one."""
+    return float(ms.r_array[_row(ms, i, j)])
+
+
+def meas_sigma2(ms: MeasurementSet, i: int, j: int) -> float:
+    return float(ms.sigma2_array[_row(ms, i, j)])
 
 
 def random_tree(rng: np.random.Generator, n: int) -> Graph:
@@ -47,23 +145,19 @@ def heterogeneous_measurements(rng: np.random.Generator, graph: Graph,
                                offset_scale: float = 100.0) -> MeasurementSet:
     """Measurements with per-edge noise variance drawn from sigma2_range."""
     truth = generate_truth(graph, offset_scale, seed=int(rng.integers(2**31)))
-    recs = []
+    recs = {}
     for (i, j) in sorted(graph.edges):
         s2 = float(rng.uniform(*sigma2_range))
         noise = float(rng.normal(0.0, np.sqrt(s2)))
-        recs.append(Measurement(edge=(i, j),
-                                r=truth.offsets[i] + truth.offsets[j] + noise,
-                                sigma2=s2))
-    return MeasurementSet.from_measurements(recs)
+        recs[i, j] = (truth.offsets[i] + truth.offsets[j] + noise, s2)
+    return measurement_set(recs)
 
 
 def triangle(sigma2: float = 1.0, r12: float = 0.0, r13: float = 0.0,
              r23: float = 0.0) -> tuple[Graph, MeasurementSet]:
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-    ms = MeasurementSet.from_measurements(
-        Measurement(edge=e, r=r, sigma2=sigma2)
-        for e, r in (((1, 2), r12), ((1, 3), r13), ((2, 3), r23)))
-    return g, ms
+    return g, measurement_set({(1, 2): (r12, sigma2), (1, 3): (r13, sigma2),
+                               (2, 3): (r23, sigma2)})
 
 
 def seeded_instance(seed: int, n: int, sigma: float = 1.0):
@@ -80,16 +174,15 @@ def scalar_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
     """generate_measurements one edge at a time: the scalar reference the
     vectorized generator must match exactly."""
     rng = np.random.default_rng(seed)
-    recs = []
+    recs = {}
     for (i, j) in sorted(edges) if edges is not None else sorted(graph.edges):
         s = sigma
         if sigma_overrides:
             s = sigma_overrides.get(canonical_edge(i, j), sigma)
         noise = rng.normal(0.0, s) if s > 0 else 0.0
-        recs.append(Measurement(edge=(i, j),
-                                r=truth.offsets[i] + truth.offsets[j] + noise,
-                                sigma2=s * s if s > 0 else NOISELESS_SIGMA2))
-    return MeasurementSet.from_measurements(recs)
+        recs[i, j] = (truth.offsets[i] + truth.offsets[j] + noise,
+                      s * s if s > 0 else NOISELESS_SIGMA2)
+    return measurement_set(recs)
 
 
 def dense_linear_system(graph: Graph, meas: MeasurementSet, reference_value: float
@@ -124,9 +217,9 @@ def scalar_fixed_point_system(graph: Graph, meas: MeasurementSet,
     k_mat = np.zeros((len(ids), len(ids)))
     eta = np.zeros(len(ids))
     for a in ids:
-        inv_c = {j: 1.0 / (meas.sigma2(a, j) + pstar[j]) for j in graph.neighbors(a)}
+        inv_c = {j: 1.0 / (meas_sigma2(meas, a, j) + pstar[j]) for j in graph.neighbors(a)}
         tot = sum(inv_c.values())
-        eta[idx[a]] = sum(ic * meas.r(a, j) for j, ic in inv_c.items()) / tot
+        eta[idx[a]] = sum(ic * meas_r(meas, a, j) for j, ic in inv_c.items()) / tot
         for j, ic in inv_c.items():
             if j == graph.reference:
                 eta[idx[a]] -= (ic / tot) * reference_value
@@ -149,17 +242,17 @@ def truth_from_csv(text: str, reference: int = 1) -> GroundTruth:
 
 
 def measurements_to_csv(ms: MeasurementSet) -> str:
-    return "i,j,r,sigma2\n" + "".join(f"{m.edge[0]},{m.edge[1]},{m.r!r},{m.sigma2!r}\n"
-                                        for m in ms)
+    return "i,j,r,sigma2\n" + "".join(f"{i},{j},{r!r},{s2!r}\n" for (i, j), (r, s2)
+                                        in measurement_dict(ms).items())
 
 
 def measurements_from_csv(text: str) -> MeasurementSet:
-    recs = []
+    recs = {}
     for line in text.splitlines()[1:]:
         if line.strip():
             i, j, r, s2 = line.split(",")
-            recs.append(Measurement(edge=(int(i), int(j)), r=float(r), sigma2=float(s2)))
-    return MeasurementSet.from_measurements(recs)
+            recs[int(i), int(j)] = (float(r), float(s2))
+    return measurement_set(recs)
 
 
 def edgelist_text(g: Graph) -> str:

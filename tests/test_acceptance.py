@@ -17,18 +17,16 @@ import sys
 import numpy as np
 import pytest
 
-from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
-                     build_fixed_point_system, build_linear_system,
-                     generate_measurements, generate_truth, is_feasible_start,
-                     run_experiment, spectral_radius, variance_fixed_point,
-                     variance_map, variance_map_bound, wls_solve)
+from cfosync import (BeliefPropagation, Graph, LinearScalingBP, build_fixed_point_system,
+                     build_linear_system, generate_measurements, generate_truth,
+                     is_feasible_start, run_experiment, spectral_radius,
+                     variance_fixed_point, variance_map, variance_map_bound, wls_solve)
 from cfosync.cli import main as cli_main
 from cfosync.config import ExperimentConfig, parse_topology
 from cfosync.lsbp import nonref_agents
-from cfosync.model import Measurement
 from cfosync.presets import SWEEP_VARIANCES, preset_configs
 
-from helpers import random_connected_graph, random_tree, triangle
+from helpers import meas_r, measurement_set, random_connected_graph, random_tree, triangle
 
 ELEMENTWISE_SLACK = 1e-12          # criterion 1
 SWEEP_COMMON_REL = 1e-8            # criterion 2
@@ -55,15 +53,13 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _random_instance(rng, n):
     graph = random_connected_graph(rng, n)
-    recs = []
+    recs = {}
     truth = generate_truth(graph, 100.0, seed=int(rng.integers(2**31)))
     for (i, j) in sorted(graph.edges):
         s2 = float(rng.uniform(0.25, 4.0))
         noise = float(rng.normal(0.0, math.sqrt(s2)))
-        recs.append(Measurement(edge=(i, j),
-                                r=truth.offsets[i] + truth.offsets[j] + noise,
-                                sigma2=s2))
-    return graph, truth, MeasurementSet.from_measurements(recs)
+        recs[i, j] = (truth.offsets[i] + truth.offsets[j] + noise, s2)
+    return graph, truth, measurement_set(recs)
 
 
 def test_criterion_01_variance_map_properties():
@@ -219,9 +215,9 @@ def test_criterion_05_tree_exactness_both_algorithms():
 def test_criterion_06_triangle_closed_form():
     g, ms = triangle(sigma2=1.0, r12=3.1, r13=-0.7, r23=1.9)
     mu1 = 0.5
-    a = ms.r(1, 2) - mu1
-    b = ms.r(1, 3) - mu1
-    s = ms.r(2, 3)
+    a = meas_r(ms, 1, 2) - mu1
+    b = meas_r(ms, 1, 3) - mu1
+    s = meas_r(ms, 2, 3)
     closed_form = (2 * a - b + s) / 3
     wls = wls_solve(build_linear_system(g, ms, mu1))
     est = LinearScalingBP(max_iter=2000, mean_tol=1e-13, prec_tol=1e-13)

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
-                     build_linear_system, generate_measurements, generate_truth,
-                     random_geometric, spectral_radius, wls_solve)
+from cfosync import (BeliefPropagation, Graph, LinearScalingBP, build_linear_system,
+                     generate_measurements, generate_truth, random_geometric,
+                     spectral_radius, wls_solve)
 from cfosync.bp import BpEngine
 from cfosync.config import parse_sigma_overrides, parse_topology
 from cfosync.edges import DEFAULT_REFERENCE_PRECISION, iterate
 from cfosync.errors import NumericError
-from cfosync.gaussian import FLAT, Gaussian1D
-from cfosync.model import Measurement
 from cfosync.presets import PRESET_NAMES, preset_configs
 
-from helpers import bp_message, random_tree, seeded_instance, triangle
+from helpers import (Gaussian1D, bp_message, directed_edge, meas_r, measurement_set,
+                     random_tree, seeded_instance, triangle)
 
 TREE_TOL = 1e-9
 LOOPY_WLS_TOL = 1e-6
@@ -35,8 +34,7 @@ def test_bp_message_from_reference_uses_pin():
 
 def _chain():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=4.0, sigma2=1.0),
-                                           Measurement(edge=(2, 3), r=1.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (4.0, 1.0), (2, 3): (1.0, 1.0)})
     return g, ms
 
 
@@ -55,14 +53,14 @@ def test_first_round_messages_from_nonreference_leaves_are_flat():
     eng = BpEngine(g, ms, reference_value=0.0)
     eng.sync_round()
     # message 3 -> 2 (leaf, non-reference) still flat after round 1
-    assert eng.edge_prec[0, eng.edge(2, 3)] == 0.0
+    assert eng.edge_prec[0, directed_edge(eng, 2, 3)] == 0.0
     # message 1 -> 2 (reference) informative immediately
-    assert eng.edge_prec[0, eng.edge(2, 1)] > 0.0
+    assert eng.edge_prec[0, directed_edge(eng, 2, 1)] > 0.0
 
 
 def test_single_edge_one_round_estimate():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (7.0, 1.0)})
     eng = BpEngine(g, ms, reference_value=2.0)
     eng.sync_round()
     assert eng.estimates()[2] == pytest.approx(5.0)
@@ -73,9 +71,9 @@ def test_triangle_converged_matches_wls_closed_form():
     mu1 = 0.5
     est = BeliefPropagation(max_iter=500, mean_tol=1e-12, prec_tol=1e-12)
     est.fit(g, ms, mu1)
-    a = ms.r(1, 2) - mu1
-    b = ms.r(1, 3) - mu1
-    s = ms.r(2, 3)
+    a = meas_r(ms, 1, 2) - mu1
+    b = meas_r(ms, 1, 3) - mu1
+    s = meas_r(ms, 2, 3)
     assert est.converged_
     assert est.estimates_[2] == pytest.approx((2 * a - b + s) / 3, abs=1e-9)
     assert est.estimates_[3] == pytest.approx((2 * b - a + s) / 3, abs=1e-9)
@@ -111,7 +109,7 @@ def test_trees_match_wls_exactly():
 def test_non_finite_belief_raises_numeric_error():
     g, ms = triangle()
     eng = BpEngine(g, ms, reference_value=0.0)
-    eng.r[0, eng.edge(2, 1)] = np.inf   # the reference's first message to 2 is infinite
+    eng.r[0, directed_edge(eng, 2, 1)] = np.inf   # the reference's first message to 2
     with pytest.raises(NumericError, match="non-finite belief after round 1"):
         iterate(eng, BpEngine.sync_round, 50, 1e-9, 1e-12)
 

@@ -1,5 +1,5 @@
 """Both directed-edge engines against a scalar reference built from
-edge_message and Gaussian1D products, on seeded lossy graphs with skips,
+edge_message and Gaussian1D products (tests/helpers.py), on seeded lossy graphs with skips,
 both init modes and a leave/join rebuild; a batch of trials against the
 same trials run one engine each; the batched asynchronous round's array
 layout, summation order and calls per round; plus the O(|E|) state check."""
@@ -10,15 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from cfosync import Graph, lsbp, random_geometric
+from cfosync import Graph, MeasurementSet, lsbp, random_geometric
 from cfosync.bp import BpEngine
-from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.lsbp import BeliefInit, LsbpEngine
-from cfosync.model import Measurement, MeasurementSet
 from cfosync.edges import iterate, message_precision
 from cfosync.netsim import draw_losses
 
-from helpers import bp_message, heterogeneous_measurements
+from helpers import (FLAT, Gaussian1D, bp_message, directed_edge, edge_message,
+                     heterogeneous_measurements, meas_r, meas_sigma2, measurement_set)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -48,7 +47,7 @@ class ScalarEngine:
 
     def _message(self, i, j):
         """Message j -> i that j would send now."""
-        r, s2 = self.meas.r(i, j), self.meas.sigma2(i, j)
+        r, s2 = meas_r(self.meas, i, j), meas_sigma2(self.meas, i, j)
         if self.algo == "lsbp":
             return edge_message(r, s2, self.belief[j])
         incoming = {k: self.box[(j, k)] for k in self.graph.neighbors(j)}
@@ -58,8 +57,8 @@ class ScalarEngine:
         if i == self.graph.reference:
             return
         if self.algo == "lsbp":
-            msgs = [edge_message(self.meas.r(i, j), self.meas.sigma2(i, j), self.box[(i, j)])
-                    for j in sorted(self.graph.neighbors(i))]
+            msgs = [edge_message(meas_r(self.meas, i, j), meas_sigma2(self.meas, i, j),
+                                 self.box[(i, j)]) for j in sorted(self.graph.neighbors(i))]
         else:
             msgs = [self.box[(i, j)] for j in sorted(self.graph.neighbors(i))]
         self.belief[i] = math.prod(msgs, start=FLAT)
@@ -96,7 +95,7 @@ def _assert_matches(engine, ref: ScalarEngine, where: str):
         assert _close(engine.prec[0, k], engine.mean[0, k], ref.belief[a]), \
             f"{where}: belief of agent {a}"
     for (i, j), want in ref.box.items():
-        e = engine.edge(i, j)
+        e = directed_edge(engine, i, j)
         assert _close(engine.edge_prec[0, e], engine.edge_mean[0, e], want), \
             f"{where}: payload {j} -> {i}"
 
@@ -114,10 +113,8 @@ def _leave_and_join(g, ms, rng):
     pos = g.positions[victim]
     g, ms = g.remove_agent(victim), ms.without_agent(victim)
     g, new_id = g.add_agent(pos, 400)
-    fresh = MeasurementSet.from_measurements(
-        Measurement(edge=e, r=float(rng.normal(0, 50)),
-                    sigma2=float(rng.uniform(0.25, 4.0)))
-        for e in sorted(g.edges) if new_id in e)
+    fresh = measurement_set({e: (float(rng.normal(0, 50)), float(rng.uniform(0.25, 4.0)))
+                             for e in sorted(g.edges) if new_id in e})
     return g, ms.merged_with(fresh)
 
 
@@ -150,7 +147,8 @@ def test_lsbp_engine_matches_scalar_reference(schedule, init, seed):
     g, ms, rng = _instance(seed)
     ref_value = float(rng.uniform(-200, 200))
     engine = LsbpEngine(g, ms, init, ref_value, REF_PREC)
-    ref = ScalarEngine("lsbp", g, ms, ref_value, init.as_gaussian())
+    ref = ScalarEngine("lsbp", g, ms, ref_value, FLAT if init.mode == "zero_precision"
+                       else Gaussian1D.from_moments(init.mean, init.variance))
     _run(engine, ref, g, ms, rng, schedule, skip_prob=0.2)
 
 
@@ -340,9 +338,7 @@ def _preset_density_graph(n: int, seed: int) -> Graph:
 def test_engine_state_is_linear_in_edges():
     n = 3000
     g = _preset_density_graph(n, seed=5)
-    ms = MeasurementSet.from_measurements(
-        Measurement(edge=(i, j), r=0.5 * (i % 7) - j % 5, sigma2=1.0)
-        for (i, j) in g.edges)
+    ms = measurement_set({(i, j): (0.5 * (i % 7) - j % 5, 1.0) for (i, j) in g.edges})
     rng = np.random.default_rng(6)
     masks = [draw_losses(rng, n, 0.8, 0.1) for _ in range(3)]
     engines = [LsbpEngine(g, ms, BeliefInit(), 0.0), BpEngine(g, ms, 0.0)]

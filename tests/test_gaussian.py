@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfosync.gaussian import FLAT, Gaussian1D, edge_message
+from helpers import FLAT, Gaussian1D, edge_message
 
 REL_TOL = 1e-12
 QUADRATURE_REL_TOL = 1e-6

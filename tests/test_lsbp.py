@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cfosync import (BeliefPropagation, Graph, LinearScalingBP, MeasurementSet,
-                     generate_measurements, generate_truth, is_feasible_start,
-                     variance_fixed_point, variance_map, variance_map_bound)
+from cfosync import (BeliefPropagation, Graph, LinearScalingBP, generate_measurements,
+                     generate_truth, is_feasible_start, variance_fixed_point,
+                     variance_map, variance_map_bound)
 from cfosync.edges import iterate, step_delta
 from cfosync.errors import NumericError
-from cfosync.gaussian import FLAT, Gaussian1D, edge_message
 from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
-from cfosync.model import Measurement
 
-from helpers import random_connected_graph, seeded_instance, triangle
+from helpers import (FLAT, Gaussian1D, beliefs, directed_edge, edge_message, meas_r,
+                     meas_sigma2, measurement_set, random_connected_graph,
+                     seeded_instance, triangle)
 
 GOLDEN_VARIANCE = (math.sqrt(5.0) - 1.0) / 2.0   # positive root of P^2 + P = 1
 
@@ -32,7 +32,7 @@ def test_variance_map_flat_neighbors_keep_reference_edge():
 
 def test_variance_map_isolated_agent_is_zero():
     g = Graph.from_edges(3, [(1, 2)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (0.0, 1.0)})
     out = variance_map(g, ms, np.zeros(2))
     assert out[1] == 0.0  # agent 3 has no neighbors
 
@@ -142,7 +142,7 @@ def _engine(graph, meas, mu1=0.0, init=None):
 
 def test_single_edge_one_round():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=2.0)])
+    ms = measurement_set({(1, 2): (7.0, 2.0)})
     eng = _engine(g, ms, mu1=2.0)
     eng.sync_round()
     assert eng.estimates()[2] == pytest.approx(5.0)
@@ -153,13 +153,13 @@ def test_engine_round_matches_scalar_operations():
     g, truth, ms = seeded_instance(77, 9)
     eng = _engine(g, ms, truth.reference_value)
     eng.sync_round()   # caches now hold round-1 broadcasts
-    before = eng.beliefs()
+    before = beliefs(eng)
     eng.sync_round()
-    after = eng.beliefs()
+    after = beliefs(eng)
     for i in g.agents:
         if i == g.reference:
             continue
-        msgs = [edge_message(ms.r(i, j), ms.sigma2(i, j), before[j])
+        msgs = [edge_message(meas_r(ms, i, j), meas_sigma2(ms, i, j), before[j])
                 for j in sorted(g.neighbors(i))]
         expect = math.prod(msgs, start=FLAT)
         got = after[i]
@@ -194,11 +194,36 @@ def test_uniform_init_seeds_caches_with_declared_beliefs():
     g, ms = triangle()
     init = BeliefInit(mode="uniform", variance=4.0, mean=1.5)
     eng = _engine(g, ms, mu1=0.0, init=init)
-    e23 = eng.edge(2, 3)
+    e23 = directed_edge(eng, 2, 3)
     assert eng.edge_prec[0, e23] == pytest.approx(0.25)
     assert eng.edge_mean[0, e23] == pytest.approx(1.5)
     # the reference's declared initial belief is its pin
-    assert eng.edge_prec[0, eng.edge(2, 1)] == eng.reference_precision
+    assert eng.edge_prec[0, directed_edge(eng, 2, 1)] == eng.reference_precision
+
+
+def test_uniform_start_is_the_information_form_mean_bit_for_bit():
+    g, ms = triangle()
+    rng = np.random.default_rng(12)
+    pairs = [(0.1, 3.0), *zip(rng.normal(0, 100, 200).tolist(),
+                              rng.uniform(0.01, 10, 200).tolist())]
+    # the pin bites: for some pairs (p0 * m) / p0 is not m in floating point
+    assert any((m * (1 / v)) / (1 / v) != m for m, v in pairs)
+    for m, v in pairs:
+        eng = _engine(g, ms, init=BeliefInit("uniform", v, m))
+        p0 = 1.0 / v
+        others = np.arange(eng.n) != eng.ref
+        sent = others[eng.src]
+        assert np.all(eng.prec[0, others] == p0) and np.all(eng.edge_prec[0, sent] == p0)
+        want = (p0 * m) / p0
+        assert np.all(eng.mean[0, others] == want) and np.all(eng.edge_mean[0, sent] == want)
+
+
+@pytest.mark.parametrize("variance, mean", [(1e-320, 0.0), (0.5, 1e308), (1e-300, 1e10)])
+def test_uniform_start_needs_finite_information_form(variance, mean):
+    g, ms = triangle()
+    est = LinearScalingBP(init="uniform", init_variance=variance, init_mean=mean)
+    with pytest.raises(ValueError, match="finite"):
+        est.fit(g, ms)
 
 
 def test_rebuilt_purges_leaver_and_carries_survivors():

@@ -4,11 +4,10 @@ import pytest
 from cfosync import Graph, generate_measurements, generate_truth
 from cfosync.errors import InconsistentStateError
 from cfosync.model import (DEFAULT_MAX_OFFSET_HZ, NOISELESS_SIGMA2,
-                           GroundTruth, Measurement, MeasurementSet,
-                           draw_joiner_offset)
-from helpers import (measurements_from_csv, measurements_to_csv,
-                     random_connected_graph, scalar_measurements,
-                     truth_from_csv, truth_to_csv)
+                           GroundTruth, MeasurementSet, draw_joiner_offset)
+from helpers import (meas_r, meas_sigma2, measurement_dict, measurements_from_csv,
+                     measurements_to_csv, random_connected_graph,
+                     scalar_measurements, truth_from_csv, truth_to_csv)
 
 MOMENT_MEAN_TOL = 0.02
 MOMENT_VAR_TOL = 0.05
@@ -43,23 +42,22 @@ def test_noiseless_measurement_is_exact_sum():
     g = Graph.from_edges(2, [(1, 2)])
     truth = GroundTruth(offsets={1: 10.0, 2: -3.0}, reference=1)
     ms = generate_measurements(g, truth, sigma=0.0, seed=0)
-    m = ms.get(1, 2)
-    assert m.r == 7.0
-    assert m.sigma2 == NOISELESS_SIGMA2
+    assert meas_r(ms, 1, 2) == 7.0
+    assert meas_sigma2(ms, 1, 2) == NOISELESS_SIGMA2
 
 
 def test_measurement_symmetric_query():
     g = Graph.from_edges(2, [(1, 2)])
     truth = generate_truth(g, 10.0, seed=0)
     ms = generate_measurements(g, truth, sigma=1.0, seed=1)
-    assert ms.r(1, 2) == ms.r(2, 1)
-    assert ms.sigma2(2, 1) == 1.0
+    assert meas_r(ms, 1, 2) == meas_r(ms, 2, 1)
+    assert meas_sigma2(ms, 2, 1) == 1.0
 
 
 def test_missing_measurement_raises():
     ms = MeasurementSet()
     with pytest.raises(InconsistentStateError):
-        ms.get(1, 2)
+        meas_r(ms, 1, 2)
 
 
 def test_noise_moments_monte_carlo():
@@ -70,8 +68,8 @@ def test_noise_moments_monte_carlo():
     g = Graph.from_edges(n, edges)
     truth = generate_truth(g, 10.0, seed=3)
     ms = generate_measurements(g, truth, sigma=1.0, seed=4)
-    resid = np.array([m.r - truth.offsets[m.edge[0]] - truth.offsets[m.edge[1]]
-                      for m in ms])
+    resid = np.array([r - truth.offsets[i] - truth.offsets[j]
+                      for (i, j), (r, _) in measurement_dict(ms).items()])
     assert abs(resid.mean()) < MOMENT_MEAN_TOL
     assert abs(resid.var() - 1.0) < MOMENT_VAR_TOL
 
@@ -87,7 +85,7 @@ def test_new_noise_seed_changes_measurements_not_truth():
     truth = generate_truth(g, 100.0, seed=9)
     m1 = generate_measurements(g, truth, 1.0, seed=1)
     m2 = generate_measurements(g, truth, 1.0, seed=2)
-    assert m1.r(1, 2) != m2.r(1, 2)
+    assert meas_r(m1, 1, 2) != meas_r(m2, 1, 2)
     assert generate_truth(g, 100.0, seed=9).offsets == truth.offsets
 
 
@@ -96,13 +94,15 @@ def test_sigma_overrides():
     truth = generate_truth(g, 10.0, seed=0)
     ms = generate_measurements(g, truth, 1.0, seed=0,
                                sigma_overrides={(2, 3): 2.0})
-    assert ms.sigma2(1, 2) == 1.0
-    assert ms.sigma2(2, 3) == 4.0
+    assert meas_sigma2(ms, 1, 2) == 1.0
+    assert meas_sigma2(ms, 2, 3) == 4.0
 
 
 def test_measurement_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        Measurement(edge=(1, 2), r=0.0, sigma2=0.0)
+    g = Graph.from_edges(2, [(1, 2)])
+    truth = generate_truth(g, 10.0, seed=0)
+    with pytest.raises(ValueError):   # a positive std whose square underflows to 0
+        generate_measurements(g, truth, 1.0, sigma_overrides={(1, 2): 1e-200})
 
 
 def test_without_agent_retires_incident_edges():
@@ -110,7 +110,7 @@ def test_without_agent_retires_incident_edges():
     truth = generate_truth(g, 10.0, seed=0)
     ms = generate_measurements(g, truth, 1.0, seed=0)
     trimmed = ms.without_agent(3)
-    assert trimmed.edges() == [(1, 2)]
+    assert list(measurement_dict(trimmed)) == [(1, 2)]
 
 
 def test_joiner_offset_deterministic():
@@ -129,18 +129,12 @@ def test_csv_round_trips():
     t_back = truth_from_csv(truth_to_csv(truth))
     assert t_back.offsets == truth.offsets
     ms_back = measurements_from_csv(measurements_to_csv(ms))
-    assert ms_back.edges() == ms.edges()
-    for e in ms.edges():
-        assert ms_back.get(*e) == ms.get(*e)
-
-
-def _as_dict(ms: MeasurementSet) -> dict:
-    return {m.edge: (m.r, m.sigma2) for m in ms}
+    assert list(measurement_dict(ms_back).items()) == list(measurement_dict(ms).items())
 
 
 def _assert_same(ms: MeasurementSet, expected: dict) -> None:
-    assert ms.edges() == sorted(expected)
-    assert _as_dict(ms) == expected      # exact: every r and sigma2 bit for bit
+    assert list(measurement_dict(ms)) == sorted(expected)
+    assert measurement_dict(ms) == expected      # exact: every r and sigma2 bit for bit
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -159,11 +153,12 @@ def test_vectorized_generation_matches_scalar_reference(seed):
     for kw in cases:
         noise_seed = [seed, 2, 7]
         fast = generate_measurements(g, truth, seed=noise_seed, **kw)
-        _assert_same(fast, _as_dict(scalar_measurements(g, truth, seed=noise_seed, **kw)))
+        slow = scalar_measurements(g, truth, seed=noise_seed, **kw)
+        _assert_same(fast, measurement_dict(slow))
 
     # set operations against a dict reference
     ms = generate_measurements(g, truth, 1.0, seed=seed)
-    ref = _as_dict(ms)
+    ref = measurement_dict(ms)
     victim = int(rng.integers(2, max(g.agents) + 1))
     _assert_same(ms.without_agent(victim),
                  {e: v for e, v in ref.items() if victim not in e})
@@ -171,6 +166,6 @@ def test_vectorized_generation_matches_scalar_reference(seed):
     later = scalar_measurements(g, truth.with_offset(joiner, 5.0), 3.0, seed=seed + 99,
                                 edges=edges[::3] + [(1, joiner), (victim, joiner)])
     merged = dict(ref)
-    merged.update(_as_dict(later))       # the later set wins on a shared edge
+    merged.update(measurement_dict(later))       # the later set wins on a shared edge
     _assert_same(ms.merged_with(later), merged)
-    _assert_same(later.merged_with(ms), {**_as_dict(later), **ref})
+    _assert_same(later.merged_with(ms), {**measurement_dict(later), **ref})

@@ -11,11 +11,10 @@ from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, a
                      random_geometric, run_experiment, spectral_radius,
                      variance_fixed_point, wls_solve)
 from cfosync.errors import NumericError, UnobservableError
-from cfosync.model import Measurement
 
-from helpers import (dense_linear_system, heterogeneous_measurements,
-                     random_connected_graph, random_tree, scalar_fixed_point_system,
-                     seeded_instance, triangle)
+from helpers import (dense_linear_system, heterogeneous_measurements, meas_r,
+                     measurement_set, random_connected_graph, random_tree,
+                     scalar_fixed_point_system, seeded_instance, triangle)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 K_OFFDIAG = 1.0 - GOLDEN          # (1/(1+P*)) / (1 + 1/(1+P*)) at sigma2=1
@@ -23,7 +22,7 @@ K_OFFDIAG = 1.0 - GOLDEN          # (1/(1+P*)) / (1 + 1/(1+P*)) at sigma2=1
 
 def test_wls_single_edge():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=7.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (7.0, 1.0)})
     sol = wls_solve(build_linear_system(g, ms, reference_value=2.0))
     assert sol[2] == pytest.approx(5.0)
 
@@ -31,7 +30,7 @@ def test_wls_single_edge():
 def test_wls_triangle_closed_form():
     g, ms = triangle(r12=3.1, r13=-0.7, r23=1.9)
     mu1 = 0.5
-    a, b, s = ms.r(1, 2) - mu1, ms.r(1, 3) - mu1, ms.r(2, 3)
+    a, b, s = meas_r(ms, 1, 2) - mu1, meas_r(ms, 1, 3) - mu1, meas_r(ms, 2, 3)
     sol = wls_solve(build_linear_system(g, ms, mu1))
     assert sol[2] == pytest.approx((2 * a - b + s) / 3, rel=1e-12)
     assert sol[3] == pytest.approx((2 * b - a + s) / 3, rel=1e-12)
@@ -40,8 +39,7 @@ def test_wls_triangle_closed_form():
 def test_wls_chain_middle_estimate_ignores_far_edge():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     for r23 in (-5.0, 0.0, 11.0):
-        ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=4.0, sigma2=1.0),
-                                               Measurement(edge=(2, 3), r=r23, sigma2=1.0)])
+        ms = measurement_set({(1, 2): (4.0, 1.0), (2, 3): (r23, 1.0)})
         sol = wls_solve(build_linear_system(g, ms, 0.0))
         assert sol[2] == pytest.approx(4.0, rel=1e-12)
 
@@ -170,8 +168,7 @@ def test_oracle_factors_once_per_run(monkeypatch):
 
 def test_unobservable_component_raises_with_names():
     g = Graph.from_edges(4, [(1, 2), (3, 4)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0),
-                                           Measurement(edge=(3, 4), r=0.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (0.0, 1.0), (3, 4): (0.0, 1.0)})
     with pytest.raises(UnobservableError) as exc:
         build_linear_system(g, ms, 0.0)
     assert exc.value.agents == [3, 4]
@@ -179,7 +176,7 @@ def test_unobservable_component_raises_with_names():
 
 def test_crlb_single_edge_and_triangle():
     g = Graph.from_edges(2, [(1, 2)])
-    ms = MeasurementSet.from_measurements([Measurement(edge=(1, 2), r=0.0, sigma2=1.0)])
+    ms = measurement_set({(1, 2): (0.0, 1.0)})
     assert crlb(build_linear_system(g, ms, 0.0))[2] == pytest.approx(1.0)
 
     gt, mst = triangle(sigma2=1.0)
@@ -192,8 +189,7 @@ def test_crlb_single_edge_and_triangle():
 def test_crlb_scales_linearly_with_noise():
     g, truth, ms = seeded_instance(44, 10)
     base = crlb(build_linear_system(g, ms, truth.reference_value))
-    doubled = MeasurementSet.from_measurements(
-        Measurement(edge=m.edge, r=m.r, sigma2=2 * m.sigma2) for m in ms)
+    doubled = MeasurementSet(ms.edge_array, ms.r_array, 2 * ms.sigma2_array)
     scaled = crlb(build_linear_system(g, doubled, truth.reference_value))
     for a in base:
         assert scaled[a] == pytest.approx(2 * base[a], rel=1e-10)
@@ -218,8 +214,7 @@ def test_fixed_point_system_triangle():
 
 def test_fixed_point_system_star_has_zero_matrix():
     g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    ms = MeasurementSet.from_measurements(
-        Measurement(edge=e, r=1.0, sigma2=1.0) for e in [(1, 2), (1, 3), (1, 4)])
+    ms = measurement_set({e: (1.0, 1.0) for e in [(1, 2), (1, 3), (1, 4)]})
     pstar = variance_fixed_point(g, ms)
     fps = build_fixed_point_system(g, ms, pstar, reference_value=0.0)
     assert np.all(fps.K == 0.0)
@@ -320,13 +315,11 @@ def test_fixed_point_estimator_is_unbiased():
     sums = None
     n_draws = 2000
     for _ in range(n_draws):
-        recs = []
+        recs = {}
         for (i, j) in sorted(g.edges):
             noise = float(rng.normal(0.0, sigma))
-            recs.append(Measurement(edge=(i, j),
-                                    r=truth.offsets[i] + truth.offsets[j] + noise,
-                                    sigma2=sigma * sigma))
-        ms = MeasurementSet.from_measurements(recs)
+            recs[i, j] = (truth.offsets[i] + truth.offsets[j] + noise, sigma * sigma)
+        ms = measurement_set(recs)
         if pstar is None:
             pstar = variance_fixed_point(g, ms)
         fps = build_fixed_point_system(g, ms, pstar, truth.reference_value)
