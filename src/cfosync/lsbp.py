@@ -39,7 +39,8 @@ class BeliefInit:
     zero_precision starts flat (the always-feasible choice); uniform starts
     every agent at N(mean, variance), reproducing fixed-variance sweeps.  In
     information form that start is precision 1/variance and weighted mean
-    mean/variance; both must be finite.
+    mean/variance; the precision must be positive and finite (an infinite
+    variance would be the flat start) and the weighted mean finite.
     """
 
     mode: str = ZERO_PRECISION
@@ -50,10 +51,10 @@ class BeliefInit:
         if self.mode not in (ZERO_PRECISION, UNIFORM_VARIANCE):
             raise ValueError(f"unknown init mode {self.mode!r}")
         if self.mode == UNIFORM_VARIANCE and not (
-                self.variance > 0 and math.isfinite(1.0 / self.variance)
+                self.variance > 0 and 0 < 1.0 / self.variance < math.inf
                 and math.isfinite(self.mean * (1.0 / self.variance))):
-            raise ValueError("uniform init requires variance > 0 with a finite precision "
-                             "1/variance and a finite weighted mean mean/variance")
+            raise ValueError("uniform init requires variance > 0 with a positive, finite "
+                             "precision 1/variance and a finite weighted mean mean/variance")
 
 
 def nonref_agents(graph: Graph) -> list[int]:

@@ -33,8 +33,7 @@ from .edges import iterate
 from .errors import ConfigError, NumericError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
-# one trial's MSE, under the name the benchmark's tracer wraps (netsim.avg_mse)
-from .metrics import IterationRow, MetricError, RunTrace, mean_square_error as avg_mse
+from .metrics import IterationRow, RunTrace
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
                     generate_measurements, generate_truth)
 from . import oracle as oracle_mod
@@ -128,6 +127,21 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
     return BpEngine(graph, meas, truth.reference_value, cfg.reference_precision)
 
 
+def avg_mse(means: np.ndarray, prec: np.ndarray, truth: np.ndarray,
+            mse_normalization: float) -> np.ndarray:
+    """Per trial, the average of ((mean - truth)/B)^2 over the agents with
+    precision > 0 in (T, n) `means` and `prec`, and NaN for a trial without
+    one: metrics.mean_square_error of every row at once, summed pairwise.
+    An overflow raises FloatingPointError.  (The benchmark's tracer wraps
+    this name.)"""
+    known = prec > 0
+    with np.errstate(over="raise"):
+        err = np.where(known, (means - truth) / mse_normalization, 0.0)
+        total = (err * err).sum(axis=1)
+    count = np.count_nonzero(known, axis=1)
+    return np.divide(total, count, out=np.full(len(count), np.nan), where=count > 0)
+
+
 def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """One round's (skip, delivered): with probability skip_prob an agent
@@ -184,7 +198,7 @@ class _Batch:
         without a neighbor and the true offsets, in the engine's id order."""
         alone = np.flatnonzero(np.diff(engine.indptr) == 0)
         self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
-        self.offsets = [self.truth.offsets[a] for a in engine.ids]
+        self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
 
     def _round(self, engine) -> None:
         """One lossy round of every live trial, recorded as their next rows."""
@@ -209,21 +223,16 @@ class _Batch:
         variances[np.isinf(variances)] = np.nan
         n_flat = np.count_nonzero(np.isnan(means), axis=1).tolist()
         cfg = self.cfg
+        try:
+            mse = avg_mse(means, prec, self.offsets, cfg.mse_normalization).tolist()
+        except FloatingPointError:
+            raise NumericError(
+                f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
+                f"mse_normalization={cfg.mse_normalization!r})") from None
         sends, deliveries, drops = counters.counts.tolist()
         for row, t in enumerate(engine.trials.tolist()):
-            try:
-                mse = avg_mse(
-                    [(m, f) for m, p, f in zip(means[row].tolist(), prec[row].tolist(),
-                                               self.offsets) if p > 0],
-                    cfg.mse_normalization)
-            except MetricError:
-                mse = float("nan")
-            except OverflowError:    # Python's float ** raises where numpy gives inf
-                raise NumericError(
-                    f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
-                    f"mse_normalization={cfg.mse_normalization!r})") from None
             self.rows[t].append((engine.ids, self.isolated, means[row], variances[row], (
-                mse, sends[row], deliveries[row], drops[row], n_flat[row])))
+                mse[row], sends[row], deliveries[row], drops[row], n_flat[row])))
 
     def _apply_event(self, ev: TimelineEvent, engine):
         """Apply one timeline event to the shared topology and to every

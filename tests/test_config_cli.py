@@ -141,6 +141,14 @@ def test_cli_rejects_non_finite_float(tmp_path, capsys, field, value):
     assert f"{field} must be finite" in err[0]
 
 
+def test_cli_rejects_infinite_uniform_variance(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "init_mode = uniform\ninit_variance = inf\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=validation")
+
+
 def test_cli_rejects_negative_radius(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "radius = -5\n")
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])

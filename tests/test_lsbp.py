@@ -226,6 +226,13 @@ def test_uniform_start_needs_finite_information_form(variance, mean):
         est.fit(g, ms)
 
 
+def test_uniform_start_rejects_infinite_variance():
+    # 1/inf = 0 passes a finiteness check, but it is the flat start
+    g, ms = triangle()
+    with pytest.raises(ValueError, match="positive"):
+        LinearScalingBP(init="uniform", init_variance=math.inf).fit(g, ms)
+
+
 def test_rebuilt_purges_leaver_and_carries_survivors():
     g, truth, ms = seeded_instance(91, 10)
     eng = _engine(g, ms, truth.reference_value)

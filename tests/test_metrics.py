@@ -1,9 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
-from cfosync import avg_mse
+from cfosync import ExperimentConfig, avg_mse, netsim, run_experiment
 from cfosync.errors import MetricError, NumericError
 from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
-                             summary_dict, trace_to_csv)
+                             mean_square_error, summary_dict, trace_to_csv)
 
 from helpers import read_trace_csv
 
@@ -28,6 +31,39 @@ def test_avg_mse_undefined_without_estimates():
         avg_mse({1: None}, {1: 0.0})
     with pytest.raises(MetricError):
         avg_mse({1: 1.0}, {1: 0.0}, mse_normalization=0.0)
+
+
+@pytest.mark.parametrize("normalization", [1.0, 0.37, 250.0])
+def test_batch_mse_matches_scalar_reference(normalization):
+    # the simulator's one-reduction MSE over (trials, agents) against the
+    # scalar sum of every row: flat agents excluded, NaN for an all-flat trial
+    rng = np.random.default_rng(17)
+    truth = rng.uniform(-500, 500, 40)
+    means = truth + rng.normal(0, 3, (12, 40))
+    prec = rng.uniform(0.1, 5.0, (12, 40))
+    prec[rng.random((12, 40)) < 0.3] = 0.0
+    prec[4] = 0.0
+    means[prec == 0] = np.nan    # as EdgeEngine.snapshot gives them
+    got = netsim.avg_mse(means, prec, truth, normalization)
+    for row in range(12):
+        pairs = [(m, f) for m, p, f in zip(means[row], prec[row], truth) if p > 0]
+        try:
+            want = mean_square_error(pairs, normalization)
+        except MetricError:
+            assert row == 4 and math.isnan(got[row])
+            continue
+        assert got[row] == pytest.approx(want, rel=1e-12, abs=0)
+    assert np.flatnonzero(np.isnan(got)).tolist() == [4]
+
+
+def test_batch_mse_overflow_raises_numeric_error():
+    state = np.array([[0.0, 1e200]]), np.ones((1, 2)), np.zeros(2)
+    with pytest.raises(FloatingPointError):
+        netsim.avg_mse(*state, 1.0)
+    # a 1e200 Hz offset error squares beyond the float range
+    cfg = ExperimentConfig(topology="edges:1-2;1-3;2-3", max_offset=1e200, l_max=3)
+    with pytest.raises(NumericError, match=r"overflow computing the MSE \(max_offset=1e\+200"):
+        run_experiment(cfg)
 
 
 def test_avg_mse_relabeling_invariance():

@@ -90,7 +90,7 @@ def test_trace_bytes_are_pinned():
     csv = trace_to_csv(trace).encode()
     summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "864ce28d1030b8b9c3c0270184d9318d7edcd310ff3076c1481ad36fdec16b51"
+        "c74869dba28dfa4fdc568be67f87598adf161d5a3f5c2ec2cac4f87a49524043"
     assert hashlib.sha256(summary).hexdigest() == \
         "cc009fa410e8d325ccb54bd37db7faa4a8c2f5df7b38d8d489d6b1dd01972b44"
 
@@ -108,7 +108,7 @@ def test_async_trace_bytes_are_pinned():
     csv = trace_to_csv(trace).encode()
     summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "624f4d123acda5e6e1a61e8e0ce8eba9b4443f7dc93cc0613bc120b1ed33bc8f"
+        "d699e585641175800b3a758e698052d6a664618c4a16354ce689996fbd4311b3"
     assert hashlib.sha256(summary).hexdigest() == \
         "82ca661a33597712e69029e3ea31c6a223b39b3e278a7afa95f39b7294077e95"
 
