@@ -52,7 +52,7 @@ class BpEngine(EdgeEngine):
 
     def sync_round(self, arrived: np.ndarray | None = None) -> None:
         """In every trial, recompute every directed message from the
-        previous snapshot, deliver those the (T, 2|E|) delivery_mask lets
+        previous snapshot, deliver those the (T, 2|E|) delivery mask lets
         through (None: all), refresh beliefs."""
         out_prec, out_mean = self._outgoing()
         if arrived is not None:

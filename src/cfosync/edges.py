@@ -67,7 +67,6 @@ class DirectedEdges:
         where = np.empty_like(order)
         where[order] = np.arange(2 * m)
         self.src, self.dst = src[order], dst[order]
-        self.cells = self.dst * n + self.src   # [receiver, sender] in a flat (n, n) array
         self.rev = where[(order + m) % max(2 * m, 1)]
         self.r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
         self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
@@ -107,21 +106,6 @@ class EdgeEngine(DirectedEdges):
             setattr(self, name, getattr(self, name)[rows])
         self._bins = (self.dst + self.n * np.arange(len(self.trials))[:, None]).ravel()
         return self
-
-    def delivery_mask(self, losses) -> np.ndarray | None:
-        """Per trial and directed edge (T, 2|E|): does this round's message
-        arrive?  `losses` holds each trial's (skip, delivered) draw: per-agent
-        skips and an (n, n) [receiver, sender] mask, each None when nothing
-        is skipped or lost.  None when every message arrives everywhere."""
-        if all(skip is None and delivered is None for skip, delivered in losses):
-            return None
-        arrived = np.ones((len(losses), len(self.src)), bool)
-        for row, (skip, delivered) in zip(arrived, losses):
-            if delivered is not None:
-                row &= np.take(delivered, self.cells)
-            if skip is not None:
-                row &= ~skip[self.src]
-        return arrived
 
     def _agent_sums(self, values: np.ndarray) -> np.ndarray:
         """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over

@@ -163,7 +163,7 @@ class LsbpEngine(EdgeEngine):
         """One synchronous round in every trial: every non-skipped agent
         broadcasts its current belief, deliveries land in the caches, then
         all agents recompute from the cache snapshot.  `arrived` is the
-        (T, 2|E|) delivery_mask; None delivers everything."""
+        (T, 2|E|) delivery mask; None delivers everything."""
         sent_prec, sent_mean = (np.take(a, self.src, axis=1) for a in (self.prec, self.mean))
         if arrived is None:
             self.edge_prec, self.edge_mean = sent_prec, sent_mean
@@ -178,7 +178,7 @@ class LsbpEngine(EdgeEngine):
         """In each trial, agents update one at a time in that trial's order
         (a permutation of engine positions, one per trial); each updated
         agent broadcasts before the next one updates, over the edges the
-        (T, 2|E|) delivery_mask lets through (None: all).  Step s updates
+        (T, 2|E|) delivery mask lets through (None: all).  Step s updates
         agent orders[t][s] of every trial t at once.  An inbox is summed left
         to right in CSR order, as in sync_round."""
         t, n, m = len(self.trials), self.n, len(self.src)

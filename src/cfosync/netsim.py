@@ -9,6 +9,11 @@ the master seed, so whole experiments are bit-reproducible:
     schedule  [master_seed, 4, trial] asynchronous update order
     joiners   [master_seed, 1, id]    true offset of an agent joining mid-run
 
+Per round, a live trial's loss stream draws n uniforms if skip_prob > 0 (an
+agent below skip_prob skips its broadcast, which its neighbors' caches turn
+into a one-round delay), then 2|E| if pdr < 1, one per directed edge in the
+engine's CSR order (a message below pdr arrives): O(|E|) draws a round.
+
 Timeline semantics: an event stamped k fires at the boundary after round k
 has been recorded, so its first visible effect is in row k+1.  A joining
 agent broadcasts for the first time in round k+1.  The trials advance
@@ -129,29 +134,15 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
 
 def avg_mse(means: np.ndarray, prec: np.ndarray, truth: np.ndarray,
             mse_normalization: float) -> np.ndarray:
-    """Per trial, the average of ((mean - truth)/B)^2 over the agents with
-    precision > 0 in (T, n) `means` and `prec`, and NaN for a trial without
-    one: metrics.mean_square_error of every row at once, summed pairwise.
-    An overflow raises FloatingPointError.  (The benchmark's tracer wraps
-    this name.)"""
+    """metrics.mean_square_error of each trial's agents with precision > 0
+    in (T, n) `means`/`prec`, summed pairwise; NaN for a trial without one.
+    An overflow raises FloatingPointError.  The bench's tracer wraps it."""
     known = prec > 0
     with np.errstate(over="raise"):
         err = np.where(known, (means - truth) / mse_normalization, 0.0)
         total = (err * err).sum(axis=1)
     count = np.count_nonzero(known, axis=1)
     return np.divide(total, count, out=np.full(len(count), np.nan), where=count > 0)
-
-
-def draw_losses(rng: np.random.Generator, n: int, pdr: float, skip_prob: float
-                ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One round's (skip, delivered): with probability skip_prob an agent
-    skips its broadcast (a one-round staleness; the cache makes a delayed
-    message equivalent to drop-then-deliver), and each (receiver, sender)
-    pair is an independent Bernoulli(pdr) delivery.  None means no agent
-    skips, or every message arrives."""
-    skip = rng.random(n) < skip_prob if skip_prob > 0 else None
-    delivered = rng.random((n, n)) < pdr if pdr < 1.0 else None
-    return skip, delivered
 
 
 class _Batch:
@@ -200,19 +191,28 @@ class _Batch:
         self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
 
+    def _losses(self, engine) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """This round's (T, n) skips and (T, 2|E|) delivery mask, the skips
+        folded in (None: no agent skips, or every message arrives)."""
+        cfg, rngs = self.cfg, [self.loss_rngs[t] for t in engine.trials.tolist()]
+        skips = np.array([rng.random(engine.n) < cfg.skip_prob for rng in rngs]) \
+            if cfg.skip_prob > 0 else None
+        arrived = np.array([rng.random(len(engine.src)) < cfg.pdr for rng in rngs]) \
+            if cfg.pdr < 1.0 else None
+        if skips is not None:
+            sent = ~skips[:, engine.src]
+            arrived = sent if arrived is None else sent & arrived
+        return skips, arrived
+
     def _round(self, engine) -> None:
         """One lossy round of every live trial, recorded as their next rows."""
         cfg = self.cfg
-        live = engine.trials.tolist()
-        losses = [draw_losses(self.loss_rngs[t], engine.n, cfg.pdr, cfg.skip_prob)
-                  for t in live]
-        arrived = engine.delivery_mask(losses)
+        skips, arrived = self._losses(engine)
         if cfg.schedule == "asynchronous":   # lsbp only, by validate_config
-            engine.async_round([self.sched_rngs[t].permutation(engine.n) for t in live],
-                               arrived)
+            engine.async_round([self.sched_rngs[t].permutation(engine.n)
+                                for t in engine.trials.tolist()], arrived)
         else:
             engine.sync_round(arrived)
-        skips = np.array([skip for skip, _ in losses]) if cfg.skip_prob > 0 else None
         self._record(engine, _count_messages(cfg, engine, skips, arrived))
 
     def _record(self, engine, counters: MessageCounters) -> None:

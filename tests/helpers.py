@@ -1,5 +1,6 @@
-"""Shared generators for randomized tests (connected graphs, trees, and
-measurement sets with heterogeneous noise), scalar references (information-
+"""Shared generators for randomized tests (connected graphs, trees,
+preset-density graphs, measurement sets with heterogeneous noise, and
+per-edge delivery masks), scalar references (information-
 form Gaussians and the edge and BP cavity messages, per-edge measurement
 generation and lookups, the oracle's dense design and fixed-point loop),
 and text round trips of graphs, truths, measurement sets and traces."""
@@ -87,6 +88,22 @@ def directed_edge(edges, receiver: int, sender: int) -> int:
     return int(np.flatnonzero((edges.dst == k) & (edges.src == j))[0])
 
 
+def delivery_mask(edges, draws) -> np.ndarray | None:
+    """A (T, 2|E|) delivery mask for one round of T trials, one row per
+    (rng, pdr, skip_prob) in `draws`, drawn as the simulator draws it: n
+    skip uniforms when skip_prob > 0, then 2|E| delivery uniforms when
+    pdr < 1.  None when no trial loses or skips anything."""
+    if all(pdr == 1.0 and skip_prob == 0.0 for _, pdr, skip_prob in draws):
+        return None
+    arrived = np.ones((len(draws), len(edges.src)), bool)
+    for row, (rng, pdr, skip_prob) in zip(arrived, draws):
+        if skip_prob > 0:
+            row &= ~(rng.random(edges.n) < skip_prob)[edges.src]
+        if pdr < 1.0:
+            row &= rng.random(len(edges.src)) < pdr
+    return arrived
+
+
 def measurement_set(records: dict[tuple[int, int], tuple[float, float]]
                     ) -> MeasurementSet:
     """A set from {(i, j): (r, sigma2)}, edges in any order and orientation."""
@@ -121,6 +138,22 @@ def random_tree(rng: np.random.Generator, n: int) -> Graph:
     for v in range(2, n + 1):
         u = int(rng.integers(1, v))
         edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def preset_density_graph(n: int, seed: int) -> Graph:
+    """n agents on the pdr-sweep area scaled to keep its mean degree (~25)
+    at radius 1000, without an n x n distance matrix."""
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(n / 100)
+    pos = rng.uniform(0.0, 1.0, (n, 2)) * [3000 * scale, 4000 * scale]
+    edges = []
+    for lo in range(0, n, 500):
+        d = np.linalg.norm(pos[lo:lo + 500, None, :] - pos[None, :, :], axis=2)
+        ii, jj = np.nonzero(d <= 1000.0)
+        ii += lo
+        keep = ii < jj
+        edges += zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
     return Graph.from_edges(n, edges)
 
 

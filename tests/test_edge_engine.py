@@ -1,5 +1,6 @@
 """Both directed-edge engines against a scalar reference built from
-edge_message and Gaussian1D products (tests/helpers.py), on seeded lossy graphs with skips,
+edge_message and Gaussian1D products (tests/helpers.py), on seeded lossy
+graphs with skips (per-edge delivery masks from tests/helpers.py),
 both init modes and a leave/join rebuild; a batch of trials against the
 same trials run one engine each; the batched asynchronous round's array
 layout, summation order and calls per round; plus the O(|E|) state check."""
@@ -14,10 +15,10 @@ from cfosync import Graph, MeasurementSet, lsbp, random_geometric
 from cfosync.bp import BpEngine
 from cfosync.lsbp import BeliefInit, LsbpEngine
 from cfosync.edges import iterate, message_precision
-from cfosync.netsim import draw_losses
 
-from helpers import (FLAT, Gaussian1D, bp_message, directed_edge, edge_message,
-                     heterogeneous_measurements, meas_r, meas_sigma2, measurement_set)
+from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
+                     edge_message, heterogeneous_measurements, meas_r, meas_sigma2,
+                     measurement_set, preset_density_graph)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -63,23 +64,23 @@ class ScalarEngine:
             msgs = [self.box[(i, j)] for j in sorted(self.graph.neighbors(i))]
         self.belief[i] = math.prod(msgs, start=FLAT)
 
-    def _arrives(self, ids, i, j, delivered, skip):
-        k = {a: x for x, a in enumerate(ids)}
-        return (delivered is None or delivered[k[i], k[j]]) and \
-            (skip is None or not skip[k[j]])
+    @staticmethod
+    def _arrives(edges, i, j, arrived):
+        """Does j -> i arrive under the engine's one-trial (1, 2|E|) mask?"""
+        return arrived is None or arrived[0, directed_edge(edges, i, j)]
 
-    def sync_round(self, ids, delivered, skip):
+    def sync_round(self, edges, arrived):
         new = {(i, j): self._message(i, j) if self.algo == "bp" else self.belief[j]
-               for (i, j) in self.box if self._arrives(ids, i, j, delivered, skip)}
+               for (i, j) in self.box if self._arrives(edges, i, j, arrived)}
         self.box.update(new)
         for i in self.graph.agents:
             self._update(i)
 
-    def async_round(self, ids, order, delivered, skip):
+    def async_round(self, edges, order, arrived):
         for a in order:
             self._update(a)
             for i in self.graph.neighbors(a):
-                if self._arrives(ids, i, a, delivered, skip):
+                if self._arrives(edges, i, a, arrived):
                     self.box[(i, a)] = self.belief[a]
 
 
@@ -127,16 +128,14 @@ def _run(engine, ref, g, ms, rng, schedule, skip_prob, rounds=12, rebuild_at=6):
             engine = engine.rebuilt(g, ms)
             ref._retopologize(g, ms)
             _assert_matches(engine, ref, f"rebuilt before round {l}")
-        skip, delivered = draw_losses(rng, engine.n, 0.7, skip_prob)
-        arrived = engine.delivery_mask([(skip, delivered)])
+        arrived = delivery_mask(engine, [(rng, 0.7, skip_prob)])
         if schedule == "asynchronous":
             order = sched.permutation(engine.n)
             engine.async_round([order], arrived)
-            ref.async_round(engine.ids, [engine.ids[k] for k in order],
-                            delivered, skip)
+            ref.async_round(engine, [engine.ids[k] for k in order], arrived)
         else:
             engine.sync_round(arrived)
-            ref.sync_round(engine.ids, delivered, skip)
+            ref.sync_round(engine, arrived)
         _assert_matches(engine, ref, f"round {l}")
 
 
@@ -192,9 +191,8 @@ def _batch_run(engine, trial_ids, timeline, schedule):
 
     def step(eng):
         live = [trial_ids[row] for row in eng.trials.tolist()]
-        losses = [draw_losses(streams[t][0], eng.n, 1.0 if t == 0 else 0.7,
-                              0.0 if t == 0 else 0.2) for t in live]
-        arrived = eng.delivery_mask(losses)
+        arrived = delivery_mask(eng, [(streams[t][0], 1.0 if t == 0 else 0.7,
+                                       0.0 if t == 0 else 0.2) for t in live])
         if schedule == "asynchronous":
             eng.async_round([streams[t][1].permutation(eng.n) for t in live], arrived)
         else:
@@ -259,8 +257,7 @@ def _batch_engine(init, trials, seed=9):
 
 def _lossy(engine, rng):
     """A delivery mask with losses (pdr 0.7) and skips (0.2) in every trial."""
-    return engine.delivery_mask([draw_losses(rng, engine.n, 0.7, 0.2)
-                                 for _ in engine.trials])
+    return delivery_mask(engine, [(rng, 0.7, 0.2)] * len(engine.trials))
 
 
 @pytest.mark.parametrize("init", [BeliefInit(), BeliefInit("uniform", 4.0, 1.5)])
@@ -319,33 +316,17 @@ def test_async_round_work_does_not_grow_with_trials(monkeypatch):
     assert 0 < len(calls) <= engine.n
 
 
-def _preset_density_graph(n: int, seed: int) -> Graph:
-    """n agents on the pdr-sweep area scaled to keep its mean degree (~25)
-    at radius 1000, without an n x n distance matrix."""
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(n / 100)
-    pos = rng.uniform(0.0, 1.0, (n, 2)) * [3000 * scale, 4000 * scale]
-    edges = []
-    for lo in range(0, n, 500):
-        d = np.linalg.norm(pos[lo:lo + 500, None, :] - pos[None, :, :], axis=2)
-        ii, jj = np.nonzero(d <= 1000.0)
-        ii += lo
-        keep = ii < jj
-        edges += zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
-    return Graph.from_edges(n, edges)
-
-
 def test_engine_state_is_linear_in_edges():
     n = 3000
-    g = _preset_density_graph(n, seed=5)
+    g = preset_density_graph(n, seed=5)
     ms = measurement_set({(i, j): (0.5 * (i % 7) - j % 5, 1.0) for (i, j) in g.edges})
     rng = np.random.default_rng(6)
-    masks = [draw_losses(rng, n, 0.8, 0.1) for _ in range(3)]
     engines = [LsbpEngine(g, ms, BeliefInit(), 0.0), BpEngine(g, ms, 0.0)]
+    masks = [delivery_mask(engines[0], [(rng, 0.8, 0.1)]) for _ in range(3)]
     t0 = time.perf_counter()
     for engine in engines:
-        for skip, delivered in masks:
-            engine.sync_round(engine.delivery_mask([(skip, delivered)]))
+        for arrived in masks:
+            engine.sync_round(arrived)
     elapsed = time.perf_counter() - t0
     for engine in engines:
         assert 20 * n < len(engine.src) < 30 * n   # preset density

@@ -10,8 +10,8 @@ from cfosync.edges import iterate, step_delta
 from cfosync.errors import NumericError
 from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
 
-from helpers import (FLAT, Gaussian1D, beliefs, directed_edge, edge_message, meas_r,
-                     meas_sigma2, measurement_set, random_connected_graph,
+from helpers import (FLAT, Gaussian1D, beliefs, delivery_mask, directed_edge, edge_message,
+                     meas_r, meas_sigma2, measurement_set, random_connected_graph,
                      seeded_instance, triangle)
 
 GOLDEN_VARIANCE = (math.sqrt(5.0) - 1.0) / 2.0   # positive root of P^2 + P = 1
@@ -171,9 +171,10 @@ def test_engine_round_matches_scalar_operations():
 def test_zero_pdr_freezes_inboxes():
     g, truth, ms = seeded_instance(13, 8)
     eng = _engine(g, ms, truth.reference_value)
-    nothing = np.zeros((eng.n, eng.n), dtype=bool)
+    nothing = delivery_mask(eng, [(np.random.default_rng(0), 0.0, 0.0)])
+    assert not nothing.any()
     for _ in range(4):
-        eng.sync_round(eng.delivery_mask([(None, nothing)]))
+        eng.sync_round(nothing)
     ests = eng.estimates()
     assert all(v is None for a, v in ests.items() if a != g.reference)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 from cfosync.errors import ConfigError
 from cfosync.metrics import summary_dict, trace_to_csv
-from cfosync.netsim import draw_losses, parse_timeline, validate_timeline
+from cfosync.netsim import _Batch, _make_engine, parse_timeline, validate_timeline
 from cfosync.config import parse_topology, validate_config
+
+from helpers import preset_density_graph
 
 BERNOULLI_TOL = 0.005
 
@@ -26,19 +29,75 @@ def test_network_model_validation():
         validate_config(ExperimentConfig(skip_prob=1.0))
 
 
-def test_deliver_extremes():
-    rng = np.random.default_rng(0)
-    skip, delivered = draw_losses(rng, 3, pdr=1.0, skip_prob=0.0)
-    assert skip is None and delivered is None     # every message arrives
-    skip, delivered = draw_losses(rng, 3, pdr=0.0, skip_prob=0.0)
-    assert not delivered.any()
+def _batch(cfg, graph=None):
+    """A simulator batch of cfg's trials and its engine on its topology
+    (or on `graph`), before any round."""
+    graph = graph or parse_topology(cfg)
+    truth = generate_truth(graph, cfg.max_offset, seed=[cfg.master_seed, 1, 0])
+    batch = _Batch(cfg, graph, truth)
+    engine = _make_engine(cfg, graph, batch.meas, truth)
+    batch._topology(engine)
+    return batch, engine
 
 
-def test_deliver_bernoulli_rate():
-    rng = np.random.default_rng(1)
-    _, delivered = draw_losses(rng, 317, pdr=0.8, skip_prob=0.0)
-    assert delivered.size >= 100_000
-    assert abs(delivered.mean() - 0.8) < BERNOULLI_TOL
+@pytest.mark.parametrize("pdr, skip_prob", [(0.7, 0.0), (0.7, 0.2), (1.0, 0.2), (1.0, 0.0)])
+def test_loss_stream_draws_per_directed_edge(pdr, skip_prob):
+    # per trial and round: n skip uniforms if skip_prob > 0, then one
+    # uniform per directed edge in CSR order if pdr < 1; nothing lossless
+    cfg = ExperimentConfig(topology=COMPLETE10, pdr=pdr, skip_prob=skip_prob, trials=3,
+                           master_seed=5)
+    batch, engine = _batch(cfg)
+    n, m = engine.n, len(engine.src)
+    assert m == 90
+    skips, arrived = batch._losses(engine)
+    for t in range(3):
+        stream = np.random.default_rng([5, 3, t])
+        skip = stream.random(n) < skip_prob if skip_prob > 0 else np.zeros(n, bool)
+        delivered = stream.random(m) < pdr if pdr < 1 else np.ones(m, bool)
+        assert stream.bit_generator.state == batch.loss_rngs[t].bit_generator.state
+        if skips is not None:
+            assert np.array_equal(skips[t], skip)
+        if arrived is not None:
+            assert np.array_equal(arrived[t], delivered & ~skip[engine.src])
+    assert (skips is None) == (skip_prob == 0)
+    assert (arrived is None) == (pdr == 1 and skip_prob == 0)
+
+
+def test_loss_stream_delivery_rate_and_independent_directions():
+    cfg = ExperimentConfig(topology=COMPLETE10, pdr=0.8, trials=50, master_seed=1)
+    batch, engine = _batch(cfg)
+    arrived = np.concatenate([batch._losses(engine)[1] for _ in range(100)])
+    assert arrived.size >= 100_000
+    assert abs(arrived.mean() - 0.8) < BERNOULLI_TOL
+    # j -> i and i -> j are separate draws: they disagree at rate 2 p (1 - p)
+    one_way = engine.src < engine.dst
+    disagree = arrived[:, one_way] != arrived[:, engine.rev[one_way]]
+    assert abs(disagree.mean() - 2 * 0.8 * 0.2) < BERNOULLI_TOL
+
+
+def test_zero_pdr_delivers_nothing():
+    cfg = ExperimentConfig(topology=COMPLETE10, pdr=0.0, skip_prob=0.3, trials=4)
+    batch, engine = _batch(cfg)
+    for _ in range(5):
+        assert not batch._losses(engine)[1].any()
+
+
+@pytest.mark.parametrize("algorithm", ["lsbp", "bp"])
+def test_lossy_round_memory_is_linear_in_edges(algorithm):
+    # the whole round (loss draws, engine round, record) at N = 2000 stays
+    # below n^2 bytes; an (n, n) float draw alone takes 8 n^2
+    n = 2000
+    cfg = ExperimentConfig(algorithm=algorithm, pdr=0.8, skip_prob=0.1, master_seed=2)
+    batch, engine = _batch(cfg, preset_density_graph(n, seed=5))
+    assert 20 * n < len(engine.src) < 30 * n   # preset density
+    batch._round(engine)
+    tracemalloc.start()
+    try:
+        batch._round(engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, f"{peak / 2**20:.1f} MiB"
 
 
 def test_parse_timeline():
@@ -90,9 +149,9 @@ def test_trace_bytes_are_pinned():
     csv = trace_to_csv(trace).encode()
     summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "c74869dba28dfa4fdc568be67f87598adf161d5a3f5c2ec2cac4f87a49524043"
+        "26e0d7b1c4beac758e2261bc9a445dac31a8cb12546f767dacba516464e4d12a"
     assert hashlib.sha256(summary).hexdigest() == \
-        "cc009fa410e8d325ccb54bd37db7faa4a8c2f5df7b38d8d489d6b1dd01972b44"
+        "6924889b5eae1ea559f59ac994f8f38306f919f2e9f10e91443184f33d620073"
 
 
 def test_async_trace_bytes_are_pinned():
@@ -108,9 +167,9 @@ def test_async_trace_bytes_are_pinned():
     csv = trace_to_csv(trace).encode()
     summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "d699e585641175800b3a758e698052d6a664618c4a16354ce689996fbd4311b3"
+        "d2b1612cf091fdc9086c8f8aeb1662e733552b7a797fbedb80843f49dddda363"
     assert hashlib.sha256(summary).hexdigest() == \
-        "82ca661a33597712e69029e3ea31c6a223b39b3e278a7afa95f39b7294077e95"
+        "1fc81fce23d65cf95d3fb2e3134a8912bc20c4628e7dcd770931543658f0178e"
 
 
 @pytest.mark.parametrize("algorithm, estimator",
