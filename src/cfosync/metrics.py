@@ -103,10 +103,13 @@ def trace_to_csv(trace: RunTrace) -> str:
         tail = ",".join([repr(float(row.avg_mse)), *_cells(
             [float(row.broadcasts), float(row.deliveries), float(row.drops)])])
         agents = sorted(row.means)
-        means = _cells([row.means[a] for a in agents])
-        variances = _cells([row.variances[a] for a in agents])
-        lines.extend(f"{row.iteration},{a},{m},{v},{tail}"
-                     for a, m, v in zip(agents, means, variances))
+        if not agents:
+            continue
+        cells = map(",".join, zip(map(str, agents), _cells([row.means[a] for a in agents]),
+                                  _cells([row.variances[a] for a in agents])))
+        # an agent's line: the row's lead, the agent's three cells, the row's trail
+        lead, trail = f"{row.iteration},", f",{tail}"
+        lines.append(lead + f"{trail}\n{lead}".join(cells) + trail)
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ falls below the configured tolerances and no timeline events remain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,7 +33,7 @@ import numpy as np
 from .bp import BpEngine
 from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
                      parse_topology, validate_config)
-from .edges import iterate
+from .edges import DirectedEdges, iterate
 from .errors import ConfigError, NumericError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
@@ -277,7 +276,10 @@ def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | N
     flat = np.isnan(stack)
     for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
         out[a] = np.mean(stack[a][~flat[a]])
-    return {a: (None if math.isnan(v) else v) for a, v in zip(ids, out.tolist())}
+    means = dict(zip(ids, out.tolist()))
+    for a in np.flatnonzero(flat.all(axis=1)).tolist():
+        means[ids[a]] = None
+    return means
 
 
 def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
@@ -314,15 +316,17 @@ def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
 
 def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
     """WLS means over the trials, CRLB and rho_K on the final topology: one
-    linear system, whose normal matrix is solved once for every trial and
-    inverted once for the CRLB."""
+    directed-edge layout for the three systems, and one linear system, whose
+    normal matrix is solved once for every trial and inverted once for the
+    CRLB."""
     graph, truth, meas = batch.graph, batch.truth, batch.meas
     if len(graph.agents) < 2:
         raise ConfigError("the oracle needs an agent besides the reference")
-    pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
-    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
+    edges = DirectedEdges(graph, meas)
+    pstar = variance_fixed_point(graph, meas, cfg.reference_precision, edges=edges)
+    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value, edges=edges)
     fps = oracle_mod.build_fixed_point_system(graph, meas, pstar, truth.reference_value,
-                                              cfg.reference_precision)
+                                              cfg.reference_precision, edges=edges)
     trace.oracle = {
         "rho_K": oracle_mod.spectral_radius(fps.K),
         "crlb": oracle_mod.crlb(system),

@@ -73,12 +73,15 @@ class LinearSystem:
             raise UnobservableError(self.columns) from exc
 
 
-def build_linear_system(graph: Graph, meas: MeasurementSet,
-                        reference_value: float) -> LinearSystem:
+def build_linear_system(graph: Graph, meas: MeasurementSet, reference_value: float,
+                        *, edges: DirectedEdges | None = None) -> LinearSystem:
+    """The normal equations; `edges` is DirectedEdges(graph, meas), if the
+    caller already holds it.  Agents without a path to the reference raise
+    UnobservableError."""
     unreachable = graph.unreachable_agents()
     if unreachable:
         raise UnobservableError(unreachable)
-    edges = DirectedEdges(graph, meas)
+    edges = DirectedEdges(graph, meas) if edges is None else edges
     w = 1.0 / edges.sig2
     return LinearSystem(
         normal=_reduced_matrix(edges, w, np.bincount(edges.dst, w, edges.n)),
@@ -126,11 +129,12 @@ class FixedPointSystem:
 def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
                              converged_precisions: np.ndarray,
                              reference_value: float,
-                             reference_precision: float = DEFAULT_REFERENCE_PRECISION
-                             ) -> FixedPointSystem:
+                             reference_precision: float = DEFAULT_REFERENCE_PRECISION,
+                             *, edges: DirectedEdges | None = None) -> FixedPointSystem:
     """Materialize (K, eta) from converged belief precisions (vector over
-    non-reference agents in sorted-id order)."""
-    edges = DirectedEdges(graph, meas)
+    non-reference agents in sorted-id order); `edges` is
+    DirectedEdges(graph, meas), if the caller already holds it."""
+    edges = DirectedEdges(graph, meas) if edges is None else edges
     if len(converged_precisions) != edges.n - 1:
         raise ValueError("converged_precisions misaligned with non-reference agents")
     prec = np.insert(converged_precisions, edges.ref, reference_precision)

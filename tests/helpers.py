@@ -3,6 +3,7 @@ preset-density graphs, measurement sets with heterogeneous noise, and
 per-edge delivery masks), scalar references (information-
 form Gaussians and the edge and BP cavity messages, per-edge measurement
 generation and lookups, the oracle's dense design and fixed-point loop),
+the dense n x n random geometric graph,
 and text round trips of graphs, truths, measurement sets and traces."""
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
-from cfosync.graph import canonical_edge
+from cfosync.errors import GenerationError
+from cfosync.graph import DEFAULT_COMM_RADIUS, DEFAULT_RETRY_BUDGET, canonical_edge
 from cfosync.metrics import TRACE_COLUMNS
 from cfosync.model import NOISELESS_SIGMA2, GroundTruth
 
@@ -155,6 +157,37 @@ def preset_density_graph(n: int, seed: int) -> Graph:
         keep = ii < jj
         edges += zip((ii[keep] + 1).tolist(), (jj[keep] + 1).tolist())
     return Graph.from_edges(n, edges)
+
+
+def dense_random_geometric(n: int, width: float, height: float,
+                           radius: float = DEFAULT_COMM_RADIUS, seed: int = 0,
+                           retry_budget: int = DEFAULT_RETRY_BUDGET,
+                           reference: int = 1) -> Graph:
+    """The reference for `random_geometric`: the same placements and retry
+    sequence with every pair measured through an n x n x 2 distance tensor
+    (16 n^2 bytes)."""
+    if n < 2:
+        raise ValueError("need at least 2 agents")
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    for attempt in range(retry_budget):
+        rng = np.random.default_rng([seed, attempt])
+        xs = rng.uniform(0.0, width, n)
+        ys = rng.uniform(0.0, height, n)
+        pos = np.column_stack([xs, ys])
+        with np.errstate(over="raise"):   # a placement too wide to measure
+            dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        close = (dist <= radius) & ~np.eye(n, dtype=bool)
+        ii, jj = np.nonzero(np.triu(close))
+        edges = frozenset(canonical_edge(int(a) + 1, int(b) + 1)
+                          for a, b in zip(ii, jj))
+        positions = {k + 1: (float(xs[k]), float(ys[k])) for k in range(n)}
+        g = Graph.from_edges(n, edges, reference=reference, positions=positions)
+        if g.is_connected():
+            return g
+    raise GenerationError(
+        f"no connected placement within {retry_budget} attempts "
+        f"(n={n}, radius={radius})")
 
 
 def random_connected_graph(rng: np.random.Generator, n: int,
@@ -315,7 +348,7 @@ def graph_from_edgelist_text(text: str) -> Graph:
             i, j = int(parts[0]), int(parts[1])
             edges.add(canonical_edge(i, j))
             agents.update((i, j))
-    return Graph(agents=frozenset(agents), edges=frozenset(edges),
+    return Graph(agents=frozenset(agents), edge_array=np.array(sorted(edges)).reshape(-1, 2),
                  reference=int(head[3]), positions=positions or None)
 
 

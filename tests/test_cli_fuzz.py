@@ -92,6 +92,9 @@ def config_texts(draw):
 @example(_text(positions="1:0,0"))                               # agents without one
 @example(_text(topology="random:n=nan,width=100,height=100"))    # n not an integer
 @example(_text(topology="random:n=2,width=1e308,height=1,radius=inf"))  # overflow
+@example(_text(topology="random:n=4,width=1e12,height=1e12,radius=1e-8,retries=2"))
+@example(_text(positions="1:0,0;2:100,0;3:0,100;9:5,5", radius="50",   # not an agent
+               timeline="1:join:5,6"))
 @example(_text(init_mode="uniform", init_variance="1e-320"))     # 1/v overflows
 @example(_text(init_mode="uniform", init_mean="1e308", init_variance="0.5"))
 @example(_text(init_mode="uniform", init_variance="1e308"))      # trial mean overflows

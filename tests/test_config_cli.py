@@ -159,6 +159,22 @@ def test_cli_rejects_negative_radius(tmp_path, capsys):
     assert "radius must be >= 0" in err[0]
 
 
+@pytest.mark.parametrize("topology, reason", [
+    # squared distances beyond the float range
+    ("random:n=2,width=1e308,height=1,radius=inf", "overflow encountered"),
+    # floor(position / cell) far beyond the int64 range
+    ("random:n=4,width=1e12,height=1e12,radius=1e-8,retries=2",
+     "no connected placement within 2 attempts"),
+])
+def test_cli_unmeasurable_placement_exits_validation(tmp_path, capsys, topology, reason):
+    cfg = _write_cfg(tmp_path, f"topology = {topology}\nl_max = 5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=validation reason=invalid topology")
+    assert reason in err[0]
+
+
 def test_cli_rejects_subnormal_reference_precision(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "reference_precision = 1e-320\n")
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -88,6 +88,7 @@ def _tiny_trace() -> RunTrace:
 
 def test_trace_csv_round_trip_is_exact():
     trace = _tiny_trace()
+    trace.rows.append(IterationRow(iteration=2, means={}, variances={}, avg_mse=0.5))
     parsed = read_trace_csv(trace_to_csv(trace))
     expected = [(row.iteration, a, row.means[a], row.variances[a], row.avg_mse,
                  row.broadcasts, row.deliveries, row.drops)

@@ -8,9 +8,11 @@ import pytest
 
 from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
+import cfosync.netsim as netsim
 from cfosync.errors import ConfigError
 from cfosync.metrics import summary_dict, trace_to_csv
-from cfosync.netsim import _Batch, _make_engine, parse_timeline, validate_timeline
+from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
+                            validate_timeline)
 from cfosync.config import parse_topology, validate_config
 
 from helpers import preset_density_graph
@@ -170,6 +172,25 @@ def test_async_trace_bytes_are_pinned():
         "d2b1612cf091fdc9086c8f8aeb1662e733552b7a797fbedb80843f49dddda363"
     assert hashlib.sha256(summary).hexdigest() == \
         "1fc81fce23d65cf95d3fb2e3134a8912bc20c4628e7dcd770931543658f0178e"
+
+
+def test_trial_mean_averages_informative_trials_only():
+    nan = np.nan
+    trials = [np.array([1.0, nan, nan, 2.0]), np.array([3.0, 4.0, nan, 2.5])]
+    assert _trial_mean([1, 2, 5, 9], trials) == {1: 2.0, 2: 4.0, 5: None, 9: 2.25}
+
+
+def test_oracle_lays_out_the_directed_edges_once(monkeypatch):
+    real, layouts = netsim.DirectedEdges, []
+
+    def refused(*args):
+        raise AssertionError("the oracle laid out the directed edges again")
+
+    monkeypatch.setattr(netsim, "DirectedEdges", lambda *args: layouts.append(args) or real(*args))
+    monkeypatch.setattr("cfosync.lsbp.DirectedEdges", refused)
+    monkeypatch.setattr("cfosync.oracle.DirectedEdges", refused)
+    trace = run_experiment(ExperimentConfig(topology=TRIANGLE, trials=3, oracle=True))
+    assert len(layouts) == 1 and trace.oracle["crlb_avg"] > 0
 
 
 @pytest.mark.parametrize("algorithm, estimator",
