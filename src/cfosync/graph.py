@@ -75,8 +75,11 @@ class Graph:
         either order and possibly repeated."""
         pairs = np.array([canonical_edge(i, j) for i, j in edges],
                          dtype=np.intp).reshape(-1, 2)
+        # return_inverse: without it np.unique imports numpy.ma, ~13 ms of a
+        # fresh process
+        distinct, _ = np.unique(pairs, axis=0, return_inverse=True)
         return cls(agents=frozenset(range(1, num_agents + 1)),
-                   edge_array=np.unique(pairs, axis=0), reference=reference,
+                   edge_array=distinct, reference=reference,
                    positions=dict(positions) if positions else None)
 
     @cached_property

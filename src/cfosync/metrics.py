@@ -20,15 +20,19 @@ import numpy as np
 from .errors import MetricError, NumericError
 
 
-def avg_mse(estimates: dict[int, float | None], truth: dict[int, float],
-            mse_normalization: float = 1.0) -> float:
-    """Average of ((estimate - truth)/B)^2 over agents with an estimate.
-
-    Agents whose estimate is None (flat belief) are excluded.  Raises
-    MetricError when no agent has an estimate.
-    """
-    return mean_square_error(((v, truth[a]) for a, v in estimates.items()
-                              if v is not None), mse_normalization)
+def avg_mse(means: np.ndarray, prec: np.ndarray, truth: np.ndarray,
+            mse_normalization: float) -> np.ndarray:
+    """mean_square_error of each trial's agents with precision > 0 in
+    (T, n) `means`/`prec` against (n,) `truth`, summed pairwise; NaN for a
+    trial without one.  An overflow raises FloatingPointError.  The
+    simulator calls it by the name netsim imports, which the bench's tracer
+    wraps."""
+    known = prec > 0
+    with np.errstate(over="raise"):
+        err = np.where(known, (means - truth) / mse_normalization, 0.0)
+        total = (err * err).sum(axis=1)
+    count = np.count_nonzero(known, axis=1)
+    return np.divide(total, count, out=np.full(len(count), np.nan), where=count > 0)
 
 
 def mean_square_error(pairs: Iterable[tuple[float, float]],
@@ -57,21 +61,28 @@ class IterationRow:
     broadcasts: float = 0.0
     deliveries: float = 0.0
     drops: float = 0.0
-    n_flat: int = 0
     unobservable: tuple[int, ...] = ()
 
 
 @dataclass
 class RunTrace:
     """Complete record of one experiment (trial-averaged when the config
-    requests Monte-Carlo trials)."""
+    requests Monte-Carlo trials).  converged_at is the max over trials of
+    each trial's first convergence after its last timeline event, or None
+    if any trial never converged."""
 
     rows: list[IterationRow] = field(default_factory=list)
-    converged_at: int | None = None
-    final_estimates: dict[int, float | None] = field(default_factory=dict)
     per_trial_converged_at: list[int | None] = field(default_factory=list)
-    per_trial_final_mse: list[float] = field(default_factory=list)
     oracle: dict | None = None
+
+    @property
+    def converged_at(self) -> int | None:
+        per_trial = self.per_trial_converged_at
+        return None if None in per_trial else max(per_trial, default=None)
+
+    @property
+    def final_estimates(self) -> dict[int, float | None]:
+        return self.rows[-1].means if self.rows else {}
 
     @property
     def final_mse(self) -> float:

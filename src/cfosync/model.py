@@ -160,7 +160,7 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
     sigma2 = np.where(noisy, s * s, NOISELESS_SIGMA2)
     if np.any(sigma2 <= 0.0):
         raise ValueError("a positive noise std squares to a zero variance")
-    agents = np.unique(pairs)
+    agents, ends = np.unique(pairs, return_inverse=True)
+    ends = ends.reshape(pairs.shape)   # numpy < 2 returns it flat
     f = np.array([truth.offsets[a] for a in agents.tolist()])
-    ends = np.searchsorted(agents, pairs)
     return MeasurementSet(pairs, f[ends[:, 0]] + f[ends[:, 1]] + noise, sigma2)

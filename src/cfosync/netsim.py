@@ -37,7 +37,7 @@ from .edges import DirectedEdges, iterate
 from .errors import ConfigError, NumericError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
-from .metrics import IterationRow, RunTrace
+from .metrics import IterationRow, RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
                     generate_measurements, generate_truth)
 from . import oracle as oracle_mod
@@ -131,28 +131,15 @@ def _make_engine(cfg: ExperimentConfig, graph: Graph, meas: MeasurementSet,
     return BpEngine(graph, meas, truth.reference_value, cfg.reference_precision)
 
 
-def avg_mse(means: np.ndarray, prec: np.ndarray, truth: np.ndarray,
-            mse_normalization: float) -> np.ndarray:
-    """metrics.mean_square_error of each trial's agents with precision > 0
-    in (T, n) `means`/`prec`, summed pairwise; NaN for a trial without one.
-    An overflow raises FloatingPointError.  The bench's tracer wraps it."""
-    known = prec > 0
-    with np.errstate(over="raise"):
-        err = np.where(known, (means - truth) / mse_normalization, 0.0)
-        total = (err * err).sum(axis=1)
-    count = np.count_nonzero(known, axis=1)
-    return np.divide(total, count, out=np.full(len(count), np.nan), where=count > 0)
-
-
 class _Batch:
     """The Monte-Carlo trials of one run, advanced together through one
     engine.  They share the graph and truth, which each timeline event
     changes once for all of them, and hold one row each of the measurements.
-    Per trial: its loss and schedule streams, and per round a record (ids,
-    isolated, means, variances, scalars).  means and variances align to the
-    engine's ids and are NaN while flat; scalars are (mse, sends,
-    deliveries, drops, n_flat); ids and isolated are shared by the rounds of
-    one topology."""
+    Per trial: its loss and schedule streams and its latest state, which a
+    trial that stopped early holds to the end: means and variances (T, n),
+    aligned to the engine's ids and NaN while flat, and the scalars (4, T)
+    mse, sends, deliveries, drops.  Each round appends one row, the
+    average of that state over the trials."""
 
     def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth):
         self.cfg, self.graph, self.truth = cfg, graph, truth
@@ -160,16 +147,17 @@ class _Batch:
         self.loss_rngs, self.sched_rngs = (
             [np.random.default_rng([cfg.master_seed, stream, t]) for t in range(cfg.trials)]
             for stream in (STREAM_LOSS, STREAM_SCHEDULE))
-        self.rows: list[list[tuple]] = [[] for _ in range(cfg.trials)]
+        self.scalars = np.zeros((4, cfg.trials))
+        self.rows: list[IterationRow] = []
 
     def _measure(self, *key: int, edges=None) -> MeasurementSet:
         """Every trial's measurements on the current graph (only on `edges`
         if given), trial t's noise drawn from [master_seed, 2, t, *key]."""
         cfg = self.cfg
+        overrides = parse_sigma_overrides(cfg.sigma_overrides)
         return MeasurementSet.stacked([generate_measurements(
             self.graph, self.truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, t, *key],
-            sigma_overrides=parse_sigma_overrides(cfg.sigma_overrides), edges=edges)
-            for t in range(cfg.trials)])
+            sigma_overrides=overrides, edges=edges) for t in range(cfg.trials)])
 
     def run(self, events: list[TimelineEvent]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
@@ -184,11 +172,14 @@ class _Batch:
         return self
 
     def _topology(self, engine) -> None:
-        """What the records of one topology share: the non-reference agents
-        without a neighbor and the true offsets, in the engine's id order."""
+        """What the rows of one topology share: the non-reference agents
+        without a neighbor and the true offsets, in the engine's id order;
+        and fresh held means and variances, which the next record fills for
+        every trial, since no trial stops before the last timeline event."""
         alone = np.flatnonzero(np.diff(engine.indptr) == 0)
         self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
+        self.means, self.variances = np.empty((2, self.cfg.trials, engine.n))
 
     def _losses(self, engine) -> tuple[np.ndarray | None, np.ndarray | None]:
         """This round's (T, n) skips and (T, 2|E|) delivery mask, the skips
@@ -215,23 +206,35 @@ class _Batch:
         self._record(engine, _count_messages(cfg, engine, skips, arrived))
 
     def _record(self, engine, counters: MessageCounters) -> None:
-        """Append each live trial's state after a round as its next record."""
+        """Hold each live trial's state after a round and append the average
+        over the trials as the next row."""
         means, prec = engine.snapshot()
         with np.errstate(divide="ignore"):
             variances = 1.0 / prec
         variances[np.isinf(variances)] = np.nan
-        n_flat = np.count_nonzero(np.isnan(means), axis=1).tolist()
         cfg = self.cfg
         try:
-            mse = avg_mse(means, prec, self.offsets, cfg.mse_normalization).tolist()
+            mse = avg_mse(means, prec, self.offsets, cfg.mse_normalization)
         except FloatingPointError:
             raise NumericError(
                 f"overflow computing the MSE (max_offset={cfg.max_offset!r}, "
                 f"mse_normalization={cfg.mse_normalization!r})") from None
-        sends, deliveries, drops = counters.counts.tolist()
-        for row, t in enumerate(engine.trials.tolist()):
-            self.rows[t].append((engine.ids, self.isolated, means[row], variances[row], (
-                mse[row], sends[row], deliveries[row], drops[row], n_flat[row])))
+        live = engine.trials
+        self.means[live], self.variances[live] = means, variances
+        self.scalars[0, live], self.scalars[1:, live] = mse, counters.counts
+        with np.errstate(over="raise"):   # a trial average beyond the float range
+            # each scalar's trials are summed in order along a C-order row
+            mse, sends, deliveries, drops = self.scalars.mean(axis=1).tolist()
+            self.rows.append(IterationRow(
+                iteration=len(self.rows),
+                means=_trial_mean(engine.ids, self.means),
+                variances=_trial_mean(engine.ids, self.variances),
+                avg_mse=mse,
+                broadcasts=sends,
+                deliveries=deliveries,
+                drops=drops,
+                unobservable=self.isolated,
+            ))
 
     def _apply_event(self, ev: TimelineEvent, engine):
         """Apply one timeline event to the shared topology and to every
@@ -265,13 +268,13 @@ def _count_messages(cfg: ExperimentConfig, engine, skips: np.ndarray | None,
     return MessageCounters(np.stack([sends, delivered, intended - delivered]))
 
 
-def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | None]:
-    """Per agent, the mean over trials of its entries in `arrays` (one array
-    per trial, aligned to `ids`).  An agent flat (NaN) in some trials
-    averages its informative trials only, and is None when flat in all.
-    The trials are stacked as (agents, trials) so that each agent's values
-    are summed as np.mean sums a list; an axis-0 mean would not be."""
-    stack = np.stack(arrays, axis=1)
+def _trial_mean(ids: list[int], values: np.ndarray) -> dict[int, float | None]:
+    """Per agent, the mean over trials of its column of (T, n) `values`
+    (aligned to `ids`).  An agent flat (NaN) in some trials averages its
+    informative trials only, and is None when flat in all.  The trials are
+    transposed to a C-order (agents, trials) copy so that each agent's
+    values are summed as np.mean sums a list; an axis-0 mean would not be."""
+    stack = values.T.copy()
     out = stack.mean(axis=1)
     flat = np.isnan(stack)
     for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
@@ -280,38 +283,6 @@ def _trial_mean(ids: list[int], arrays: list[np.ndarray]) -> dict[int, float | N
     for a in np.flatnonzero(flat.all(axis=1)).tolist():
         means[ids[a]] = None
     return means
-
-
-def _aggregate(batch: _Batch, cfg: ExperimentConfig) -> RunTrace:
-    horizon = max(len(rows) for rows in batch.rows)
-    rows = []
-    for l in range(horizon):
-        # trials share row l's topology: a trial stops early only after its last event
-        ids, isolated, means, variances, scalars = zip(
-            *(trial[min(l, len(trial) - 1)] for trial in batch.rows))
-        # (5, trials) in C order, so each scalar's trials are summed in order
-        scalars = np.array(scalars, dtype=float).T.copy()
-        mse, sends, deliveries, drops, n_flat = scalars.mean(axis=1).tolist()
-        rows.append(IterationRow(
-            iteration=l,
-            means=_trial_mean(ids[0], means),
-            variances=_trial_mean(ids[0], variances),
-            avg_mse=mse,
-            broadcasts=sends,
-            deliveries=deliveries,
-            drops=drops,
-            n_flat=int(round(n_flat)),
-            unobservable=isolated[0],
-        ))
-    per_conv = batch.converged_at
-    converged_at = None if any(c is None for c in per_conv) else max(per_conv)
-    return RunTrace(
-        rows=rows,
-        converged_at=converged_at,
-        final_estimates=rows[-1].means if rows else {},
-        per_trial_converged_at=per_conv,
-        per_trial_final_mse=[trial[-1][4][0] for trial in batch.rows],  # scalars[0]: mse
-    )
 
 
 def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
@@ -355,8 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
     batch = _Batch(cfg, graph, truth).run(events)
-    with np.errstate(over="raise"):   # a trial average beyond the float range
-        trace = _aggregate(batch, cfg)
+    trace = RunTrace(rows=batch.rows, per_trial_converged_at=batch.converged_at)
     if cfg.oracle:
         _attach_oracle(trace, batch, cfg)
     return trace

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cfosync
 
 from cfosync import ExperimentConfig, parse_config_text
 from cfosync.cli import main
@@ -285,3 +291,18 @@ def test_unknown_preset_rejected():
     from cfosync.presets import preset_configs
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_configs("fig42")
+
+
+@pytest.mark.parametrize("topology", ["random:n=20,width=500,height=500,radius=200,seed=3",
+                                      "edges:1-2;1-3;2-3;3-4"])
+def test_cli_run_does_not_import_numpy_ma(tmp_path, topology):
+    # importing numpy.ma costs ~13 ms of every CLI process; a plain np.unique
+    # pulls it in
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"topology = {topology}\npdr = 0.7\ntrials = 3\nl_max = 10\noracle = true\n")
+    code = ("import sys\nfrom cfosync.cli import main\n"
+            f"assert main(['--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cfosync.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

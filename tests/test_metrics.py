@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfosync import ExperimentConfig, avg_mse, netsim, run_experiment
+from cfosync import ExperimentConfig, avg_mse, run_experiment
 from cfosync.errors import MetricError, NumericError
 from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
                              mean_square_error, summary_dict, trace_to_csv)
@@ -11,26 +11,36 @@ from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
 from helpers import read_trace_csv
 
 
+def _state(estimates: list[list[float | None]]) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n) means and precisions of per-trial estimates, None for flat,
+    as EdgeEngine.snapshot gives them."""
+    means = np.array(estimates, dtype=float)
+    return means, np.where(np.isnan(means), 0.0, 1.0)
+
+
 def test_avg_mse_perfect_estimates():
-    truth = {1: 3.0, 2: -1.0}
-    assert avg_mse({1: 3.0, 2: -1.0}, truth) == 0.0
+    truth = np.array([3.0, -1.0])
+    assert avg_mse(*_state([[3.0, -1.0]]), truth, 1.0).tolist() == [0.0]
 
 
 def test_avg_mse_normalization_definition():
-    assert avg_mse({1: 2.0}, {1: 0.0}, mse_normalization=2.0) == pytest.approx(1.0)
-    assert avg_mse({1: 2.0, 2: 0.0}, {1: 0.0, 2: 0.0},
-                   mse_normalization=2.0) == pytest.approx(0.5)
+    got = avg_mse(*_state([[2.0, 0.0], [2.0, None]]), np.zeros(2), 2.0)
+    assert got.tolist() == [pytest.approx(0.5), pytest.approx(1.0)]
 
 
 def test_avg_mse_excludes_flat_agents():
-    assert avg_mse({1: 1.0, 2: None}, {1: 0.0, 2: 100.0}) == pytest.approx(1.0)
+    got = avg_mse(*_state([[1.0, None]]), np.array([0.0, 100.0]), 1.0)
+    assert got.tolist() == [pytest.approx(1.0)]
 
 
 def test_avg_mse_undefined_without_estimates():
+    # an all-flat trial scores NaN, beside a defined one
+    got = avg_mse(*_state([[None, None], [1.0, None]]), np.zeros(2), 1.0)
+    assert math.isnan(got[0]) and got[1] == 1.0
     with pytest.raises(MetricError):
-        avg_mse({1: None}, {1: 0.0})
+        mean_square_error([])
     with pytest.raises(MetricError):
-        avg_mse({1: 1.0}, {1: 0.0}, mse_normalization=0.0)
+        mean_square_error([(1.0, 0.0)], mse_normalization=0.0)
 
 
 @pytest.mark.parametrize("normalization", [1.0, 0.37, 250.0])
@@ -44,7 +54,7 @@ def test_batch_mse_matches_scalar_reference(normalization):
     prec[rng.random((12, 40)) < 0.3] = 0.0
     prec[4] = 0.0
     means[prec == 0] = np.nan    # as EdgeEngine.snapshot gives them
-    got = netsim.avg_mse(means, prec, truth, normalization)
+    got = avg_mse(means, prec, truth, normalization)
     for row in range(12):
         pairs = [(m, f) for m, p, f in zip(means[row], prec[row], truth) if p > 0]
         try:
@@ -59,7 +69,7 @@ def test_batch_mse_matches_scalar_reference(normalization):
 def test_batch_mse_overflow_raises_numeric_error():
     state = np.array([[0.0, 1e200]]), np.ones((1, 2)), np.zeros(2)
     with pytest.raises(FloatingPointError):
-        netsim.avg_mse(*state, 1.0)
+        avg_mse(*state, 1.0)
     # a 1e200 Hz offset error squares beyond the float range
     cfg = ExperimentConfig(topology="edges:1-2;1-3;2-3", max_offset=1e200, l_max=3)
     with pytest.raises(NumericError, match=r"overflow computing the MSE \(max_offset=1e\+200"):
@@ -67,11 +77,12 @@ def test_batch_mse_overflow_raises_numeric_error():
 
 
 def test_avg_mse_relabeling_invariance():
-    truth = {1: 1.0, 2: 2.0, 3: 3.0}
-    ests = {1: 1.5, 2: 2.5, 3: 2.0}
-    relabeled_truth = {10: 1.0, 20: 2.0, 30: 3.0}
-    relabeled = {10: 1.5, 20: 2.5, 30: 2.0}
-    assert avg_mse(ests, truth) == avg_mse(relabeled, relabeled_truth)
+    # the same agents in another column order; the squared errors sum exactly
+    truth = np.array([1.0, 2.0, 3.0])
+    means, prec = _state([[1.5, 2.5, 2.0]])
+    order = [2, 0, 1]
+    assert avg_mse(means[:, order], prec[:, order], truth[order], 1.0) == \
+        avg_mse(means, prec, truth, 1.0)
 
 
 def _tiny_trace() -> RunTrace:
@@ -82,8 +93,7 @@ def _tiny_trace() -> RunTrace:
                      variances={1: 1e-12, 2: 0.5}, avg_mse=1.0 / 3.0,
                      broadcasts=2.0, deliveries=3.0, drops=1.0),
     ]
-    return RunTrace(rows=rows, converged_at=1,
-                    final_estimates=rows[-1].means)
+    return RunTrace(rows=rows, per_trial_converged_at=[1])
 
 
 def test_trace_csv_round_trip_is_exact():
@@ -114,3 +124,8 @@ def test_summary_mse_equals_last_row():
     assert s["mse_avg"] == trace.rows[-1].avg_mse
     assert s["converged_at"] == 1
     assert s["final_estimates"]["1"] == 0.3
+    # the latest first convergence over the trials, None if one never settled
+    trace.per_trial_converged_at = [1, 3]
+    assert summary_dict(trace)["converged_at"] == 3
+    trace.per_trial_converged_at = [1, None]
+    assert summary_dict(trace)["converged_at"] is None

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 import cfosync
+from cfosync.cli import main
+
+from helpers import read_trace_csv
 
 
 def test_public_names_resolve_and_the_scalar_layer_is_gone():
@@ -28,3 +31,25 @@ def test_every_bench_tracer_hook_resolves(monkeypatch):
         assert hooks.absent == {}
     finally:
         hooks.uninstall()
+
+
+def test_bench_tracer_counts_the_trace_messages(monkeypatch, tmp_path):
+    # the tracer reads sends, deliveries and drops off the value netsim's
+    # counter returns, and would read 0 if it stopped naming them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("topology = edges:1-2;1-3;2-3\npdr = 0.6\nskip_prob = 0.2\n"
+                   "master_seed = 4\nl_max = 40\n")
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    finally:
+        hooks.uninstall()
+    rows = {r["iteration"]: r for r in read_trace_csv((tmp_path / "trace.csv").read_text())}
+    totals = [sum(r[k] for r in rows.values()) for k in ("broadcasts", "deliveries", "drops")]
+    counts = hooks.counts
+    assert totals[2] > 0
+    assert [counts["netsim.messages_sent"], counts["netsim.deliveries"],
+            counts["netsim.drops"]] == totals
