@@ -74,8 +74,6 @@ class BeliefPropagation(MessagePassingEstimator):
         self.prec_tol = prec_tol
         self.reference_precision = reference_precision
 
-    _param_names = ("max_iter", "mean_tol", "prec_tol", "reference_precision")
-
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float):
         engine = BpEngine(graph, measurements, reference_value,

@@ -238,30 +238,17 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
 class MessagePassingEstimator:
     """Estimator-style front end for lossless runs on a static graph.
 
-    The constructor carries the parameters named in `_param_names`
-    (get_params/set_params).  fit() runs rounds until the per-round change
-    falls below mean_tol/prec_tol or max_iter rounds have run, then exposes
-    estimates_ (dict id -> Hz, None while flat), variances_, n_iter_ and
-    converged_.
+    The constructor carries the parameters as attributes.  fit() runs rounds
+    until the per-round change falls below mean_tol/prec_tol or max_iter
+    rounds have run, then exposes estimates_ (dict id -> Hz, None while
+    flat), variances_, n_iter_ and converged_.
     """
-
-    _param_names: tuple[str, ...] = ()
 
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float
                ) -> tuple[EdgeEngine, Callable[[EdgeEngine], None]]:
         """(engine, step): a fresh engine and the round that fit() runs."""
         raise NotImplementedError
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {k: getattr(self, k) for k in self._param_names}
-
-    def set_params(self, **params) -> "MessagePassingEstimator":
-        for k, v in params.items():
-            if k not in self._param_names:
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
 
     def fit(self, graph: Graph, measurements: MeasurementSet,
             reference_value: float = 0.0) -> "MessagePassingEstimator":
@@ -273,8 +260,3 @@ class MessagePassingEstimator:
         self.variances_ = engine.variances()
         self.engine_ = engine
         return self
-
-    def predict(self) -> dict[int, float | None]:
-        if not hasattr(self, "estimates_"):
-            raise RuntimeError("estimator is not fitted; call fit() first")
-        return dict(self.estimates_)

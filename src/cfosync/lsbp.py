@@ -246,10 +246,6 @@ class LinearScalingBP(MessagePassingEstimator):
         self.schedule = schedule
         self.seed = seed
 
-    _param_names = ("init", "init_variance", "init_mean", "max_iter",
-                    "mean_tol", "prec_tol", "reference_precision",
-                    "schedule", "seed")
-
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float):
         if self.schedule not in ("synchronous", "asynchronous"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,14 +49,17 @@ def mean_square_error(pairs: Iterable[tuple[float, float]],
 
 @dataclass
 class IterationRow:
-    """State after one iteration: per-agent estimate/variance (None while
-    flat), the MSE over defined estimates, and message counters.  Counters
-    are 'messages sent' in the algorithm's own unit: broadcasts for the
-    linear-scaling variant, directed sends for per-edge BP."""
+    """State after one iteration: `agents`, the topology's sorted ids, which
+    every row of that topology shares; per-agent estimate and variance as
+    (n,) float arrays aligned to `agents`, NaN while flat; the MSE over
+    defined estimates; and message counters.  Counters are 'messages sent'
+    in the algorithm's own unit: broadcasts for the linear-scaling variant,
+    directed sends for per-edge BP."""
 
     iteration: int
-    means: dict[int, float | None]
-    variances: dict[int, float | None]
+    agents: Sequence[int]
+    means: np.ndarray
+    variances: np.ndarray
     avg_mse: float
     broadcasts: float = 0.0
     deliveries: float = 0.0
@@ -82,7 +85,13 @@ class RunTrace:
 
     @property
     def final_estimates(self) -> dict[int, float | None]:
-        return self.rows[-1].means if self.rows else {}
+        """The last row's means by agent, None where it has no estimate;
+        a new dict on every read."""
+        if not self.rows:
+            return {}
+        row = self.rows[-1]
+        return {a: None if math.isnan(m) else m
+                for a, m in zip(row.agents, row.means.tolist())}
 
     @property
     def final_mse(self) -> float:
@@ -95,29 +104,27 @@ TRACE_COLUMNS = ("iteration", "agent", "mean", "variance", "avg_mse",
                  "broadcasts", "deliveries", "drops")
 
 
-def _cells(values: list) -> list[str]:
-    """The CSV cell of each value, in one pass: empty for None, a whole
-    number below 1e15 without its fraction, anything else by repr; a
-    non-finite value raises NumericError."""
-    x = np.array(values, dtype=float)          # None -> nan
-    if np.isinf(x).any() or np.count_nonzero(np.isnan(x)) != values.count(None):
-        bad = next(v for v in values if v is not None and not math.isfinite(v))
-        raise NumericError(f"non-finite value {bad!r} in the trace")
+def _cells(values: np.ndarray | list[float]) -> list[str]:
+    """The CSV cell of each value, in one pass: empty for NaN (no
+    estimate), a whole number below 1e15 without its fraction, anything
+    else by repr; an infinite value raises NumericError."""
+    x = np.asarray(values, dtype=float)
+    if np.isinf(x).any():
+        raise NumericError(f"non-finite value {float(x[np.isinf(x)][0])!r} in the trace")
     whole = ((x == np.trunc(x)) & (np.abs(x) < 1e15)).tolist()
-    return ["" if v is None else str(int(v)) if w else repr(v)
-            for v, w in zip(values, whole)]
+    return ["" if math.isnan(v) else str(int(v)) if w else repr(v)
+            for v, w in zip(x.tolist(), whole)]
 
 
 def trace_to_csv(trace: RunTrace) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     for row in trace.rows:
-        tail = ",".join([repr(float(row.avg_mse)), *_cells(
-            [float(row.broadcasts), float(row.deliveries), float(row.drops)])])
-        agents = sorted(row.means)
-        if not agents:
+        if not len(row.agents):
             continue
-        cells = map(",".join, zip(map(str, agents), _cells([row.means[a] for a in agents]),
-                                  _cells([row.variances[a] for a in agents])))
+        tail = ",".join([repr(float(row.avg_mse)), *_cells(
+            [row.broadcasts, row.deliveries, row.drops])])
+        cells = map(",".join, zip(map(str, row.agents), _cells(row.means),
+                                  _cells(row.variances)))
         # an agent's line: the row's lead, the agent's three cells, the row's trail
         lead, trail = f"{row.iteration},", f",{tail}"
         lines.append(lead + f"{trail}\n{lead}".join(cells) + trail)
@@ -130,8 +137,7 @@ def write_trace(trace: RunTrace, path) -> None:
 
 def summary_dict(trace: RunTrace) -> dict:
     out = {
-        "final_estimates": {str(a): trace.final_estimates[a]
-                            for a in sorted(trace.final_estimates)},
+        "final_estimates": {str(a): v for a, v in trace.final_estimates.items()},
         "converged_at": trace.converged_at,
         "diverged": False,   # kept for format compatibility; runs do not diverge
         "mse_avg": trace.final_mse if trace.rows else None,

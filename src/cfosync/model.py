@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentStateError
-from .graph import Graph, canonical_edge
+from .graph import Graph
 
 DEFAULT_MAX_OFFSET_HZ = 200.0
 # Noiseless generation still needs a positive variance so precision
@@ -137,7 +137,7 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
                           seed=0, sigma_overrides: dict[tuple[int, int], float] | None = None,
                           edges=None) -> MeasurementSet:
     """One noisy measurement r = f_i + f_j + n per edge of the graph, or per
-    edge of `edges` when given.
+    edge of `edges` when given: (k, 2) canonical rows (i < j) in sorted order.
 
     sigma is the homogeneous noise std; per-edge stds may be overridden via
     sigma_overrides.  sigma = 0 is allowed for noiseless tests; the stored
@@ -148,8 +148,8 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    pairs = graph.edge_array if edges is None else np.array(
-        sorted(canonical_edge(i, j) for i, j in edges), dtype=np.intp).reshape(-1, 2)
+    pairs = graph.edge_array if edges is None else \
+        np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     s = np.full(len(pairs), float(sigma))
     if sigma_overrides:
         at, found = sorted_lookup(pairs, np.array(list(sigma_overrides), dtype=np.intp))

@@ -15,12 +15,13 @@ into a one-round delay), then 2|E| if pdr < 1, one per directed edge in the
 engine's CSR order (a message below pdr arrives): O(|E|) draws a round.
 
 Timeline semantics: an event stamped k fires at the boundary after round k
-has been recorded, so its first visible effect is in row k+1.  A joining
-agent broadcasts for the first time in round k+1.  The trials advance
-together through one engine with a leading trial axis, each on its own
-streams, and run their rounds through `edges.iterate`, the stop rule the
-estimator front ends use: a trial stops early once its per-round change
-falls below the configured tolerances and no timeline events remain.
+has been recorded, so its first visible effect is in row k+1, and k must be
+below l_max.  A joining agent broadcasts for the first time in round k+1.
+The trials advance together through one engine with a leading trial axis,
+each on its own streams, and run their rounds through `edges.iterate`, the
+stop rule the estimator front ends use: a trial stops early once its
+per-round change falls below the configured tolerances and no timeline
+events remain.
 """
 
 from __future__ import annotations
@@ -92,9 +93,13 @@ def parse_timeline(text: str) -> list[TimelineEvent]:
 
 def validate_timeline(events: list[TimelineEvent], graph: Graph,
                       cfg: ExperimentConfig) -> None:
-    """Replay the id evolution so bad leave targets fail before the run."""
+    """Replay the id evolution so bad leave targets fail before the run;
+    an event stamped at or past l_max would never fire, and fails too."""
     sim = graph
     for ev in events:
+        if ev.iteration >= cfg.l_max:
+            raise ConfigError(f"timeline event at iteration {ev.iteration} never fires: "
+                              f"the run ends after round l_max={cfg.l_max}")
         if ev.kind == "leave":
             if ev.agent not in sim.agents:
                 raise ConfigError(f"timeline removes unknown agent {ev.agent}")
@@ -141,8 +146,10 @@ class _Batch:
     mse, sends, deliveries, drops.  Each round appends one row, the
     average of that state over the trials."""
 
-    def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth):
+    def __init__(self, cfg: ExperimentConfig, graph: Graph, truth: GroundTruth,
+                 overrides: dict[tuple[int, int], float]):
         self.cfg, self.graph, self.truth = cfg, graph, truth
+        self.overrides = overrides
         self.meas = self._measure()
         self.loss_rngs, self.sched_rngs = (
             [np.random.default_rng([cfg.master_seed, stream, t]) for t in range(cfg.trials)]
@@ -151,13 +158,13 @@ class _Batch:
         self.rows: list[IterationRow] = []
 
     def _measure(self, *key: int, edges=None) -> MeasurementSet:
-        """Every trial's measurements on the current graph (only on `edges`
-        if given), trial t's noise drawn from [master_seed, 2, t, *key]."""
+        """Every trial's measurements on the current graph (only on the
+        (k, 2) `edges` if given), trial t's noise drawn from
+        [master_seed, 2, t, *key]."""
         cfg = self.cfg
-        overrides = parse_sigma_overrides(cfg.sigma_overrides)
         return MeasurementSet.stacked([generate_measurements(
             self.graph, self.truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, t, *key],
-            sigma_overrides=overrides, edges=edges) for t in range(cfg.trials)])
+            sigma_overrides=self.overrides, edges=edges) for t in range(cfg.trials)])
 
     def run(self, events: list[TimelineEvent]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
@@ -172,10 +179,12 @@ class _Batch:
         return self
 
     def _topology(self, engine) -> None:
-        """What the rows of one topology share: the non-reference agents
-        without a neighbor and the true offsets, in the engine's id order;
-        and fresh held means and variances, which the next record fills for
-        every trial, since no trial stops before the last timeline event."""
+        """What the rows of one topology share: the engine's sorted ids, the
+        non-reference agents without a neighbor and the true offsets, in id
+        order; and fresh held means and variances, which the next record
+        fills for every trial, since no trial stops before the last timeline
+        event."""
+        self.agents = tuple(engine.ids)
         alone = np.flatnonzero(np.diff(engine.indptr) == 0)
         self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
@@ -227,8 +236,9 @@ class _Batch:
             mse, sends, deliveries, drops = self.scalars.mean(axis=1).tolist()
             self.rows.append(IterationRow(
                 iteration=len(self.rows),
-                means=_trial_mean(engine.ids, self.means),
-                variances=_trial_mean(engine.ids, self.variances),
+                agents=self.agents,
+                means=_trial_mean(self.means),
+                variances=_trial_mean(self.variances),
                 avg_mse=mse,
                 broadcasts=sends,
                 deliveries=deliveries,
@@ -248,8 +258,10 @@ class _Batch:
             self.truth = self.truth.with_offset(
                 new_id, draw_joiner_offset([cfg.master_seed, STREAM_TRUTH], new_id,
                                            cfg.max_offset))
+            # new_id is the largest id, so it ends each of its edges
+            edges = self.graph.edge_array
             self.meas = self.meas.merged_with(self._measure(
-                new_id, edges=[e for e in self.graph.edges if new_id in e]))
+                new_id, edges=edges[edges[:, 1] == new_id]))
         engine = engine.rebuilt(self.graph, self.meas)
         self._topology(engine)
         return engine
@@ -268,21 +280,18 @@ def _count_messages(cfg: ExperimentConfig, engine, skips: np.ndarray | None,
     return MessageCounters(np.stack([sends, delivered, intended - delivered]))
 
 
-def _trial_mean(ids: list[int], values: np.ndarray) -> dict[int, float | None]:
-    """Per agent, the mean over trials of its column of (T, n) `values`
-    (aligned to `ids`).  An agent flat (NaN) in some trials averages its
-    informative trials only, and is None when flat in all.  The trials are
-    transposed to a C-order (agents, trials) copy so that each agent's
-    values are summed as np.mean sums a list; an axis-0 mean would not be."""
+def _trial_mean(values: np.ndarray) -> np.ndarray:
+    """Per agent, the mean over trials of its column of (T, n) `values`.
+    An agent flat (NaN) in some trials averages its informative trials
+    only, and is NaN when flat in all.  The trials are transposed to a
+    C-order (agents, trials) copy so that each agent's values are summed as
+    np.mean sums a list; an axis-0 mean would not be."""
     stack = values.T.copy()
     out = stack.mean(axis=1)
     flat = np.isnan(stack)
     for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
         out[a] = np.mean(stack[a][~flat[a]])
-    means = dict(zip(ids, out.tolist()))
-    for a in np.flatnonzero(flat.all(axis=1)).tolist():
-        means[ids[a]] = None
-    return means
+    return out
 
 
 def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
@@ -325,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
             raise ConfigError(f"sigma override for non-edge {edge}")
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
-    batch = _Batch(cfg, graph, truth).run(events)
+    batch = _Batch(cfg, graph, truth, overrides).run(events)
     trace = RunTrace(rows=batch.rows, per_trial_converged_at=batch.converged_at)
     if cfg.oracle:
         _attach_oracle(trace, batch, cfg)

@@ -121,15 +121,16 @@ def test_criterion_02_variance_sweep_monotone_common_fixed_point():
     for label, cfg in batch:
         trace = run_experiment(cfg)
         iters_ok &= (trace.rows[-1].iteration <= SWEEP_MAX_ITERS)
-        agents = sorted(a for a in trace.rows[0].means if a != cfg.reference)
-        series = {a: np.array([row.variances[a] for row in trace.rows])
-                  for a in agents}
+        # no timeline: every row holds the same agents
+        stack = np.array([row.variances for row in trace.rows])
+        series = {a: stack[:, k] for k, a in enumerate(trace.rows[0].agents)
+                  if a != cfg.reference}
         for a, s in series.items():
             d = np.diff(s)
             slack = ELEMENTWISE_SLACK * float(np.max(s))
             if not (np.all(d <= slack) or np.all(d >= -slack)):
                 monotone_ok = False
-        finals.append(np.array([series[a][-1] for a in agents]))
+        finals.append(np.array([s[-1] for s in series.values()]))
     spread = max(float(np.max(np.abs(f - finals[0]) / finals[0]))
                  for f in finals[1:])
     common_ok = spread <= SWEEP_COMMON_REL

@@ -86,7 +86,8 @@ def config_texts(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(config_texts())
-# inputs that ended in a traceback or a warning before they were fixed
+# inputs that ended in a traceback, a warning or a silent no-op before they
+# were fixed
 @example(_text(reference="4"))                                   # not in the graph
 @example(_text(topology="edges:1-1"))                            # self loop
 @example(_text(positions="1:0,0"))                               # agents without one
@@ -100,6 +101,7 @@ def config_texts(draw):
 @example(_text(init_mode="uniform", init_variance="1e308"))      # trial mean overflows
 @example(_text(timeline="1:leave:2;1:leave:3", oracle="true"))   # oracle, no unknowns
 @example(_text(algorithm="bp", max_offset="1e13"))               # no divergence
+@example(_text(l_max="3", timeline="3:leave:3"))                 # never fires
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \

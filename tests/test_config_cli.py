@@ -165,6 +165,16 @@ def test_cli_rejects_negative_radius(tmp_path, capsys):
     assert "radius must be >= 0" in err[0]
 
 
+def test_cli_rejects_timeline_event_past_l_max(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRIANGLE_CFG + "timeline = 60:leave:3\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: code=2 kind=")
+    assert "iteration 60 never fires" in err[0]
+
+
 @pytest.mark.parametrize("topology, reason", [
     # squared distances beyond the float range
     ("random:n=2,width=1e308,height=1,radius=inf", "overflow encountered"),
@@ -248,7 +258,8 @@ def test_cli_overflow_exits_numeric(tmp_path, capsys):
 
 
 def test_cli_preset_expansion(tmp_path):
-    rc = main(["--preset", "dynamic-topology", "--trials", "2", "--iters", "8",
+    # the joins are stamped 10 and 11, so they fire within 12 rounds
+    rc = main(["--preset", "dynamic-topology", "--trials", "2", "--iters", "12",
                "--out", str(tmp_path / "batch")])
     assert rc == 0
     assert (tmp_path / "batch" / "lsbp" / "summary.json").exists()

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cfosync import (BeliefPropagation, Graph, LinearScalingBP, generate_measurements,
-                     generate_truth, is_feasible_start, variance_fixed_point,
-                     variance_map, variance_map_bound)
+from cfosync import (Graph, LinearScalingBP, generate_measurements, generate_truth,
+                     is_feasible_start, variance_fixed_point, variance_map,
+                     variance_map_bound)
 from cfosync.edges import iterate, step_delta
 from cfosync.errors import NumericError
 from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
@@ -277,25 +277,3 @@ def test_triangle_converges_within_expected_iterations():
     # contraction rate ~0.382 per round implies convergence well under 60
     assert est.converged_ and est.n_iter_ <= 60
 
-
-# -- estimator surface --------------------------------------------------------
-
-ESTIMATORS = pytest.mark.parametrize(
-    "estimator", [LinearScalingBP, BeliefPropagation], ids=lambda c: c.__name__)
-
-
-@ESTIMATORS
-def test_get_set_params_round_trip(estimator):
-    est = estimator(max_iter=7, mean_tol=1e-3)
-    params = est.get_params()
-    assert params["max_iter"] == 7
-    est.set_params(max_iter=9)
-    assert est.get_params()["max_iter"] == 9
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
-
-
-@ESTIMATORS
-def test_unfitted_predict_raises(estimator):
-    with pytest.raises(RuntimeError, match="not fitted"):
-        estimator().predict()

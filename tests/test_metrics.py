@@ -87,30 +87,48 @@ def test_avg_mse_relabeling_invariance():
 
 def _tiny_trace() -> RunTrace:
     rows = [
-        IterationRow(iteration=0, means={1: 0.1 + 0.2, 2: None},
-                     variances={1: 1e-12, 2: None}, avg_mse=0.0),
-        IterationRow(iteration=1, means={1: 0.3, 2: -1.23456789012345e-7},
-                     variances={1: 1e-12, 2: 0.5}, avg_mse=1.0 / 3.0,
+        IterationRow(iteration=0, agents=(1, 2), means=np.array([0.1 + 0.2, np.nan]),
+                     variances=np.array([1e-12, np.nan]), avg_mse=0.0),
+        IterationRow(iteration=1, agents=(1, 2), means=np.array([0.3, -1.23456789012345e-7]),
+                     variances=np.array([1e-12, 0.5]), avg_mse=1.0 / 3.0,
                      broadcasts=2.0, deliveries=3.0, drops=1.0),
     ]
     return RunTrace(rows=rows, per_trial_converged_at=[1])
 
 
 def test_trace_csv_round_trip_is_exact():
+    # NaN is "no estimate": an empty cell, read back as None
     trace = _tiny_trace()
-    trace.rows.append(IterationRow(iteration=2, means={}, variances={}, avg_mse=0.5))
-    parsed = read_trace_csv(trace_to_csv(trace))
-    expected = [(row.iteration, a, row.means[a], row.variances[a], row.avg_mse,
+    trace.rows.append(IterationRow(iteration=2, agents=(), means=np.empty(0),
+                                   variances=np.empty(0), avg_mse=0.5))
+    cell = lambda x: None if math.isnan(x) else x
+    expected = [(row.iteration, a, cell(m), cell(v), row.avg_mse,
                  row.broadcasts, row.deliveries, row.drops)
-                for row in trace.rows for a in sorted(row.means)]
+                for row in trace.rows
+                for a, m, v in zip(row.agents, row.means.tolist(), row.variances.tolist())]
+    parsed = read_trace_csv(trace_to_csv(trace))
     assert [tuple(rec[c] for c in TRACE_COLUMNS) for rec in parsed] == expected
+    assert expected[1][2:4] == (None, None)
 
 
 def test_trace_csv_rejects_non_finite_values():
-    trace = _tiny_trace()
-    trace.rows[1].means[2] = float("nan")
-    with pytest.raises(NumericError):
-        trace_to_csv(trace)
+    for column in ("means", "variances"):
+        for value in (math.inf, -math.inf):
+            trace = _tiny_trace()
+            getattr(trace.rows[1], column)[1] = value
+            with pytest.raises(NumericError, match=f"{value!r} in the trace"):
+                trace_to_csv(trace)
+
+
+def test_summary_reads_final_estimates_once(monkeypatch):
+    # final_estimates builds a new dict on every read: a read per agent
+    # would make summary_dict quadratic in the number of agents
+    reads, real = [], RunTrace.final_estimates
+    monkeypatch.setattr(RunTrace, "final_estimates",
+                        property(lambda self: reads.append(1) or real.fget(self)))
+    assert summary_dict(_tiny_trace())["final_estimates"] == {
+        "1": 0.3, "2": -1.23456789012345e-7}
+    assert len(reads) == 1
 
 
 def test_trace_csv_header_checked():

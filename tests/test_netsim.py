@@ -10,10 +10,10 @@ from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 import cfosync.netsim as netsim
 from cfosync.errors import ConfigError
-from cfosync.metrics import summary_dict, trace_to_csv
+from cfosync.metrics import RunTrace, summary_dict, trace_to_csv
 from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
                             validate_timeline)
-from cfosync.config import parse_topology, validate_config
+from cfosync.config import parse_sigma_overrides, parse_topology, validate_config
 
 from helpers import preset_density_graph
 
@@ -36,7 +36,7 @@ def _batch(cfg, graph=None):
     (or on `graph`), before any round."""
     graph = graph or parse_topology(cfg)
     truth = generate_truth(graph, cfg.max_offset, seed=[cfg.master_seed, 1, 0])
-    batch = _Batch(cfg, graph, truth)
+    batch = _Batch(cfg, graph, truth, parse_sigma_overrides(cfg.sigma_overrides))
     engine = _make_engine(cfg, graph, batch.meas, truth)
     batch._topology(engine)
     return batch, engine
@@ -151,7 +151,8 @@ def test_run_zero_iterations_records_initial_state_only():
     assert len(trace.rows) == 1
     assert trace.rows[0].iteration == 0
     # zero-precision init, only ref defined
-    assert [a for a, m in trace.rows[0].means.items() if m is None] == [2, 3]
+    row = trace.rows[0]
+    assert [a for a, m in zip(row.agents, row.means) if np.isnan(m)] == [2, 3]
 
 
 def test_run_is_deterministic():
@@ -196,10 +197,27 @@ def test_async_trace_bytes_are_pinned():
         "1fc81fce23d65cf95d3fb2e3134a8912bc20c4628e7dcd770931543658f0178e"
 
 
+def test_final_estimates_are_none_exactly_where_the_last_mean_is_nan():
+    # the pinned-digest config, whose early rows hold agents flat in every
+    # trial; every prefix of its rows is read as a trace of its own
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           pdr=0.7, trials=12, l_max=25, master_seed=21,
+                           timeline="6:leave:5;9:join:250,250")
+    rows, nones = run_experiment(cfg).rows, 0
+    for k, row in enumerate(rows):
+        finals = RunTrace(rows=rows[:k + 1]).final_estimates
+        flat = np.isnan(row.means)
+        assert list(finals) == list(row.agents)
+        assert [v is None for v in finals.values()] == flat.tolist()
+        assert [v for v in finals.values() if v is not None] == row.means[~flat].tolist()
+        nones += int(flat.sum())
+    assert nones > 0
+
+
 def test_trial_mean_averages_informative_trials_only():
     nan = np.nan
     trials = np.array([[1.0, nan, nan, 2.0], [3.0, 4.0, nan, 2.5]])
-    assert _trial_mean([1, 2, 5, 9], trials) == {1: 2.0, 2: 4.0, 5: None, 9: 2.25}
+    np.testing.assert_array_equal(_trial_mean(trials), [2.0, 4.0, nan, 2.25])
 
 
 def test_oracle_lays_out_the_directed_edges_once(monkeypatch):
@@ -261,8 +279,8 @@ def test_leave_event_fires_after_its_iteration():
     cfg = ExperimentConfig(topology=TRIANGLE, l_max=5, timeline="2:leave:3",
                            master_seed=5, mean_tol=1e-15)
     trace = run_experiment(cfg)
-    assert 3 in trace.rows[2].means       # still present in row 2
-    assert 3 not in trace.rows[3].means   # gone from row 3 on
+    assert 3 in trace.rows[2].agents       # still present in row 2
+    assert 3 not in trace.rows[3].agents   # gone from row 3 on
 
 
 def test_join_event_adds_fresh_id_and_estimate():
@@ -270,17 +288,22 @@ def test_join_event_adds_fresh_id_and_estimate():
     cfg = ExperimentConfig(topology=topo, l_max=8, timeline="3:join:50,50",
                            master_seed=6, mean_tol=1e-15)
     trace = run_experiment(cfg)
-    assert 7 not in trace.rows[3].means
-    assert 7 in trace.rows[4].means        # joins before round 4, broadcasts there
-    assert trace.rows[4].means[7] is not None
+    assert 7 not in trace.rows[3].agents
+    row = trace.rows[4]
+    assert 7 in row.agents                 # joins before round 4, broadcasts there
+    assert not np.isnan(row.means[row.agents.index(7)])
     assert trace.final_estimates[7] is not None
 
 
 def test_events_beyond_horizon_never_fire():
-    cfg = ExperimentConfig(topology=TRIANGLE, l_max=3, timeline="7:leave:3",
-                           master_seed=7, mean_tol=1e-15)
-    trace = run_experiment(cfg)
-    assert 3 in trace.rows[-1].means
+    # an event stamped at or past l_max would never fire: it is rejected
+    for when in (7, 3):
+        cfg = ExperimentConfig(topology=TRIANGLE, l_max=3, timeline=f"{when}:leave:3",
+                               master_seed=7, mean_tol=1e-15)
+        with pytest.raises(ConfigError, match="never fires"):
+            run_experiment(cfg)
+    cfg = dataclasses.replace(cfg, timeline="2:leave:3")
+    assert 3 not in run_experiment(cfg).rows[-1].agents
 
 
 def test_sigma_override_for_missing_edge_rejected():
@@ -306,7 +329,7 @@ def test_leave_isolating_an_agent_flags_it_unobservable():
     trace = run_experiment(cfg)
     row = trace.rows[3]   # first row after the leave fires
     assert row.unobservable == (3,)
-    assert row.means[3] is None   # empty neighborhood resets the belief
+    assert np.isnan(row.means[row.agents.index(3)])   # empty neighborhood resets the belief
 
 
 def test_dynamic_mse_recovers_after_joins():
