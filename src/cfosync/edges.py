@@ -1,8 +1,8 @@
 """Directed-edge state shared by the two round engines.
 
 Every undirected edge {i, j} becomes two directed edges, j -> i and i -> j.
-The 2|E| directed edges are sorted by receiver, then sender (a CSR layout):
-`dst[e]` receives what `src[e]` sends, agent k's inbox is the slice
+The graph lays them out once (`Graph.layout`), sorted by receiver, then
+sender: `dst[e]` receives what `src[e]` sends, agent k's inbox is the slice
 indptr[k]:indptr[k+1], and `rev[e]` is the edge in the opposite direction.
 Per-agent sums are one np.bincount over `dst`, so a round costs O(|E|)
 however many agents there are.
@@ -45,32 +45,32 @@ def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
 
 
 class DirectedEdges:
-    """The directed edges of a graph with their noise variances `sig2` and,
-    per trial, their measurements `r` (T, 2|E|): `meas` holds one row of
-    measurements per trial over shared edges and variances (a 1-D set is one
-    trial).  Agents are numbered by position in the sorted id list `ids`;
-    `index` maps an id to its position."""
+    """The directed edges of a graph (its `layout`) with their noise
+    variances `sig2` and, per trial, their measurements `r` (T, 2|E|):
+    `meas` holds one row of measurements per trial over shared edges and
+    variances (a 1-D set is one trial).  Agents are numbered by position in
+    the sorted id list `ids`; `index` maps an id to its position."""
 
     def __init__(self, graph: Graph, meas: MeasurementSet):
-        self.ids = sorted(graph.agents)
+        ids, self.src, self.dst, self.rev, self.indptr, pair = graph.layout
+        self.ids = ids.tolist()
         self.index = {a: k for k, a in enumerate(self.ids)}
-        n = self.n = len(self.ids)
+        self.n = len(self.ids)
         self.ref = self.index[graph.reference]
+        rows = meas.rows_of(graph.edge_array)[pair]
+        # np.take keeps r C-ordered; a fancy index along axis 1 would not
+        self.r = np.take(np.atleast_2d(meas.r_array), rows, axis=1)
+        self.sig2 = meas.sigma2_array[rows]
+        self._bins = None   # of _agent_sums, made on first use
 
-        pairs = graph.edge_array
-        ends = np.searchsorted(self.ids, pairs)
-        rows = meas.rows_of(pairs)
-        m = len(pairs)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.lexsort((src, dst))
-        where = np.empty_like(order)
-        where[order] = np.arange(2 * m)
-        self.src, self.dst = src[order], dst[order]
-        self.rev = where[(order + m) % max(2 * m, 1)]
-        self.r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
-        self.sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.dst, minlength=n))])
+    def _agent_sums(self, values: np.ndarray) -> np.ndarray:
+        """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over
+        dst + t*n, which adds each agent's terms in CSR order (float even
+        without edges, where bincount gives integers)."""
+        if self._bins is None:
+            self._bins = (self.dst + self.n * np.arange(len(self.r))[:, None]).ravel()
+        sums = np.bincount(self._bins, values.ravel(), len(self.r) * self.n)
+        return sums.reshape(len(self.r), self.n).astype(float, copy=False)
 
 
 class EdgeEngine(DirectedEdges):
@@ -94,7 +94,6 @@ class EdgeEngine(DirectedEdges):
         self.prec[:, self.ref] = self.reference_precision
         self.mean[:, self.ref] = self.reference_value
         self.edge_prec, self.edge_mean = np.zeros((2, *self.r.shape))
-        self.take(slice(None))
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "EdgeEngine":
         """A new engine of the same kind and parameters on another graph."""
@@ -104,15 +103,8 @@ class EdgeEngine(DirectedEdges):
         """Keep only the trials at row positions `rows`, in that order."""
         for name in self._per_trial:
             setattr(self, name, getattr(self, name)[rows])
-        self._bins = (self.dst + self.n * np.arange(len(self.trials))[:, None]).ravel()
+        self._bins = None
         return self
-
-    def _agent_sums(self, values: np.ndarray) -> np.ndarray:
-        """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over
-        dst + t*n, which adds each agent's terms in CSR order (float even
-        without edges, where bincount gives integers)."""
-        sums = np.bincount(self._bins, values.ravel(), len(self.trials) * self.n)
-        return sums.reshape(len(self.trials), self.n).astype(float, copy=False)
 
     def _set_beliefs(self, msg_prec: np.ndarray, msg_wm: np.ndarray) -> None:
         """Every belief becomes the product of its incoming messages, given

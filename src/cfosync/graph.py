@@ -4,7 +4,8 @@ Graphs are immutable values: the mutation operations (agent removal, agent
 join) return new graphs, so snapshots taken by the simulator stay valid.
 Agent ids are stable for the life of a run; ids of removed agents are never
 reused, joiners always get fresh ids.  A graph holds its edges as one sorted
-(|E|, 2) id array; neighbour lookups and connectivity read a CSR view of it.
+(|E|, 2) id array, and lays its directed edges out from it once (`layout`),
+which neighbour lookups, connectivity, the engines and the oracle all read.
 """
 
 from __future__ import annotations
@@ -88,15 +89,26 @@ class Graph:
         return frozenset(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, indptr, nbr): the sorted agent ids, and the neighbours of
-        agent ids[k] as positions nbr[indptr[k]:indptr[k+1]]."""
+    def layout(self) -> tuple[np.ndarray, ...]:
+        """(ids, src, dst, rev, indptr, pair): the 2|E| directed edges in
+        read-only arrays, by receiver, then sender.  Agent k is ids[k]; edge
+        e carries what src[e] sends to dst[e], k's inbox is
+        indptr[k]:indptr[k+1], rev[e] is the reverse edge and pair[e] the
+        edge_array row of e.  edge_array ascends, so one stable sort by
+        receiver orders each inbox by sender."""
         ids = np.array(sorted(self.agents))
         ends = np.searchsorted(ids, self.edge_array)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(ids)))])
-        return ids, indptr, dst[np.argsort(src, kind="stable")]
+        m = len(ends)
+        order = np.argsort(np.concatenate([ends[:, 1], ends[:, 0]]), kind="stable")
+        where = np.empty_like(order)
+        where[order] = np.arange(2 * m)
+        src, dst = (np.concatenate([ends[:, a], ends[:, 1 - a]])[order] for a in (0, 1))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(ids)))])
+        layout = (ids, src, dst, where[(order + m) % max(2 * m, 1)], indptr,
+                  order % max(m, 1))
+        for a in layout:
+            a.flags.writeable = False
+        return layout
 
     @property
     def num_agents(self) -> int:
@@ -105,9 +117,9 @@ class Graph:
     def neighbors(self, i: int) -> frozenset[int]:
         if i not in self.agents:
             raise UnknownAgentError(f"unknown agent id {i}")
-        ids, indptr, nbr = self._csr
+        ids, src, _, _, indptr, _ = self.layout
         k = int(np.searchsorted(ids, i))
-        return frozenset(ids[nbr[indptr[k]:indptr[k + 1]]].tolist())
+        return frozenset(ids[src[indptr[k]:indptr[k + 1]]].tolist())
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -118,9 +130,9 @@ class Graph:
 
     def unreachable_agents(self) -> set[int]:
         """Breadth-first search from the reference, one array step per hop:
-        the frontier's neighbour slices are gathered from the CSR view and
+        the frontier's inbox slices of the layout give its neighbours, and
         the unseen ones form the next frontier."""
-        ids, indptr, nbr = self._csr
+        ids, nbr, _, _, indptr, _ = self.layout
         seen = np.zeros(len(ids), dtype=bool)
         frontier = np.searchsorted(ids, [self.reference])
         seen[frontier] = True
@@ -166,7 +178,7 @@ class Graph:
             raise ValueError("add_agent requires a graph with positions")
         new_id = self.next_id
         x, y = float(position[0]), float(position[1])
-        ids = self._csr[0]
+        ids = self.layout[0]
         coords = np.array([self.positions[a] for a in ids.tolist()], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             linked = ids[_distance(coords, np.array([x, y])) <= radius]

@@ -112,12 +112,10 @@ def is_feasible_start(graph: Graph, meas: MeasurementSet, p0: np.ndarray,
 
 def variance_fixed_point(graph: Graph, meas: MeasurementSet,
                          ref_precision: float = DEFAULT_REFERENCE_PRECISION,
-                         tol: float = 1e-14, max_iter: int = 100000, *,
-                         edges: DirectedEdges | None = None) -> np.ndarray:
+                         tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
     """Iterate the precision update from the flat start until stationary.
-    Returns precisions of non-reference agents in sorted-id order.  `edges`
-    is DirectedEdges(graph, meas), if the caller already holds it."""
-    edges = DirectedEdges(graph, meas) if edges is None else edges
+    Returns precisions of non-reference agents in sorted-id order."""
+    edges = DirectedEdges(graph, meas)
     p = np.zeros(edges.n - 1)
     for _ in range(max_iter):
         p_next = _precision_update(edges, p, ref_precision)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,29 +22,17 @@ from .errors import MetricError, NumericError
 
 def avg_mse(means: np.ndarray, prec: np.ndarray, truth: np.ndarray,
             mse_normalization: float) -> np.ndarray:
-    """mean_square_error of each trial's agents with precision > 0 in
-    (T, n) `means`/`prec` against (n,) `truth`, summed pairwise; NaN for a
-    trial without one.  An overflow raises FloatingPointError.  The
-    simulator calls it by the name netsim imports, which the bench's tracer
-    wraps."""
+    """Per trial, the mean of ((estimate - truth)/B)^2 over the agents with
+    precision > 0 in (T, n) `means`/`prec` against (n,) `truth`, summed
+    pairwise; NaN for a trial without one.  An overflow raises
+    FloatingPointError.  The simulator calls it by the name netsim imports,
+    which the bench's tracer wraps."""
     known = prec > 0
     with np.errstate(over="raise"):
         err = np.where(known, (means - truth) / mse_normalization, 0.0)
         total = (err * err).sum(axis=1)
     count = np.count_nonzero(known, axis=1)
     return np.divide(total, count, out=np.full(len(count), np.nan), where=count > 0)
-
-
-def mean_square_error(pairs: Iterable[tuple[float, float]],
-                      mse_normalization: float = 1.0) -> float:
-    """Average of ((estimate - truth)/B)^2 over (estimate, truth) pairs,
-    summed left to right; MetricError when there are none."""
-    if mse_normalization <= 0:
-        raise MetricError("mse_normalization must be > 0")
-    errs = [((v - f) / mse_normalization) ** 2 for v, f in pairs]
-    if not errs:
-        raise MetricError("no agent holds an estimate; metric undefined")
-    return sum(errs) / len(errs)
 
 
 @dataclass
@@ -116,8 +104,10 @@ def _cells(values: np.ndarray | list[float]) -> list[str]:
             for v, w in zip(x.tolist(), whole)]
 
 
-def trace_to_csv(trace: RunTrace) -> str:
-    lines = [",".join(TRACE_COLUMNS)]
+def _csv_blocks(trace: RunTrace) -> Iterator[str]:
+    """The trace's CSV text: the header line, then one block of lines per
+    row, so a writer holds one row's text at a time."""
+    yield ",".join(TRACE_COLUMNS) + "\n"
     for row in trace.rows:
         if not len(row.agents):
             continue
@@ -126,13 +116,17 @@ def trace_to_csv(trace: RunTrace) -> str:
         cells = map(",".join, zip(map(str, row.agents), _cells(row.means),
                                   _cells(row.variances)))
         # an agent's line: the row's lead, the agent's three cells, the row's trail
-        lead, trail = f"{row.iteration},", f",{tail}"
-        lines.append(lead + f"{trail}\n{lead}".join(cells) + trail)
-    return "\n".join(lines) + "\n"
+        lead, trail = f"{row.iteration},", f",{tail}\n"
+        yield lead + f"{trail}{lead}".join(cells) + trail
+
+
+def trace_to_csv(trace: RunTrace) -> str:
+    return "".join(_csv_blocks(trace))
 
 
 def write_trace(trace: RunTrace, path) -> None:
-    Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_csv_blocks(trace))
 
 
 def summary_dict(trace: RunTrace) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 from .bp import BpEngine
 from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
                      parse_topology, validate_config)
-from .edges import DirectedEdges, iterate
+from .edges import iterate
 from .errors import ConfigError, NumericError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
@@ -295,18 +295,17 @@ def _trial_mean(values: np.ndarray) -> np.ndarray:
 
 
 def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> None:
-    """WLS means over the trials, CRLB and rho_K on the final topology: one
-    directed-edge layout for the three systems, and one linear system, whose
-    normal matrix is solved once for every trial and inverted once for the
-    CRLB."""
+    """WLS means over the trials, CRLB and rho_K on the final topology: the
+    three systems read the final graph's directed-edge layout, which the
+    engine has already laid out, and one linear system's normal matrix is
+    solved once for every trial and inverted once for the CRLB."""
     graph, truth, meas = batch.graph, batch.truth, batch.meas
     if len(graph.agents) < 2:
         raise ConfigError("the oracle needs an agent besides the reference")
-    edges = DirectedEdges(graph, meas)
-    pstar = variance_fixed_point(graph, meas, cfg.reference_precision, edges=edges)
-    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value, edges=edges)
+    pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
+    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
     fps = oracle_mod.build_fixed_point_system(graph, meas, pstar, truth.reference_value,
-                                              cfg.reference_precision, edges=edges)
+                                              cfg.reference_precision)
     trace.oracle = {
         "rho_K": oracle_mod.spectral_radius(fps.K),
         "crlb": oracle_mod.crlb(system),

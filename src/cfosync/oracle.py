@@ -43,8 +43,7 @@ def _inbox_sums(edges: DirectedEdges, w: np.ndarray, reference_value: float,
     w[e] * r[e], with the known reference value taken out of the reference's
     measurements.  (T, N-1) on a stacked set, else (N-1,)."""
     terms = w * (edges.r - np.where(edges.src == edges.ref, reference_value, 0.0))
-    sums = np.delete([np.bincount(edges.dst, row, edges.n) for row in terms],
-                     edges.ref, axis=1)
+    sums = np.delete(edges._agent_sums(terms), edges.ref, axis=1)
     return sums if stacked else sums[0]
 
 
@@ -73,15 +72,14 @@ class LinearSystem:
             raise UnobservableError(self.columns) from exc
 
 
-def build_linear_system(graph: Graph, meas: MeasurementSet, reference_value: float,
-                        *, edges: DirectedEdges | None = None) -> LinearSystem:
-    """The normal equations; `edges` is DirectedEdges(graph, meas), if the
-    caller already holds it.  Agents without a path to the reference raise
+def build_linear_system(graph: Graph, meas: MeasurementSet,
+                        reference_value: float) -> LinearSystem:
+    """The normal equations.  Agents without a path to the reference raise
     UnobservableError."""
     unreachable = graph.unreachable_agents()
     if unreachable:
         raise UnobservableError(unreachable)
-    edges = DirectedEdges(graph, meas) if edges is None else edges
+    edges = DirectedEdges(graph, meas)
     w = 1.0 / edges.sig2
     return LinearSystem(
         normal=_reduced_matrix(edges, w, np.bincount(edges.dst, w, edges.n)),
@@ -129,12 +127,11 @@ class FixedPointSystem:
 def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
                              converged_precisions: np.ndarray,
                              reference_value: float,
-                             reference_precision: float = DEFAULT_REFERENCE_PRECISION,
-                             *, edges: DirectedEdges | None = None) -> FixedPointSystem:
+                             reference_precision: float = DEFAULT_REFERENCE_PRECISION
+                             ) -> FixedPointSystem:
     """Materialize (K, eta) from converged belief precisions (vector over
-    non-reference agents in sorted-id order); `edges` is
-    DirectedEdges(graph, meas), if the caller already holds it."""
-    edges = DirectedEdges(graph, meas) if edges is None else edges
+    non-reference agents in sorted-id order)."""
+    edges = DirectedEdges(graph, meas)
     if len(converged_precisions) != edges.n - 1:
         raise ValueError("converged_precisions misaligned with non-reference agents")
     prec = np.insert(converged_precisions, edges.ref, reference_precision)

@@ -2,19 +2,21 @@
 preset-density graphs, measurement sets with heterogeneous noise, and
 per-edge delivery masks), scalar references (information-
 form Gaussians and the edge and BP cavity messages, per-edge measurement
-generation and lookups, the oracle's dense design and fixed-point loop),
-the dense n x n random geometric graph,
-and text round trips of graphs, truths, measurement sets and traces."""
+generation and lookups, the oracle's dense design and fixed-point loop,
+the mean square error), the dense n x n random geometric graph, the
+lexsort layout of the directed edges, and text round trips of graphs,
+truths, measurement sets and traces."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
-from cfosync.errors import GenerationError
+from cfosync.errors import GenerationError, MetricError
 from cfosync.graph import DEFAULT_COMM_RADIUS, DEFAULT_RETRY_BUDGET, canonical_edge
 from cfosync.metrics import TRACE_COLUMNS
 from cfosync.model import NOISELESS_SIGMA2, GroundTruth
@@ -104,6 +106,41 @@ def delivery_mask(edges, draws) -> np.ndarray | None:
         if pdr < 1.0:
             row &= rng.random(len(edges.src)) < pdr
     return arrived
+
+
+def lexsort_directed_edges(graph: Graph, meas: MeasurementSet
+                           ) -> tuple[np.ndarray, ...]:
+    """The reference for `Graph.layout` and the measurements DirectedEdges
+    gathers along it: (src, dst, rev, indptr, r, sig2), with the directed
+    edges ordered by one lexsort by receiver, then sender, and each edge's
+    measurements tiled over both directions."""
+    ids = sorted(graph.agents)
+    pairs = graph.edge_array
+    ends = np.searchsorted(ids, pairs)
+    rows = meas.rows_of(pairs)
+    m = len(pairs)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.lexsort((src, dst))
+    where = np.empty_like(order)
+    where[order] = np.arange(2 * m)
+    r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
+    sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[order], minlength=len(ids)))])
+    return src[order], dst[order], where[(order + m) % max(2 * m, 1)], indptr, r, sig2
+
+
+def mean_square_error(pairs: Iterable[tuple[float, float]],
+                      mse_normalization: float = 1.0) -> float:
+    """The scalar reference for `cfosync.avg_mse`: the average of
+    ((estimate - truth)/B)^2 over (estimate, truth) pairs, summed left to
+    right; MetricError when there are none."""
+    if mse_normalization <= 0:
+        raise MetricError("mse_normalization must be > 0")
+    errs = [((v - f) / mse_normalization) ** 2 for v, f in pairs]
+    if not errs:
+        raise MetricError("no agent holds an estimate; metric undefined")
+    return sum(errs) / len(errs)
 
 
 def measurement_set(records: dict[tuple[int, int], tuple[float, float]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,66 @@ def test_cli_preset_expansion(tmp_path):
 
 
 # -- presets ------------------------------------------------------------------
+
+# sha256 of every output file of the three presets, pdr-sweep cut to 20
+# trials; a deliberate change of a random stream, a summation order or a
+# solver updates these digests
+PRESET_DIGESTS = {
+    "dynamic-topology/bp/summary.json":
+        "ff96911c8a7b77411ab20ee1ff3dfa100212eeda6da3e65cb9d613b092ab162a",
+    "dynamic-topology/bp/trace.csv":
+        "a6d4eb2b0a58c0c4478d43697e46f604d3a9e10e32493ecc89064e730a525307",
+    "dynamic-topology/lsbp/summary.json":
+        "56c8eaf382f713d5ea0eb9747dfa5f66f3f152b5d7a35df5a10bbc8d22c76542",
+    "dynamic-topology/lsbp/trace.csv":
+        "4395b351abca29e61c75a5f89a729f95a64fee76e947590b558fe5d8c8ccff37",
+    "pdr-sweep/bp-pdr60/summary.json":
+        "1ea03f0524f80e74846d7ad1ef25e31efe24f5a6d5cae280edc4ff974f63cf45",
+    "pdr-sweep/bp-pdr60/trace.csv":
+        "071e36f4c01a3b64153651d05a3ed624ae12be2eb40116d6719a0eb2634dba10",
+    "pdr-sweep/bp-pdr80/summary.json":
+        "2e2fd625362e5041939b632b887f0df4f59d49a81cf1558cfcf43b4c6de2dcf7",
+    "pdr-sweep/bp-pdr80/trace.csv":
+        "716a7fa394efa26baf5b48b8737aa16321f7df82afef7ff6f9e29244b3a4d8d0",
+    "pdr-sweep/lsbp-pdr60/summary.json":
+        "6cbffeda1723ce9e0d00515c235ff2b92498c49c810ca1532cf4aff635db1b54",
+    "pdr-sweep/lsbp-pdr60/trace.csv":
+        "0ce91fd372da8d3dfa785087b928ad35f0adbfe06e959ace8e69d2a919745606",
+    "pdr-sweep/lsbp-pdr80/summary.json":
+        "128e415282ded562e9aeb122ed4f11fc5b49567a1264e536faa1123e833df0f9",
+    "pdr-sweep/lsbp-pdr80/trace.csv":
+        "c23ecd74b777091bd1e77d6b3892859147c31aa77bd7ac70819bc987c32f902c",
+    "variance-sweep/p0-0.01/summary.json":
+        "473d84b7930c06f5c60d12a320e171ad78d8f39e1acb0c95854de6670296c30d",
+    "variance-sweep/p0-0.01/trace.csv":
+        "cdd97badb62f1425bf84c1748bb9f0515bce652ad8b7abf7a269778be7f0f32b",
+    "variance-sweep/p0-0.1/summary.json":
+        "b460d47bc7865a54807522fd27924fe1bae4a33936b6a69e7a878cd8d8d11830",
+    "variance-sweep/p0-0.1/trace.csv":
+        "61886459cac46642d7148c10dea8009022464df82acf20705ea6443eeddea4eb",
+    "variance-sweep/p0-1/summary.json":
+        "40f6300dc7f38d32646c8422e3512dc1617d4d4e1596189c3fe3cc3e72059600",
+    "variance-sweep/p0-1/trace.csv":
+        "e0a69558436fb0a64a96604136d59f78cb541c86ea7916c564b21c5897b95373",
+    "variance-sweep/p0-10/summary.json":
+        "9c3e90f8ed288d2ec63c14a9186be10aeacba80ef07f879d3987f88cdd442707",
+    "variance-sweep/p0-10/trace.csv":
+        "f6b5b23ba8ca40affc2b3b2066050af9ea253cac16bfdb669b5ac9ea5ef2041b",
+    "variance-sweep/p0-100/summary.json":
+        "56502360bb7b0cc96a982d7c318092055447ae42c23c3d73f93cd698649746bb",
+    "variance-sweep/p0-100/trace.csv":
+        "0469c40ce6a2e68bb2bb547caaa313f43dacfb406bb0e191be83bafc3f38d8d9",
+}
+
+
+def test_preset_output_bytes_are_pinned(tmp_path):
+    for preset, extra in (("dynamic-topology", []), ("variance-sweep", []),
+                          ("pdr-sweep", ["--trials", "20"])):
+        assert main(["--preset", preset, *extra, "--out", str(tmp_path / preset)]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.name in ("trace.csv", "summary.json")}
+    assert written == PRESET_DIGESTS
+
 
 def test_variance_sweep_configs_differ_only_in_init_variance():
     from cfosync.presets import preset_configs

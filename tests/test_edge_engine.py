@@ -3,7 +3,8 @@ edge_message and Gaussian1D products (tests/helpers.py), on seeded lossy
 graphs with skips (per-edge delivery masks from tests/helpers.py),
 both init modes and a leave/join rebuild; a batch of trials against the
 same trials run one engine each; the batched asynchronous round's array
-layout, summation order and calls per round; plus the O(|E|) state check."""
+layout, summation order and calls per round; the graph's directed-edge
+layout against a lexsort reference; plus the O(|E|) state check."""
 
 import math
 import time
@@ -14,11 +15,12 @@ import pytest
 from cfosync import Graph, MeasurementSet, lsbp, random_geometric
 from cfosync.bp import BpEngine
 from cfosync.lsbp import BeliefInit, LsbpEngine
-from cfosync.edges import iterate, message_precision
+from cfosync.edges import DirectedEdges, iterate, message_precision
 
 from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
-                     edge_message, heterogeneous_measurements, meas_r, meas_sigma2,
-                     measurement_set, preset_density_graph)
+                     edge_message, heterogeneous_measurements, lexsort_directed_edges,
+                     meas_r, meas_sigma2, measurement_set, preset_density_graph,
+                     random_connected_graph)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -206,6 +208,27 @@ def _batch_run(engine, trial_ids, timeline, schedule):
         for k, g, sets in timeline]
     _, *results = iterate(engine, step, 300, 1e-6, 1e-9, changes)
     return {t: tuple(r[row] for r in results) for row, t in enumerate(trial_ids)}, states
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_directed_edges_match_the_lexsort_reference(seed):
+    # the graph's one layout and the measurements gathered along it, exactly
+    # as one lexsort by receiver, then sender lays them out: on connected
+    # graphs, after a leave and a join, without edges, for 1-D and stacked sets
+    rng = np.random.default_rng(seed)
+    g0 = random_geometric(n=25, width=900, height=900, radius=350, seed=seed)
+    victim = int(rng.choice(sorted(g0.agents - {g0.reference})))
+    g1 = g0.remove_agent(victim)
+    g2, _ = g1.add_agent(g0.positions[victim], 350)
+    bare = Graph(agents=frozenset({1, 2, 3}), edge_array=np.empty((0, 2), np.intp))
+    for g in (g0, g1, g2, random_connected_graph(rng, 12), bare):
+        sets = _per_trial_measurements(g, rng)
+        for meas in (sets[0], MeasurementSet.stacked(sets)):
+            edges = DirectedEdges(g, meas)
+            want = lexsort_directed_edges(g, meas)
+            for name, w in zip(("src", "dst", "rev", "indptr", "r", "sig2"), want):
+                got = getattr(edges, name)
+                assert got.dtype == w.dtype and np.array_equal(got, w), name
 
 
 @pytest.mark.parametrize("algo,schedule,init", BATCH_CASES)

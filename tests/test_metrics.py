@@ -1,14 +1,16 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cfosync import ExperimentConfig, avg_mse, run_experiment
 from cfosync.errors import MetricError, NumericError
-from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace,
-                             mean_square_error, summary_dict, trace_to_csv)
+from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace, summary_dict,
+                             trace_to_csv, write_trace)
 
-from helpers import read_trace_csv
+from helpers import mean_square_error, read_trace_csv
 
 
 def _state(estimates: list[list[float | None]]) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +120,30 @@ def test_trace_csv_rejects_non_finite_values():
             getattr(trace.rows[1], column)[1] = value
             with pytest.raises(NumericError, match=f"{value!r} in the trace"):
                 trace_to_csv(trace)
+
+
+def test_write_trace_holds_one_row_block_at_a_time(tmp_path):
+    # 40 rows of 2000 agents, about 40 row blocks of CSV: the writer's peak
+    # is bounded by one row's text and cell lists, not by the file
+    rng = np.random.default_rng(3)
+    agents = tuple(range(1, 2001))
+    trace = RunTrace(rows=[IterationRow(
+        iteration=k, agents=agents, means=rng.normal(0.0, 100.0, 2000),
+        variances=rng.uniform(0.0, 1.0, 2000), avg_mse=float(rng.uniform()),
+        broadcasts=2000.0, deliveries=1800.0, drops=200.0) for k in range(40)])
+    text = trace_to_csv(trace)
+    block = Counter()
+    for line in text.splitlines(keepends=True)[1:]:
+        block[line.split(",", 1)[0]] += len(line)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak < 8 * max(block.values()), (peak, max(block.values()), len(text))
 
 
 def test_summary_reads_final_estimates_once(monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfosync import (BeliefPropagation, ExperimentConfig, LinearScalingBP,
+from cfosync import (BeliefPropagation, ExperimentConfig, Graph, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 import cfosync.netsim as netsim
 from cfosync.errors import ConfigError
@@ -197,6 +197,22 @@ def test_async_trace_bytes_are_pinned():
         "1fc81fce23d65cf95d3fb2e3134a8912bc20c4628e7dcd770931543658f0178e"
 
 
+def test_bp_trace_bytes_are_pinned():
+    # per-edge BP with skips and losses on the pinned-digest config: the
+    # cavity sums, reverse-edge lookups and rebuilds after the leave and the
+    # join all feed these bytes
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           algorithm="bp", pdr=0.7, skip_prob=0.1, trials=12, l_max=25,
+                           master_seed=21, timeline="6:leave:5;9:join:250,250", oracle=True)
+    trace = run_experiment(cfg)
+    csv = trace_to_csv(trace).encode()
+    summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(csv).hexdigest() == \
+        "ded1aab5e83349bf26aef3312e8d35f59ea458c57ba243ea4b743cb31bd808a3"
+    assert hashlib.sha256(summary).hexdigest() == \
+        "76e96374b43c6ffdc0dd0444d7ab188f942aabe0253fae13b626d5070b55045a"
+
+
 def test_final_estimates_are_none_exactly_where_the_last_mean_is_nan():
     # the pinned-digest config, whose early rows hold agents flat in every
     # trial; every prefix of its rows is read as a trace of its own
@@ -221,16 +237,25 @@ def test_trial_mean_averages_informative_trials_only():
 
 
 def test_oracle_lays_out_the_directed_edges_once(monkeypatch):
-    real, layouts = netsim.DirectedEdges, []
+    # every graph of a run with a leave and a join lays out its directed
+    # edges at most once, and the oracle reads the final graph's layout,
+    # which the engine has already built
+    real, layouts, oracle_layouts = Graph.layout.func, [], []
+    monkeypatch.setattr(Graph.layout, "func", lambda g: layouts.append(g) or real(g))
+    attach = netsim._attach_oracle
 
-    def refused(*args):
-        raise AssertionError("the oracle laid out the directed edges again")
+    def counted_attach(*args):
+        before = len(layouts)
+        attach(*args)
+        oracle_layouts.append(len(layouts) - before)
 
-    monkeypatch.setattr(netsim, "DirectedEdges", lambda *args: layouts.append(args) or real(*args))
-    monkeypatch.setattr("cfosync.lsbp.DirectedEdges", refused)
-    monkeypatch.setattr("cfosync.oracle.DirectedEdges", refused)
-    trace = run_experiment(ExperimentConfig(topology=TRIANGLE, trials=3, oracle=True))
-    assert len(layouts) == 1 and trace.oracle["crlb_avg"] > 0
+    monkeypatch.setattr(netsim, "_attach_oracle", counted_attach)
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           pdr=0.7, trials=3, l_max=25, master_seed=21,
+                           timeline="6:leave:5;9:join:250,250", oracle=True)
+    trace = run_experiment(cfg)
+    assert len(layouts) >= 3 and len({id(g) for g in layouts}) == len(layouts)
+    assert oracle_layouts == [0] and trace.oracle["crlb_avg"] > 0
 
 
 @pytest.mark.parametrize("algorithm, estimator",
