@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,15 @@ class DirectedEdges:
         self.n = len(self.ids)
         self.ref = self.index[graph.reference]
         rows = meas.rows_of(graph.edge_array)[pair]
-        # np.take keeps r C-ordered; a fancy index along axis 1 would not
-        self.r = np.take(np.atleast_2d(meas.r_array), rows, axis=1)
         self.sig2 = meas.sigma2_array[rows]
+        self._gather = meas, rows   # r's source, released once r is read
         self._bins = None   # of _agent_sums, made on first use
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """Gathered on first read; np.take keeps r C-ordered, a fancy index would not."""
+        meas, rows = self.__dict__.pop("_gather")
+        return np.take(np.atleast_2d(meas.r_array), rows, axis=1)
 
     def _agent_sums(self, values: np.ndarray) -> np.ndarray:
         """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over

@@ -178,7 +178,7 @@ class Graph:
             raise ValueError("add_agent requires a graph with positions")
         new_id = self.next_id
         x, y = float(position[0]), float(position[1])
-        ids = self.layout[0]
+        ids = np.array(sorted(self.agents))
         coords = np.array([self.positions[a] for a in ids.tolist()], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             linked = ids[_distance(coords, np.array([x, y])) <= radius]

@@ -81,10 +81,6 @@ class MeasurementSet:
         return MeasurementSet(self.edge_array[rows], self.r_array[..., rows],
                               self.sigma2_array[rows])
 
-    def without_agent(self, i: int) -> "MeasurementSet":
-        """Retire all measurements incident to agent i."""
-        return self._select(np.all(self.edge_array != i, axis=1))
-
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
         """Both sets' measurements; on an edge in both, other's wins."""
         _, shared = sorted_lookup(other.edge_array, self.edge_array)

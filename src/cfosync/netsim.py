@@ -14,9 +14,10 @@ agent below skip_prob skips its broadcast, which its neighbors' caches turn
 into a one-round delay), then 2|E| if pdr < 1, one per directed edge in the
 engine's CSR order (a message below pdr arrives): O(|E|) draws a round.
 
-Timeline semantics: an event stamped k fires at the boundary after round k
-has been recorded, so its first visible effect is in row k+1, and k must be
-below l_max.  A joining agent broadcasts for the first time in round k+1.
+Timeline semantics: an event stamped k < l_max fires after round k is
+recorded, so it first shows in row k+1, and a joiner first broadcasts in
+round k+1.  The events of one stamp are one topology change and one engine
+rebuild; a leave changes only the graph: the measurements only grow.
 The trials advance together through one engine with a leading trial axis,
 each on its own streams, and run their rounds through `edges.iterate`, the
 stop rule the estimator front ends use: a trial stops early once its
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -92,24 +94,26 @@ def parse_timeline(text: str) -> list[TimelineEvent]:
 
 
 def validate_timeline(events: list[TimelineEvent], graph: Graph,
-                      cfg: ExperimentConfig) -> None:
-    """Replay the id evolution so bad leave targets fail before the run;
-    an event stamped at or past l_max would never fire, and fails too."""
-    sim = graph
+                      cfg: ExperimentConfig) -> list[Graph]:
+    """The graph after each event, replayed so that bad leave targets fail
+    before the run; an event stamped at or past l_max never fires, and fails too."""
+    graphs = []
     for ev in events:
         if ev.iteration >= cfg.l_max:
             raise ConfigError(f"timeline event at iteration {ev.iteration} never fires: "
                               f"the run ends after round l_max={cfg.l_max}")
         if ev.kind == "leave":
-            if ev.agent not in sim.agents:
+            if ev.agent not in graph.agents:
                 raise ConfigError(f"timeline removes unknown agent {ev.agent}")
-            if ev.agent == sim.reference:
+            if ev.agent == graph.reference:
                 raise ConfigError("timeline may not remove the reference agent")
-            sim = sim.remove_agent(ev.agent)
+            graph = graph.remove_agent(ev.agent)
         else:
-            if sim.positions is None:
+            if graph.positions is None:
                 raise ConfigError("timeline joins require a positioned topology")
-            sim, _ = sim.add_agent(ev.position, join_radius(cfg))
+            graph, _ = graph.add_agent(ev.position, join_radius(cfg))
+        graphs.append(graph)
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,15 @@ class _Batch:
             self.graph, self.truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, t, *key],
             sigma_overrides=self.overrides, edges=edges) for t in range(cfg.trials)])
 
-    def run(self, events: list[TimelineEvent]) -> "_Batch":
+    def run(self, events: list[TimelineEvent], graphs: list[Graph]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
-        timeline; sets rows and converged_at (per trial)."""
+        events and the graph after each; sets rows and converged_at (per trial)."""
         cfg = self.cfg
         engine = _make_engine(cfg, self.graph, self.meas, self.truth)
         self._topology(engine)
         self._record(engine, MessageCounters(np.zeros((3, cfg.trials), int)))
-        changes = [(ev.iteration, partial(self._apply_event, ev)) for ev in events]
+        changes = [(k, partial(self._apply_events, list(steps))) for k, steps in
+                   groupby(zip(events, graphs), key=lambda step: step[0].iteration)]
         _, _, self.converged_at = iterate(
             engine, self._round, cfg.l_max, cfg.mean_tol, cfg.prec_tol, changes)
         return self
@@ -246,22 +251,19 @@ class _Batch:
                 unobservable=self.isolated,
             ))
 
-    def _apply_event(self, ev: TimelineEvent, engine):
-        """Apply one timeline event to the shared topology and to every
-        trial's measurements; only the joiner's draw is per trial."""
+    def _apply_events(self, steps: list[tuple[TimelineEvent, Graph]], engine):
+        """One stamp's events in order, then one engine rebuild: each joiner's
+        measurements (the only per-trial draw) are drawn on the graph right
+        after its join, and a leave changes only the graph."""
         cfg = self.cfg
-        if ev.kind == "leave":
-            self.graph = self.graph.remove_agent(ev.agent)
-            self.meas = self.meas.without_agent(ev.agent)
-        else:
-            self.graph, new_id = self.graph.add_agent(ev.position, join_radius(cfg))
-            self.truth = self.truth.with_offset(
-                new_id, draw_joiner_offset([cfg.master_seed, STREAM_TRUTH], new_id,
-                                           cfg.max_offset))
-            # new_id is the largest id, so it ends each of its edges
-            edges = self.graph.edge_array
-            self.meas = self.meas.merged_with(self._measure(
-                new_id, edges=edges[edges[:, 1] == new_id]))
+        for ev, graph in steps:
+            self.graph = graph
+            if ev.kind == "join":   # new_id, the largest id, ends each of its edges
+                new_id, edges = graph.next_id - 1, graph.edge_array
+                self.truth = self.truth.with_offset(new_id, draw_joiner_offset(
+                    [cfg.master_seed, STREAM_TRUTH], new_id, cfg.max_offset))
+                self.meas = self.meas.merged_with(self._measure(
+                    new_id, edges=edges[edges[:, 1] == new_id]))
         engine = engine.rebuilt(self.graph, self.meas)
         self._topology(engine)
         return engine
@@ -326,14 +328,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
     validate_config(cfg)
     graph = parse_topology(cfg)
     events = parse_timeline(cfg.timeline)
-    validate_timeline(events, graph, cfg)
+    graphs = validate_timeline(events, graph, cfg)
     overrides = parse_sigma_overrides(cfg.sigma_overrides)
     for edge in overrides:
         if edge not in graph.edges:
             raise ConfigError(f"sigma override for non-edge {edge}")
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
-    batch = _Batch(cfg, graph, truth, overrides).run(events)
+    batch = _Batch(cfg, graph, truth, overrides).run(events, graphs)
     trace = RunTrace(rows=batch.rows, per_trial_converged_at=batch.converged_at)
     if cfg.oracle:
         _attach_oracle(trace, batch, cfg)

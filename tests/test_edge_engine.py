@@ -4,7 +4,8 @@ graphs with skips (per-edge delivery masks from tests/helpers.py),
 both init modes and a leave/join rebuild; a batch of trials against the
 same trials run one engine each; the batched asynchronous round's array
 layout, summation order and calls per round; the graph's directed-edge
-layout against a lexsort reference; plus the O(|E|) state check."""
+layout against a lexsort reference; one rebuild against one per event;
+plus the O(|E|) state check."""
 
 import math
 import time
@@ -114,8 +115,7 @@ def _leave_and_join(g, ms, rng):
     place with fresh measurements to its new neighbors."""
     victim = max(g.agents - {g.reference})
     pos = g.positions[victim]
-    g, ms = g.remove_agent(victim), ms.without_agent(victim)
-    g, new_id = g.add_agent(pos, 400)
+    g, new_id = g.remove_agent(victim).add_agent(pos, 400)
     fresh = measurement_set({e: (float(rng.normal(0, 50)), float(rng.uniform(0.25, 4.0)))
                              for e in sorted(g.edges) if new_id in e})
     return g, ms.merged_with(fresh)
@@ -240,10 +240,9 @@ def test_batch_matches_independent_trials(algo, schedule, init):
     victim = max(g0.agents - {g0.reference})
     g1 = g0.remove_agent(victim)
     g2, new_id = g1.add_agent(g0.positions[victim], 400)
-    sets1 = [m.without_agent(victim) for m in sets0]
     sets2 = [m.merged_with(f) for m, f in zip(
-        sets1, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))]
-    timeline = [(3, g1, sets1), (5, g2, sets2)]   # leave, then a join at its place
+        sets0, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))]
+    timeline = [(3, g1, sets0), (5, g2, sets2)]   # leave, then a join at its place
 
     def engine(trial_ids):
         meas = MeasurementSet.stacked([sets0[t] for t in trial_ids])
@@ -300,8 +299,41 @@ def test_per_trial_arrays_stay_c_contiguous(init):
     engine.take(np.array([True, False, True, True]))
     check(engine, "take")
     victim = max(g.agents - {g.reference})
-    engine = engine.rebuilt(g.remove_agent(victim), meas.without_agent(victim))
+    engine = engine.rebuilt(g.remove_agent(victim), meas)
     check(engine, "rebuilt")
+
+
+@pytest.mark.parametrize("algo, init", [("lsbp", BeliefInit("uniform", 4.0, 1.5)),
+                                         ("lsbp", BeliefInit()), ("bp", None)])
+def test_rebuilds_compose(algo, init):
+    # one rebuild onto the graph after a leave and a join (and a leave of a
+    # joiner's neighbour) reaches the state of one rebuild per event: ids
+    # never return, an edge between survivors is in every graph between,
+    # and a joiner starts fresh either way.  The simulator relies on this to
+    # rebuild once per stamp of timeline events.
+    g0 = random_geometric(n=16, width=900, height=900, radius=400, seed=12)
+    rng = np.random.default_rng(12)
+    sets0 = _per_trial_measurements(g0, rng)
+    ref_value = float(rng.uniform(-200, 200))
+    meas0 = MeasurementSet.stacked(sets0)
+    engine = BpEngine(g0, meas0, ref_value, REF_PREC) if algo == "bp" else \
+        LsbpEngine(g0, meas0, init, ref_value, REF_PREC)
+    for _ in range(3):
+        engine.sync_round(delivery_mask(engine, [(rng, 0.7, 0.2)] * len(engine.trials)))
+    engine.take(np.array([True, False, True, True]))
+    victim = max(g0.agents - {g0.reference})
+    g1 = g0.remove_agent(victim)
+    g2, new_id = g1.add_agent(g0.positions[victim], 400)
+    meas2 = MeasurementSet.stacked([m.merged_with(f) for m, f in zip(
+        sets0, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))])
+    neighbour = min(g2.neighbors(new_id) - {g2.reference})
+    g3 = g2.remove_agent(neighbour)
+    once = engine.rebuilt(g3, meas2)
+    stepwise = engine.rebuilt(g1, meas0).rebuilt(g2, meas2).rebuilt(g3, meas2)
+    assert once.ids == stepwise.ids and new_id in once.ids
+    for name in ("trials", "prec", "mean", "edge_prec", "edge_mean"):
+        assert np.array_equal(getattr(once, name), getattr(stepwise, name)), name
+    assert once.trials.tolist() == [0, 2, 3]
 
 
 def test_async_update_sums_like_sync_round():

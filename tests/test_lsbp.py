@@ -241,8 +241,7 @@ def test_rebuilt_purges_leaver_and_carries_survivors():
         eng.sync_round()
     victim = max(a for a in g.agents if a != g.reference)
     g2 = g.remove_agent(victim)
-    ms2 = ms.without_agent(victim)
-    eng2 = eng.rebuilt(g2, ms2)
+    eng2 = eng.rebuilt(g2, ms)   # a leave changes only the graph
     assert victim not in eng2.index
     for a in g2.agents:
         assert eng2.prec[0, eng2.index[a]] == eng.prec[0, eng.index[a]]

@@ -105,14 +105,6 @@ def test_measurement_rejects_nonpositive_variance():
         generate_measurements(g, truth, 1.0, sigma_overrides={(1, 2): 1e-200})
 
 
-def test_without_agent_retires_incident_edges():
-    g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-    truth = generate_truth(g, 10.0, seed=0)
-    ms = generate_measurements(g, truth, 1.0, seed=0)
-    trimmed = ms.without_agent(3)
-    assert list(measurement_dict(trimmed)) == [(1, 2)]
-
-
 def test_joiner_offset_deterministic():
     a = draw_joiner_offset([7, 1], 42, 200.0)
     b = draw_joiner_offset([7, 1], 42, 200.0)
@@ -160,8 +152,6 @@ def test_vectorized_generation_matches_scalar_reference(seed):
     ms = generate_measurements(g, truth, 1.0, seed=seed)
     ref = measurement_dict(ms)
     victim = int(rng.integers(2, max(g.agents) + 1))
-    _assert_same(ms.without_agent(victim),
-                 {e: v for e, v in ref.items() if victim not in e})
     joiner = max(g.agents) + 1
     later = scalar_measurements(g, truth.with_offset(joiner, 5.0), 3.0, seed=seed + 99,
                                 edges=edges[::3] + [(1, joiner), (victim, joiner)])

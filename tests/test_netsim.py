@@ -9,6 +9,7 @@ import pytest
 from cfosync import (BeliefPropagation, ExperimentConfig, Graph, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 import cfosync.netsim as netsim
+from cfosync.edges import EdgeEngine
 from cfosync.errors import ConfigError
 from cfosync.metrics import RunTrace, summary_dict, trace_to_csv
 from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
@@ -213,6 +214,35 @@ def test_bp_trace_bytes_are_pinned():
         "76e96374b43c6ffdc0dd0444d7ab188f942aabe0253fae13b626d5070b55045a"
 
 
+@pytest.mark.parametrize("options, csv_digest, summary_digest", [
+    ({}, "21007003f66915196083565c6f80ff513aa6c47189331ac02a5dc4f386168c65",
+     "021ea3940db7a136ba7a3b72cf97f3aa6a56799638ca5061c8c37f6b5ee28a55"),
+    ({"schedule": "asynchronous"},
+     "71e5a19b9dd08507fbae8a72c29903fa5a779cba5e4fa06760c9c7830aeab3e7",
+     "8ed0265e296398f4a1269ed58409c55f14ddcf120af263ba667038bd832dbfe1"),
+    ({"algorithm": "bp"},
+     "305394bb4972a748ae9afbe93e3b1938fdcc21f28ff906a9144463dc4c8864a3",
+     "8d2b26655f43477c582ac87b29b25dc96b7ae7ef2ee9a52a4db550bd3325ef38"),
+])
+def test_same_round_events_bytes_are_pinned(options, csv_digest, summary_digest):
+    # several events share a stamp: two joiners whose neighbours leave in
+    # the joiners' own round, then a joiner leaving in a later round next
+    # to a join and another leave.  Each joiner's measurements are drawn on
+    # the graph right after its own join, so these bytes also pin how many
+    # normals each joiner's stream gives up.
+    cfg = ExperimentConfig(
+        topology="random:n=30,width=3000,height=4000,radius=1500,seed=7",
+        timeline="3:join:1500.0,2000.0;3:leave:4;3:join:1510.0,2010.0;3:leave:5;"
+                 "6:leave:31;6:join:100.0,100.0;6:leave:2",
+        pdr=0.8, skip_prob=0.1, trials=7, master_seed=11, l_max=30, mean_tol=0.1,
+        oracle=True, **options)
+    trace = run_experiment(cfg)
+    csv = trace_to_csv(trace).encode()
+    summary = (json.dumps(summary_dict(trace), indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(csv).hexdigest() == csv_digest
+    assert hashlib.sha256(summary).hexdigest() == summary_digest
+
+
 def test_final_estimates_are_none_exactly_where_the_last_mean_is_nan():
     # the pinned-digest config, whose early rows hold agents flat in every
     # trial; every prefix of its rows is read as a trace of its own
@@ -236,26 +266,46 @@ def test_trial_mean_averages_informative_trials_only():
     np.testing.assert_array_equal(_trial_mean(trials), [2.0, 4.0, nan, 2.25])
 
 
-def test_oracle_lays_out_the_directed_edges_once(monkeypatch):
-    # every graph of a run with a leave and a join lays out its directed
-    # edges at most once, and the oracle reads the final graph's layout,
-    # which the engine has already built
-    real, layouts, oracle_layouts = Graph.layout.func, [], []
+def _dynamic_topology_lsbp():
+    from cfosync.presets import preset_configs
+    return dict(preset_configs("dynamic-topology", {"trials": 3}))["lsbp"]
+
+
+@pytest.mark.parametrize("cfg, event_rounds", [
+    (ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                      pdr=0.7, trials=3, l_max=25, master_seed=21,
+                      timeline="6:leave:5;9:join:250,250", oracle=True), 2),
+    (_dynamic_topology_lsbp(), 3),   # 8 events: four leaves, then joins in two rounds
+], ids=["leave-join", "dynamic-topology"])
+def test_oracle_lays_out_the_directed_edges_once(monkeypatch, cfg, event_rounds):
+    # only the graphs an engine runs on are laid out, each once: the first
+    # and one per round of timeline events, which rebuilds the engine once;
+    # validating the timeline lays out none, and the oracle reads the final
+    # graph's layout, which the engine has already built
+    real, layouts = Graph.layout.func, []
     monkeypatch.setattr(Graph.layout, "func", lambda g: layouts.append(g) or real(g))
-    attach = netsim._attach_oracle
+    rebuilds, rebuilt = [], EdgeEngine.rebuilt
+    monkeypatch.setattr(EdgeEngine, "rebuilt",
+                        lambda e, *args: rebuilds.append(e) or rebuilt(e, *args))
+    counted = {}
 
-    def counted_attach(*args):
-        before = len(layouts)
-        attach(*args)
-        oracle_layouts.append(len(layouts) - before)
+    def counting(name):
+        inner = getattr(netsim, name)
 
-    monkeypatch.setattr(netsim, "_attach_oracle", counted_attach)
-    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
-                           pdr=0.7, trials=3, l_max=25, master_seed=21,
-                           timeline="6:leave:5;9:join:250,250", oracle=True)
+        def wrapper(*args):
+            before = len(layouts)
+            out = inner(*args)
+            counted[name] = len(layouts) - before
+            return out
+        return wrapper
+
+    for name in ("validate_timeline", "_attach_oracle"):
+        monkeypatch.setattr(netsim, name, counting(name))
     trace = run_experiment(cfg)
-    assert len(layouts) >= 3 and len({id(g) for g in layouts}) == len(layouts)
-    assert oracle_layouts == [0] and trace.oracle["crlb_avg"] > 0
+    assert len(layouts) == event_rounds + 1 and len({id(g) for g in layouts}) == len(layouts)
+    assert len(rebuilds) == event_rounds
+    assert counted == {"validate_timeline": 0, "_attach_oracle": 0}
+    assert trace.oracle["crlb_avg"] > 0
 
 
 @pytest.mark.parametrize("algorithm, estimator",

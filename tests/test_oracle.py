@@ -7,9 +7,11 @@ import pytest
 
 from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
-                     generate_measurements, generate_truth, mean_fixed_point,
-                     random_geometric, run_experiment, spectral_radius,
-                     variance_fixed_point, wls_solve)
+                     generate_measurements, generate_truth, is_feasible_start,
+                     mean_fixed_point, random_geometric, run_experiment, spectral_radius,
+                     variance_fixed_point, variance_map, variance_map_bound, wls_solve)
+from cfosync.edges import DirectedEdges
+from cfosync.lsbp import LsbpEngine
 from cfosync.errors import NumericError, UnobservableError
 
 from helpers import (dense_linear_system, heterogeneous_measurements, meas_r,
@@ -164,6 +166,32 @@ def test_oracle_factors_once_per_run(monkeypatch):
     trace = run_experiment(cfg)
     assert len(trace.oracle["wls_mean"]) == 19
     assert calls == {"solve": 1, "inv": 1}
+
+
+def test_precision_updates_read_no_measurements():
+    # the four precision-update functions read only the variances: they run
+    # on a set that has no r_array, and agree with the full set
+    g, _, ms = seeded_instance(44, 10)
+    unread = MeasurementSet.__new__(MeasurementSet)   # reading r_array raises
+    unread.edge_array, unread.sigma2_array = ms.edge_array, ms.sigma2_array
+    pstar = variance_fixed_point(g, unread)
+    np.testing.assert_array_equal(pstar, variance_fixed_point(g, ms))
+    p0 = np.zeros(len(pstar))
+    np.testing.assert_array_equal(variance_map(g, unread, p0), variance_map(g, ms, p0))
+    np.testing.assert_array_equal(variance_map_bound(g, unread), variance_map_bound(g, ms))
+    assert is_feasible_start(g, unread, p0) == is_feasible_start(g, ms, p0)
+
+
+def test_oracle_run_gathers_the_measurements_twice(monkeypatch):
+    # the engine gathers its measurements once; the oracle gathers them for
+    # the linear system's target and the fixed point's eta, not for the
+    # variance fixed point
+    real, gathers = DirectedEdges.r.func, []
+    monkeypatch.setattr(DirectedEdges.r, "func", lambda e: gathers.append(type(e)) or real(e))
+    cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                           pdr=0.7, trials=12, l_max=25, master_seed=21, oracle=True)
+    run_experiment(cfg)
+    assert gathers == [LsbpEngine, DirectedEdges, DirectedEdges]
 
 
 def test_unobservable_component_raises_with_names():
