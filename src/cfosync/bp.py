@@ -14,6 +14,8 @@ message infinitely often (Malioutov, Johnson & Willsky, JMLR 2006).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
@@ -30,36 +32,69 @@ class BpEngine(EdgeEngine):
     mirroring the broadcast engine's caches.  All messages start flat.
     """
 
+    # the payloads' (T, n) inbox sums of precision and weighted mean, and
+    # their (T, 2|E|) weighted means; None until summed
+    _inbox: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "BpEngine":
         return BpEngine(graph, meas, self.reference_value, self.reference_precision)
 
+    def take(self, rows: np.ndarray) -> "BpEngine":
+        self._inbox = None
+        return super().take(rows)
+
+    @cached_property
+    def _from_ref(self) -> np.ndarray:
+        """The directed edges the reference sends over."""
+        return np.flatnonzero(self.src == self.ref)
+
+    @cached_property
+    def _inbox_sizes(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
     def _outgoing(self) -> tuple[np.ndarray, np.ndarray]:
         """New message on every directed edge from the current inboxes: the
-        sender's cavity excludes what arrived over the reverse edge."""
-        wm = self.edge_prec * self.edge_mean
-        tot_prec = self._agent_sums(self.edge_prec)
-        tot_wm = self._agent_sums(wm)
-        cav_prec = np.maximum(tot_prec[:, self.src] - self.edge_prec[:, self.rev], 0.0)
-        cav_wm = tot_wm[:, self.src] - wm[:, self.rev]
-        cav_mean = np.divide(cav_wm, cav_prec, out=np.zeros_like(cav_wm),
-                             where=cav_prec > 0)
-        from_ref = np.flatnonzero(self.src == self.ref)
-        cav_prec[:, from_ref] = self.reference_precision
-        cav_mean[:, from_ref] = self.reference_value
+        sender's cavity excludes what arrived over the reverse edge.  A flat
+        cavity (precision 0) sends a flat message: precision and mean 0."""
+        if self._inbox is None:
+            wm = self.edge_prec * self.edge_mean
+            self._inbox = self._agent_sums(self.edge_prec), self._agent_sums(wm), wm
+        tot_prec, tot_wm, wm = self._inbox
+        # the cavity of edge j -> i is j's inbox total less its entry from i,
+        # which sits at the reverse edge i -> j: each inbox row less its own
+        # entry, in inbox order, then one gather by rev (np.take: a fancy
+        # index on the edge axis gathers at half its speed)
+        cav_prec = np.repeat(tot_prec, self._inbox_sizes, axis=1)
+        cav_prec -= self.edge_prec
+        cav_prec = np.take(cav_prec, self.rev, axis=1)
+        np.maximum(cav_prec, 0.0, out=cav_prec)
+        cav_mean = np.repeat(tot_wm, self._inbox_sizes, axis=1)
+        cav_mean -= wm
+        cav_mean = np.take(cav_mean, self.rev, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):   # flat cavities, zeroed below
+            cav_mean /= cav_prec
+        cav_prec[:, self._from_ref] = self.reference_precision
+        cav_mean[:, self._from_ref] = self.reference_value
         out_prec = message_precision(self.sig2, cav_prec)
-        out_mean = np.where(out_prec > 0, self.r - cav_mean, 0.0)
+        out_mean = self.r - cav_mean
+        flat = out_prec == 0.0
+        if flat.any():
+            out_mean[flat] = 0.0
         return out_prec, out_mean
 
     def sync_round(self, arrived: np.ndarray | None = None) -> None:
         """In every trial, recompute every directed message from the
         previous snapshot, deliver those the (T, 2|E|) delivery mask lets
-        through (None: all), refresh beliefs."""
+        through (None: all), refresh beliefs.  The belief sums are the next
+        round's inbox sums: they differ only in the reference's pinned
+        precision, and the reference's cavity is its pin."""
         out_prec, out_mean = self._outgoing()
         if arrived is not None:
             out_prec = np.where(arrived, out_prec, self.edge_prec)
             out_mean = np.where(arrived, out_mean, self.edge_mean)
         self.edge_prec, self.edge_mean = out_prec, out_mean
-        self._set_beliefs(out_prec, out_prec * out_mean)
+        wm = out_prec * out_mean
+        self._inbox = (*self._set_beliefs(out_prec, wm), wm)
 
 
 class BeliefPropagation(MessagePassingEstimator):

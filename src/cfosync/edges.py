@@ -39,8 +39,8 @@ def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
     """Precision of the message a sender belief of precision p implies
     through an edge of noise variance sigma2: 1 / (sigma2 + 1/p), and 0 for
     a flat sender (p = 0)."""
-    var = np.divide(1.0, sender_prec, out=np.full(np.shape(sender_prec), np.inf),
-                    where=sender_prec > 0)
+    with np.errstate(divide="ignore"):   # 1/0 = inf: a flat sender's message is 0
+        var = 1.0 / sender_prec
     var += sig2   # in place: a batch's (T, 2|E|) temporaries cost peak memory
     return np.divide(1.0, var, out=var)
 
@@ -112,16 +112,19 @@ class EdgeEngine(DirectedEdges):
         self._bins = None
         return self
 
-    def _set_beliefs(self, msg_prec: np.ndarray, msg_wm: np.ndarray) -> None:
+    def _set_beliefs(self, msg_prec: np.ndarray, msg_wm: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """Every belief becomes the product of its incoming messages, given
         per edge as precision and precision-weighted mean; the reference
-        stays pinned."""
+        stays pinned.  Returns the (T, n) sums of both: the precision sums
+        are the new `prec`, the reference's pin included."""
         prec = self._agent_sums(msg_prec)
         wm = self._agent_sums(msg_wm)
         mean = np.divide(wm, prec, out=np.zeros_like(prec), where=prec > 0)
         prec[:, self.ref] = self.reference_precision
         mean[:, self.ref] = self.reference_value
         self.prec, self.mean = prec, mean
+        return prec, wm
 
     # -- state views --------------------------------------------------------
 
@@ -136,7 +139,10 @@ class EdgeEngine(DirectedEdges):
         """Per trial: is some agent's belief still flat although its inbox
         holds an informative entry?  A zero-delta round in that state is
         start-up lag, not convergence."""
-        return np.any((self.edge_prec > 0.0) & (self.prec[:, self.dst] == 0.0), axis=1)
+        flat = self.prec == 0.0
+        if not flat.any():   # no agent waits: skip the (T, 2|E|) gather
+            return np.zeros(len(self.trials), bool)
+        return np.any((self.edge_prec > 0.0) & flat[:, self.dst], axis=1)
 
     def estimates(self, row: int = 0) -> dict[int, float | None]:
         return {a: (m if p > 0 else None) for a, m, p in

@@ -93,31 +93,52 @@ TRACE_COLUMNS = ("iteration", "agent", "mean", "variance", "avg_mse",
 
 
 def _cells(values: np.ndarray | list[float]) -> list[str]:
-    """The CSV cell of each value, in one pass: empty for NaN (no
-    estimate), a whole number below 1e15 without its fraction, anything
-    else by repr; an infinite value raises NumericError."""
-    x = np.asarray(values, dtype=float)
+    """The CSV cell of each value: empty for NaN (no estimate), a whole
+    number below 1e15 without its fraction, anything else by repr; an
+    infinite value raises NumericError.  One orjson call prints the whole
+    column with repr's shortest round-trip digits and NaN as null; only the
+    cells whose notation differs from repr's are rewritten one by one: the
+    whole numbers, and the values below 1e-4 or from 1e16 up, which repr
+    writes with an exponent."""
+    import orjson   # here, not at module level: a run's set-up never writes
+    x = np.ascontiguousarray(values, dtype=float)
     if np.isinf(x).any():
         raise NumericError(f"non-finite value {float(x[np.isinf(x)][0])!r} in the trace")
-    whole = ((x == np.trunc(x)) & (np.abs(x) < 1e15)).tolist()
-    return ["" if math.isnan(v) else str(int(v)) if w else repr(v)
-            for v, w in zip(x.tolist(), whole)]
+    if not len(x):
+        return []
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].replace(b"null", b"").decode().split(",")
+    mag = np.abs(x)
+    whole = (x == np.trunc(x)) & (mag < 1e15)
+    for k in np.flatnonzero(whole | (mag < 1e-4) | (mag >= 1e16)).tolist():
+        v = float(x[k])
+        cells[k] = str(int(v)) if whole[k] else repr(v)
+    return cells
 
 
 def _csv_blocks(trace: RunTrace) -> Iterator[str]:
     """The trace's CSV text: the header line, then one block of lines per
     row, so a writer holds one row's text at a time."""
     yield ",".join(TRACE_COLUMNS) + "\n"
+    agents = None
     for row in trace.rows:
-        if not len(row.agents):
+        n = len(row.agents)
+        if not n:
             continue
+        if row.agents is not agents:   # the rows of one topology share their ids
+            agents, names = row.agents, [f"{a}," for a in row.agents]
         tail = ",".join([repr(float(row.avg_mse)), *_cells(
             [row.broadcasts, row.deliveries, row.drops])])
-        cells = map(",".join, zip(map(str, row.agents), _cells(row.means),
-                                  _cells(row.variances)))
-        # an agent's line: the row's lead, the agent's three cells, the row's trail
+        # an agent's line: the row's lead, the agent's id and two cells, the
+        # row's trail; the pieces of all n lines are joined in one call
         lead, trail = f"{row.iteration},", f",{tail}\n"
-        yield lead + f"{trail}{lead}".join(cells) + trail
+        pieces = [","] * (5 * n)
+        pieces[0::5] = names
+        pieces[1::5] = _cells(row.means)
+        pieces[3::5] = _cells(row.variances)
+        pieces[4::5] = [trail + lead] * n
+        pieces[-1] = trail
+        yield lead + "".join(pieces)
 
 
 def trace_to_csv(trace: RunTrace) -> str:

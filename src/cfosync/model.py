@@ -131,7 +131,7 @@ def draw_joiner_offset(truth_seed, agent_id: int,
 
 def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
                           seed=0, sigma_overrides: dict[tuple[int, int], float] | None = None,
-                          edges=None) -> MeasurementSet:
+                          edges=None, seeds=None) -> MeasurementSet:
     """One noisy measurement r = f_i + f_j + n per edge of the graph, or per
     edge of `edges` when given: (k, 2) canonical rows (i < j) in sorted order.
 
@@ -139,11 +139,12 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
     sigma_overrides.  sigma = 0 is allowed for noiseless tests; the stored
     variance then falls back to NOISELESS_SIGMA2 so weights stay finite.
     Deterministic per seed; the edges with a positive std consume one normal
-    draw each, in sorted edge order.
+    draw each, in sorted edge order.  Given `seeds` (T seeds, in place of
+    seed), the set holds one row of measurements per seed, (T, k): row t is
+    the set drawn with seed=seeds[t].
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    rng = np.random.default_rng(seed)
     pairs = graph.edge_array if edges is None else \
         np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     s = np.full(len(pairs), float(sigma))
@@ -151,12 +152,14 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
         at, found = sorted_lookup(pairs, np.array(list(sigma_overrides), dtype=np.intp))
         s[at[found]] = np.array(list(sigma_overrides.values()), dtype=float)[found]
     noisy = s > 0
-    noise = np.zeros(len(pairs))
-    noise[noisy] = rng.normal(0.0, s[noisy])
+    noise = np.zeros((1 if seeds is None else len(seeds), len(pairs)))
+    for row, key in zip(noise, [seed] if seeds is None else seeds):
+        row[noisy] = np.random.default_rng(key).normal(0.0, s[noisy])
     sigma2 = np.where(noisy, s * s, NOISELESS_SIGMA2)
     if np.any(sigma2 <= 0.0):
         raise ValueError("a positive noise std squares to a zero variance")
     agents, ends = np.unique(pairs, return_inverse=True)
     ends = ends.reshape(pairs.shape)   # numpy < 2 returns it flat
     f = np.array([truth.offsets[a] for a in agents.tolist()])
-    return MeasurementSet(pairs, f[ends[:, 0]] + f[ends[:, 1]] + noise, sigma2)
+    r = f[ends[:, 0]] + f[ends[:, 1]] + noise
+    return MeasurementSet(pairs, r[0] if seeds is None else r, sigma2)

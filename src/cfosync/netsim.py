@@ -166,9 +166,9 @@ class _Batch:
         (k, 2) `edges` if given), trial t's noise drawn from
         [master_seed, 2, t, *key]."""
         cfg = self.cfg
-        return MeasurementSet.stacked([generate_measurements(
-            self.graph, self.truth, cfg.sigma, seed=[cfg.master_seed, STREAM_NOISE, t, *key],
-            sigma_overrides=self.overrides, edges=edges) for t in range(cfg.trials)])
+        return generate_measurements(
+            self.graph, self.truth, cfg.sigma, sigma_overrides=self.overrides, edges=edges,
+            seeds=[[cfg.master_seed, STREAM_NOISE, t, *key] for t in range(cfg.trials)])
 
     def run(self, events: list[TimelineEvent], graphs: list[Graph]) -> "_Batch":
         """Record the initial state as row 0, then run rounds through the
@@ -290,9 +290,13 @@ def _trial_mean(values: np.ndarray) -> np.ndarray:
     np.mean sums a list; an axis-0 mean would not be."""
     stack = values.T.copy()
     out = stack.mean(axis=1)
-    flat = np.isnan(stack)
-    for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
-        out[a] = np.mean(stack[a][~flat[a]])
+    known = ~np.isnan(stack)
+    count = np.count_nonzero(known, axis=1)
+    partly = np.flatnonzero((count > 0) & (count < stack.shape[1]))
+    # the partly-flat agents with c informative trials: one C-order (k, c) mean
+    for c in set(count[partly].tolist()):
+        rows = partly[count[partly] == c]
+        out[rows] = stack[rows][known[rows]].reshape(len(rows), c).mean(axis=1)
     return out
 
 

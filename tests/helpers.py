@@ -3,9 +3,10 @@ preset-density graphs, measurement sets with heterogeneous noise, and
 per-edge delivery masks), scalar references (information-
 form Gaussians and the edge and BP cavity messages, per-edge measurement
 generation and lookups, the oracle's dense design and fixed-point loop,
-the mean square error), the dense n x n random geometric graph, the
-lexsort layout of the directed edges, and text round trips of graphs,
-truths, measurement sets and traces."""
+the mean square error, the per-value trace cells), the dense n x n random
+geometric graph, the lexsort layout of the directed edges, the masked BP
+round, the per-agent trial mean, and text round trips of graphs, truths,
+measurement sets and traces."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
-from cfosync.errors import GenerationError, MetricError
+from cfosync.errors import GenerationError, MetricError, NumericError
 from cfosync.graph import DEFAULT_COMM_RADIUS, DEFAULT_RETRY_BUDGET, canonical_edge
 from cfosync.metrics import TRACE_COLUMNS
 from cfosync.model import NOISELESS_SIGMA2, GroundTruth
@@ -141,6 +142,18 @@ def mean_square_error(pairs: Iterable[tuple[float, float]],
     if not errs:
         raise MetricError("no agent holds an estimate; metric undefined")
     return sum(errs) / len(errs)
+
+
+def scalar_cells(values) -> list[str]:
+    """The reference for `metrics._cells`, one value at a time: empty for
+    NaN, a whole number below 1e15 without its fraction, anything else by
+    repr; an infinite value raises NumericError."""
+    x = np.asarray(values, dtype=float)
+    if np.isinf(x).any():
+        raise NumericError(f"non-finite value {float(x[np.isinf(x)][0])!r} in the trace")
+    whole = ((x == np.trunc(x)) & (np.abs(x) < 1e15)).tolist()
+    return ["" if math.isnan(v) else str(int(v)) if w else repr(v)
+            for v, w in zip(x.tolist(), whole)]
 
 
 def measurement_set(records: dict[tuple[int, int], tuple[float, float]]
@@ -400,6 +413,53 @@ def bp_message(j: int, i: int, incoming: dict[int, Gaussian1D], r: float,
     else:
         cavity = math.prod((m for k, m in incoming.items() if k != i), start=FLAT)
     return edge_message(r, sigma2, cavity)
+
+
+def masked_message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
+    """The reference for `edges.message_precision`: 1 / (sigma2 + 1/p),
+    with 1/p taken only where p > 0 and inf elsewhere."""
+    var = np.divide(1.0, sender_prec, out=np.full(np.shape(sender_prec), np.inf),
+                    where=sender_prec > 0)
+    var += sig2
+    return np.divide(1.0, var, out=var)
+
+
+def masked_bp_round(engine, arrived: np.ndarray | None = None) -> None:
+    """The reference for `BpEngine.sync_round`: every round sums the
+    payloads anew for the cavities, and flat cavities and beliefs are
+    skipped by masked divides."""
+    wm = engine.edge_prec * engine.edge_mean
+    tot_prec = engine._agent_sums(engine.edge_prec)
+    tot_wm = engine._agent_sums(wm)
+    cav_prec = np.maximum(tot_prec[:, engine.src] - engine.edge_prec[:, engine.rev], 0.0)
+    cav_wm = tot_wm[:, engine.src] - wm[:, engine.rev]
+    cav_mean = np.divide(cav_wm, cav_prec, out=np.zeros_like(cav_wm), where=cav_prec > 0)
+    from_ref = np.flatnonzero(engine.src == engine.ref)
+    cav_prec[:, from_ref] = engine.reference_precision
+    cav_mean[:, from_ref] = engine.reference_value
+    out_prec = masked_message_precision(engine.sig2, cav_prec)
+    out_mean = np.where(out_prec > 0, engine.r - cav_mean, 0.0)
+    if arrived is not None:
+        out_prec = np.where(arrived, out_prec, engine.edge_prec)
+        out_mean = np.where(arrived, out_mean, engine.edge_mean)
+    engine.edge_prec, engine.edge_mean = out_prec, out_mean
+    prec = engine._agent_sums(out_prec)
+    wm = engine._agent_sums(out_prec * out_mean)
+    mean = np.divide(wm, prec, out=np.zeros_like(prec), where=prec > 0)
+    prec[:, engine.ref] = engine.reference_precision
+    mean[:, engine.ref] = engine.reference_value
+    engine.prec, engine.mean = prec, mean
+
+
+def loop_trial_mean(values: np.ndarray) -> np.ndarray:
+    """The reference for `netsim._trial_mean`: one np.mean per agent that
+    is flat (NaN) in some trials but not all, over its informative trials."""
+    stack = values.T.copy()
+    out = stack.mean(axis=1)
+    flat = np.isnan(stack)
+    for a in np.flatnonzero(flat.any(axis=1) & ~flat.all(axis=1)):
+        out[a] = np.mean(stack[a][~flat[a]])
+    return out
 
 
 def read_trace_csv(text: str) -> list[dict]:

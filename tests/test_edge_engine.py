@@ -5,7 +5,9 @@ both init modes and a leave/join rebuild; a batch of trials against the
 same trials run one engine each; the batched asynchronous round's array
 layout, summation order and calls per round; the graph's directed-edge
 layout against a lexsort reference; one rebuild against one per event;
-plus the O(|E|) state check."""
+the BP round and message precisions against their masked references, the
+pending-information test's fast path against its formula; plus the
+O(|E|) state check."""
 
 import math
 import time
@@ -20,8 +22,8 @@ from cfosync.edges import DirectedEdges, iterate, message_precision
 
 from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
                      edge_message, heterogeneous_measurements, lexsort_directed_edges,
-                     meas_r, meas_sigma2, measurement_set, preset_density_graph,
-                     random_connected_graph)
+                     masked_bp_round, masked_message_precision, meas_r, meas_sigma2,
+                     measurement_set, preset_density_graph, random_connected_graph)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -390,3 +392,66 @@ def test_engine_state_is_linear_in_edges():
         assert max(sizes.values()) < n * n, sizes
         assert np.count_nonzero(engine.prec) > 1   # the rounds spread information
     assert elapsed < 2.0, f"3 rounds of both engines took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bp_round_matches_the_masked_reference(seed):
+    # the round that reuses the last belief sums as its inbox sums and
+    # divides unmasked, against the round that sums the payloads anew and
+    # masks its divides: bit for bit, through flat start-up, lossless and
+    # lossy rounds with skips, trials stopping (take) and a rebuild
+    g0 = random_geometric(n=16, width=900, height=900, radius=400, seed=30 + seed)
+    rng = np.random.default_rng(seed)
+    sets0 = _per_trial_measurements(g0, rng)
+    ref_value = float(rng.uniform(-200, 200))
+    victim = max(g0.agents - {g0.reference})
+    g1, new_id = g0.remove_agent(victim).add_agent(g0.positions[victim], 400)
+    meas1 = MeasurementSet.stacked([m.merged_with(f) for m, f in zip(
+        sets0, _per_trial_measurements(g1, rng, [e for e in g1.edges if new_id in e]))])
+    fast, slow = (BpEngine(g0, MeasurementSet.stacked(sets0), ref_value, REF_PREC)
+                  for _ in range(2))
+    for k in range(1, 15):
+        if k == 5:
+            fast.take(np.array([True, False, True, True]))
+            slow.take(np.array([True, False, True, True]))
+        if k == 8:
+            fast, slow = fast.rebuilt(g1, meas1), slow.rebuilt(g1, meas1)
+        arrived = delivery_mask(fast, [(rng, 0.7, 0.2)] * len(fast.trials)) if k % 3 else None
+        fast.sync_round(arrived)
+        masked_bp_round(slow, arrived)
+        for name in ("prec", "mean", "edge_prec", "edge_mean"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                f"round {k}: {name}"
+    assert (fast.prec > 0).all()
+
+
+def test_message_precision_matches_the_masked_form():
+    # 1/0 = inf gives a flat sender the message precision 0, as the mask did
+    tiny = np.finfo(float).tiny
+    p = np.array([0.0, 5e-324, tiny / 3, tiny, 1e-300, 1e-12, 1.0, 1e12, np.inf])
+    for sig2 in (np.full(len(p), 2.5), np.full(len(p), 1e-12), np.linspace(0.1, 1e6, len(p))):
+        for prec in (p, np.stack([p, p[::-1]])):
+            with np.errstate(over="ignore"):   # 1/p of a subnormal p, in both forms
+                got = message_precision(sig2[:prec.shape[-1]], prec)
+                want = masked_message_precision(sig2[:prec.shape[-1]], prec)
+            assert got.tobytes() == want.tobytes()
+            assert (got[prec == 0.0] == 0.0).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pending_information_fast_path_matches_the_formula(seed):
+    # with no flat agent in any trial the answer is all False without the
+    # (T, 2|E|) gather; with flat agents it is the full formula
+    *_, engine, rng = _batch_engine(BeliefInit(), trials=5, seed=seed)
+    shape, m = engine.prec.shape, len(engine.src)
+    for flat_share in (0.0, 0.02, 0.3, 1.0):
+        for payload_share in (0.0, 0.5, 1.0):
+            engine.prec = np.where(rng.random(shape) < flat_share, 0.0,
+                                   rng.uniform(0.1, 2.0, shape))
+            engine.edge_prec = np.where(rng.random((shape[0], m)) < payload_share,
+                                        rng.uniform(0.1, 2.0, (shape[0], m)), 0.0)
+            want = np.any((engine.edge_prec > 0.0) & (engine.prec[:, engine.dst] == 0.0),
+                          axis=1)
+            got = engine.has_pending_information()
+            assert got.dtype == bool and got.tolist() == want.tolist()

@@ -7,10 +7,10 @@ import pytest
 
 from cfosync import ExperimentConfig, avg_mse, run_experiment
 from cfosync.errors import MetricError, NumericError
-from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace, summary_dict,
+from cfosync.metrics import (TRACE_COLUMNS, IterationRow, RunTrace, _cells, summary_dict,
                              trace_to_csv, write_trace)
 
-from helpers import mean_square_error, read_trace_csv
+from helpers import mean_square_error, read_trace_csv, scalar_cells
 
 
 def _state(estimates: list[list[float | None]]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +120,45 @@ def test_trace_csv_rejects_non_finite_values():
             getattr(trace.rows[1], column)[1] = value
             with pytest.raises(NumericError, match=f"{value!r} in the trace"):
                 trace_to_csv(trace)
+
+
+def _cell_values() -> np.ndarray:
+    """Floats where a column formatter may go wrong: random bit patterns,
+    random magnitudes from 1e-8 to 1e18 and whole and half numbers up to
+    2e16, the neighbours of 1e-4, 1e15 and 1e16, subnormals, the extremes,
+    the zeros and NaN, each with both signs."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False).view(float)
+    bits = bits[~np.isnan(bits)]   # NaN payloads: a trace holds only np.nan
+    spread = 10.0 ** rng.uniform(-8, 18, 100_000) * rng.uniform(1, 10, 100_000)
+    whole = np.floor(10.0 ** rng.uniform(0, 16.3, 20_000))
+    near = [np.nextafter(b, d) for b in (1e-4, 1e15, 1e16)
+            for d in (0.0, np.inf) for b in [b, np.nextafter(b, d)]]
+    near += [1e-4, 1e15, 1e16, 1e15 - 1, 1e15 - 0.5, 1e15 + 1, 1e15 + 2, 1e16 + 2,
+             999999999999999.9, 1e16 - 2]
+    special = [5e-324, 1e-310, np.finfo(float).tiny, np.finfo(float).tiny / 3,
+               np.finfo(float).max, 0.0, np.nan, 1.0, 0.5, 1e-5, 123.456]
+    x = np.concatenate([bits, spread, whole, whole + 0.5, near, special])
+    x = np.concatenate([x, -x])
+    return x[~np.isinf(x)]
+
+
+def test_column_cells_match_the_per_value_reference():
+    # one orjson call per column must print each cell as the per-value rule
+    x = _cell_values()
+    got, want = _cells(x), scalar_cells(x)
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+    assert _cells([-0.0, 0.0, np.nan, 1e15, 1e16]) == ["0", "0", "", "1000000000000000.0",
+                                                      "1e+16"]
+
+
+def test_column_cells_of_short_and_strided_columns():
+    x = _cell_values()[:3000]
+    for column in (np.empty(0), x[:1], x[::3], x[1::7], x.reshape(-1, 3)[:, 1],
+                   x[::-1], [float(v) for v in x[:20]]):
+        assert _cells(column) == scalar_cells(column)
+    assert _cells(np.empty(0)) == []
 
 
 def test_write_trace_holds_one_row_block_at_a_time(tmp_path):

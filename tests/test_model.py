@@ -148,6 +148,17 @@ def test_vectorized_generation_matches_scalar_reference(seed):
         slow = scalar_measurements(g, truth, seed=noise_seed, **kw)
         _assert_same(fast, measurement_dict(slow))
 
+    # a stacked set from T seeds in one call: row t is the set of seed t
+    for kw in cases:
+        seeds = [[seed, 2, t, 5] for t in range(3)]
+        batch = generate_measurements(g, truth, seeds=seeds, **kw)
+        assert batch.r_array.shape == (3, len(batch))
+        for t, noise_seed in enumerate(seeds):
+            one = generate_measurements(g, truth, seed=noise_seed, **kw)
+            assert np.array_equal(batch.edge_array, one.edge_array)
+            assert batch.sigma2_array.tobytes() == one.sigma2_array.tobytes()
+            assert batch.r_array[t].tobytes() == one.r_array.tobytes()
+
     # set operations against a dict reference
     ms = generate_measurements(g, truth, 1.0, seed=seed)
     ref = measurement_dict(ms)

@@ -16,7 +16,7 @@ from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
                             validate_timeline)
 from cfosync.config import parse_sigma_overrides, parse_topology, validate_config
 
-from helpers import preset_density_graph
+from helpers import loop_trial_mean, preset_density_graph
 
 BERNOULLI_TOL = 0.005
 
@@ -264,6 +264,19 @@ def test_trial_mean_averages_informative_trials_only():
     nan = np.nan
     trials = np.array([[1.0, nan, nan, 2.0], [3.0, 4.0, nan, 2.5]])
     np.testing.assert_array_equal(_trial_mean(trials), [2.0, 4.0, nan, 2.25])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 30, 200])
+def test_trial_mean_matches_the_per_agent_loop(trials):
+    # trial counts on both sides of numpy's pairwise-sum blocks (8 unrolled,
+    # 128 per block); each agent has its own share of flat trials, from none
+    # to all of them
+    rng = np.random.default_rng(trials)
+    values = rng.normal(0.0, 1.0, (trials, 300)) * 10.0 ** rng.uniform(-3, 3, (trials, 300))
+    share = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 298)])
+    values[rng.random((trials, 300)) < share] = np.nan
+    got, want = _trial_mean(values), loop_trial_mean(values)
+    assert got.tobytes() == want.tobytes()
 
 
 def _dynamic_topology_lsbp():

@@ -1,6 +1,10 @@
-"""The package's public names, and the bench tracer's hooks into it."""
+"""The package's public names, what its set-up path imports, and the bench
+tracer's hooks into it."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,23 @@ def test_public_names_resolve_and_the_scalar_layer_is_gone():
         assert not hasattr(cfosync, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("cfosync.gaussian")
+
+
+def test_set_up_path_does_not_import_orjson(tmp_path):
+    # only the trace writer needs orjson, which takes milliseconds to import; a
+    # process that only sets up runs must not pay for it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("topology = random:n=20,width=500,height=500,radius=200,seed=3\n"
+                   "trials = 3\nl_max = 10\n")
+    code = ("import sys\nimport cfosync\n"
+            "from cfosync.config import load_config, parse_topology, validate_config\n"
+            f"cfg = load_config({str(cfg)!r})\nvalidate_config(cfg)\nparse_topology(cfg)\n"
+            "assert 'orjson' not in sys.modules, 'orjson imported'\n"
+            "from cfosync.metrics import _cells\n_cells([1.5])\n"
+            "assert 'orjson' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cfosync.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_bench_tracer_hook_resolves(monkeypatch):
