@@ -178,15 +178,14 @@ class EdgeEngine(DirectedEdges):
 def step_delta(prev: tuple[np.ndarray, np.ndarray],
                cur: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per trial (the last axis holds the agents): (max mean change, max
-    precision change) between two snapshots.  An agent switching between
-    flat and informative counts as an infinite mean change; flat-to-flat
-    contributes nothing."""
+    precision change) between two raw (means, precisions) states, whose
+    flat agents hold mean 0.  An agent switching between flat and
+    informative counts as an infinite mean change."""
     m0, p0 = prev
     m1, p1 = cur
+    dmean = np.max(np.abs(m1 - m0), axis=-1, initial=0.0)
     dprec = np.max(np.abs(p1 - p0), axis=-1, initial=0.0)
-    flat0 = p0 == 0
-    dmean = np.max(np.abs(np.where(flat0, 0.0, m1 - m0)), axis=-1, initial=0.0)
-    return np.where(np.any(flat0 != (p1 == 0), axis=-1), math.inf, dmean), dprec
+    return np.where(np.any((p0 == 0) != (p1 == 0), axis=-1), math.inf, dmean), dprec
 
 
 def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
@@ -196,45 +195,43 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
     """Run rounds `step(engine)` on the engine's live trials until each
     trial's beliefs settle or `max_rounds` rounds have run.
 
-    A trial's round is settled when it moved every mean by less than
-    mean_tol and every precision by less than prec_tol, and no agent still
-    waits for information already in its inbox (a zero-delta round then is
-    start-up lag, not convergence).  `changes` are (k, change) pairs in order
-    of k: after round k, `change(engine)` returns the engine to go on with
-    and every trial's convergence test starts over.  A trial stops at its
-    first settled round once no change is pending; its rows then leave the
-    engine (the last trial's stay).  A non-finite belief after a round
-    raises NumericError.
+    `changes` are (k, change) pairs in order of k: after round k,
+    `change(engine)` returns the engine to go on with.  Every k must be below
+    max_rounds, so that every change fires (the simulator's timeline
+    validation rejects any other stamp).  The stop rule runs only once no
+    change is pending.  A trial
+    stops at the first round that moved every mean by less than mean_tol
+    and every precision by less than prec_tol, while no agent still waits
+    for information already in its inbox (a zero-delta round then is
+    start-up lag, not convergence); its rows then leave the engine (the
+    last trial's stay).  The rule compares the raw `mean`/`prec` before and
+    after the round: every engine path leaves a flat agent's mean at
+    exactly 0, so a flat agent contributes nothing until it turns
+    informative.  A non-finite belief after a round raises NumericError.
 
-    Returns (engine, and per trial: rounds run, first settled round since
-    the last change or None).
+    Returns (engine, and per trial: rounds run, the round it stopped at or
+    None).  A trial that never stopped ran all max_rounds rounds.
     """
     pending = list(changes)
-    rounds, settled_at = np.zeros((2, len(engine.trials)), int)   # 0: not settled
-    prev = engine.snapshot()
+    settled_at = np.zeros(len(engine.trials), int)   # 0: never stopped
     for k in range(1, max_rounds + 1):
         while pending and pending[0][0] < k:
-            _, change = pending.pop(0)
-            engine = change(engine)
-            prev = engine.snapshot()
-            settled_at[engine.trials] = 0
+            engine = pending.pop(0)[1](engine)
+        prev = None if pending else (engine.mean.copy(), engine.prec.copy())
         step(engine)
         if not (np.isfinite(engine.prec).all() and np.isfinite(engine.mean).all()):
             raise NumericError(f"non-finite belief after round {k}")
-        cur = engine.snapshot()
-        dmean, dprec = step_delta(prev, cur)
-        live = engine.trials
-        rounds[live] = k
-        settled = (dmean < mean_tol) & (dprec < prec_tol) & ~engine.has_pending_information()
-        settled_at[live] = np.where((settled_at[live] == 0) & settled, k, settled_at[live])
-        stop = (settled_at[live] > 0) & (not pending)
+        if prev is None:
+            continue
+        dmean, dprec = step_delta(prev, (engine.mean, engine.prec))
+        stop = (dmean < mean_tol) & (dprec < prec_tol) & ~engine.has_pending_information()
+        settled_at[engine.trials[stop]] = k
         if stop.all():
             break
         if stop.any():
             engine.take(~stop)
-            cur = (cur[0][~stop], cur[1][~stop])
-        prev = cur
-    return engine, rounds.tolist(), [s or None for s in settled_at.tolist()]
+    settled = settled_at.tolist()
+    return engine, [s or max_rounds for s in settled], [s or None for s in settled]
 
 
 # -- estimator front ends -----------------------------------------------------

@@ -195,29 +195,31 @@ class _Batch:
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
         self.means, self.variances = np.empty((2, self.cfg.trials, engine.n))
 
-    def _losses(self, engine) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """This round's (T, n) skips and (T, 2|E|) delivery mask, the skips
-        folded in (None: no agent skips, or every message arrives)."""
+    def _losses(self, engine) -> tuple[np.ndarray | None, ...]:
+        """This round's (T, n) skips, (T, 2|E|) mask of the messages sent,
+        and (T, 2|E|) delivery mask, the skips folded in (None: no agent
+        skips, or every message arrives)."""
         cfg, rngs = self.cfg, [self.loss_rngs[t] for t in engine.trials.tolist()]
         skips = np.array([rng.random(engine.n) < cfg.skip_prob for rng in rngs]) \
             if cfg.skip_prob > 0 else None
         arrived = np.array([rng.random(len(engine.src)) < cfg.pdr for rng in rngs]) \
             if cfg.pdr < 1.0 else None
+        sent = None
         if skips is not None:
             sent = ~skips[:, engine.src]
             arrived = sent if arrived is None else sent & arrived
-        return skips, arrived
+        return skips, sent, arrived
 
     def _round(self, engine) -> None:
         """One lossy round of every live trial, recorded as their next rows."""
         cfg = self.cfg
-        skips, arrived = self._losses(engine)
+        skips, sent, arrived = self._losses(engine)
         if cfg.schedule == "asynchronous":   # lsbp only, by validate_config
             engine.async_round([self.sched_rngs[t].permutation(engine.n)
                                 for t in engine.trials.tolist()], arrived)
         else:
             engine.sync_round(arrived)
-        self._record(engine, _count_messages(cfg, engine, skips, arrived))
+        self._record(engine, _count_messages(cfg, engine, skips, sent, arrived))
 
     def _record(self, engine, counters: MessageCounters) -> None:
         """Hold each live trial's state after a round and append the average
@@ -270,12 +272,12 @@ class _Batch:
 
 
 def _count_messages(cfg: ExperimentConfig, engine, skips: np.ndarray | None,
-                    arrived: np.ndarray | None) -> MessageCounters:
-    """Every live trial's round, from the (T, n) skips and the (T, 2|E|)
-    delivery mask (None: no agent skips, or every message arrives)."""
+                    sent: np.ndarray | None, arrived: np.ndarray | None) -> MessageCounters:
+    """Every live trial's round, from `_losses`' (T, n) skips and (T, 2|E|)
+    sent and delivery masks (None: no agent skips, or every message arrives)."""
     t = len(engine.trials)
-    intended = np.full(t, len(engine.src)) if skips is None else \
-        np.count_nonzero(~skips[:, engine.src], axis=1)
+    intended = np.full(t, len(engine.src)) if sent is None else \
+        np.count_nonzero(sent, axis=1)
     delivered = intended if arrived is None else np.count_nonzero(arrived, axis=1)
     sends = intended if cfg.algorithm == "bp" else \
         np.full(t, engine.n) if skips is None else np.count_nonzero(~skips, axis=1)

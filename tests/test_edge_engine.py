@@ -2,7 +2,8 @@
 edge_message and Gaussian1D products (tests/helpers.py), on seeded lossy
 graphs with skips (per-edge delivery masks from tests/helpers.py),
 both init modes and a leave/join rebuild; a batch of trials against the
-same trials run one engine each; the batched asynchronous round's array
+same trials run one engine each, with a flat agent's mean 0 after every
+round and no stop rule before the last timeline change; the batched asynchronous round's array
 layout, summation order and calls per round; the graph's directed-edge
 layout against a lexsort reference; one rebuild against one per event;
 the BP round and message precisions against their masked references, the
@@ -18,7 +19,7 @@ import pytest
 from cfosync import Graph, MeasurementSet, lsbp, random_geometric
 from cfosync.bp import BpEngine
 from cfosync.lsbp import BeliefInit, LsbpEngine
-from cfosync.edges import DirectedEdges, iterate, message_precision
+from cfosync.edges import DirectedEdges, iterate, message_precision, step_delta
 
 from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
                      edge_message, heterogeneous_measurements, lexsort_directed_edges,
@@ -194,6 +195,8 @@ def _batch_run(engine, trial_ids, timeline, schedule):
     states = {t: [] for t in trial_ids}
 
     def step(eng):
+        # the stop rule compares raw means: every path leaves a flat agent's at 0
+        assert (eng.mean[eng.prec == 0] == 0).all(), "flat mean before a round"
         live = [trial_ids[row] for row in eng.trials.tolist()]
         arrived = delivery_mask(eng, [(streams[t][0], 1.0 if t == 0 else 0.7,
                                        0.0 if t == 0 else 0.2) for t in live])
@@ -201,6 +204,7 @@ def _batch_run(engine, trial_ids, timeline, schedule):
             eng.async_round([streams[t][1].permutation(eng.n) for t in live], arrived)
         else:
             eng.sync_round(arrived)
+        assert (eng.mean[eng.prec == 0] == 0).all(), "flat mean after a round"
         for row, t in enumerate(live):
             states[t].append(tuple(a[row].copy() for a in (
                 eng.prec, eng.mean, eng.edge_prec, eng.edge_mean)))
@@ -233,8 +237,10 @@ def test_directed_edges_match_the_lexsort_reference(seed):
                 assert got.dtype == w.dtype and np.array_equal(got, w), name
 
 
-@pytest.mark.parametrize("algo,schedule,init", BATCH_CASES)
-def test_batch_matches_independent_trials(algo, schedule, init):
+def _batch_case(algo, init):
+    """(engine(trial_ids), timeline): a batch case's engine on the trials
+    `trial_ids`, and its timeline of a leave after round 3 and a join at
+    the same place after round 5."""
     g0 = random_geometric(n=14, width=900, height=900, radius=400, seed=7)
     rng = np.random.default_rng(8)
     ref_value = float(rng.uniform(-200, 200))
@@ -252,6 +258,12 @@ def test_batch_matches_independent_trials(algo, schedule, init):
             return BpEngine(g0, meas, ref_value, REF_PREC)
         return LsbpEngine(g0, meas, init, ref_value, REF_PREC)
 
+    return engine, timeline
+
+
+@pytest.mark.parametrize("algo,schedule,init", BATCH_CASES)
+def test_batch_matches_independent_trials(algo, schedule, init):
+    engine, timeline = _batch_case(algo, init)
     trials = list(range(BATCH_TRIALS))
     batch, batch_states = _batch_run(engine(trials), trials, timeline, schedule)
     for t in trials:
@@ -263,6 +275,33 @@ def test_batch_matches_independent_trials(algo, schedule, init):
                 assert np.array_equal(x, y), f"trial {t} round {k + 1}: {name}"
     stopped = [batch[t][0] for t in trials]
     assert len(set(stopped)) > 2, f"trials should stop at different rounds: {stopped}"
+
+
+@pytest.mark.parametrize("algo,schedule,init", BATCH_CASES)
+def test_stop_rule_waits_for_the_timeline(algo, schedule, init, monkeypatch):
+    # no trial can stop while a change is pending, so the stop rule first
+    # runs in round 6, after the changes of rounds 3 and 5, then once a round
+    engine, timeline = _batch_case(algo, init)
+    trials = list(range(BATCH_TRIALS))
+    want, _ = _batch_run(engine(trials), trials, timeline, schedule)
+    cls, name = (BpEngine if algo == "bp" else LsbpEngine,
+                 "async_round" if schedule == "asynchronous" else "sync_round")
+    round_of_cls, rounds_run, calls = getattr(cls, name), [], []
+
+    def counted_round(eng, *args):
+        rounds_run.append(1)
+        return round_of_cls(eng, *args)
+
+    def counted_step_delta(prev, cur):
+        calls.append(len(rounds_run))
+        return step_delta(prev, cur)
+
+    monkeypatch.setattr(cls, name, counted_round)
+    monkeypatch.setattr("cfosync.edges.step_delta", counted_step_delta)
+    got, _ = _batch_run(engine(trials), trials, timeline, schedule)
+    assert got == want
+    last = max(rounds for rounds, _ in got.values())
+    assert calls[0] == 6 and calls == list(range(6, last + 1)), calls
 
 
 def _batch_engine(init, trials, seed=9):

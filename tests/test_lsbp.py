@@ -263,9 +263,11 @@ def _snap(means, precs):
 
 
 def test_flat_transition_counts_as_change():
-    flat = _snap([np.nan], [0.0])
+    # raw engine states: a flat agent's mean is 0
+    flat = _snap([0.0], [0.0])
     info = _snap([1.0], [2.0])
     assert step_delta(flat, info)[0] == math.inf
+    assert step_delta(info, flat)[0] == math.inf
     assert step_delta(flat, flat) == (0.0, 0.0)
 
 

@@ -52,7 +52,7 @@ def test_loss_stream_draws_per_directed_edge(pdr, skip_prob):
     batch, engine = _batch(cfg)
     n, m = engine.n, len(engine.src)
     assert m == 90
-    skips, arrived = batch._losses(engine)
+    skips, sent, arrived = batch._losses(engine)
     for t in range(3):
         stream = np.random.default_rng([5, 3, t])
         skip = stream.random(n) < skip_prob if skip_prob > 0 else np.zeros(n, bool)
@@ -60,16 +60,17 @@ def test_loss_stream_draws_per_directed_edge(pdr, skip_prob):
         assert stream.bit_generator.state == batch.loss_rngs[t].bit_generator.state
         if skips is not None:
             assert np.array_equal(skips[t], skip)
+            assert np.array_equal(sent[t], ~skip[engine.src])
         if arrived is not None:
             assert np.array_equal(arrived[t], delivered & ~skip[engine.src])
-    assert (skips is None) == (skip_prob == 0)
+    assert (skips is None) == (sent is None) == (skip_prob == 0)
     assert (arrived is None) == (pdr == 1 and skip_prob == 0)
 
 
 def test_loss_stream_delivery_rate_and_independent_directions():
     cfg = ExperimentConfig(topology=COMPLETE10, pdr=0.8, trials=50, master_seed=1)
     batch, engine = _batch(cfg)
-    arrived = np.concatenate([batch._losses(engine)[1] for _ in range(100)])
+    arrived = np.concatenate([batch._losses(engine)[2] for _ in range(100)])
     assert arrived.size >= 100_000
     assert abs(arrived.mean() - 0.8) < BERNOULLI_TOL
     # j -> i and i -> j are separate draws: they disagree at rate 2 p (1 - p)
@@ -82,7 +83,7 @@ def test_zero_pdr_delivers_nothing():
     cfg = ExperimentConfig(topology=COMPLETE10, pdr=0.0, skip_prob=0.3, trials=4)
     batch, engine = _batch(cfg)
     for _ in range(5):
-        assert not batch._losses(engine)[1].any()
+        assert not batch._losses(engine)[2].any()
 
 
 @pytest.mark.parametrize("algorithm", ["lsbp", "bp"])

@@ -2,6 +2,7 @@
 tracer's hooks into it."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -41,36 +42,42 @@ def test_set_up_path_does_not_import_orjson(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_every_bench_tracer_hook_resolves(monkeypatch):
+def _traced(code: str) -> object:
+    """The JSON that `code` prints last, run in a fresh interpreter with the
+    package, bench/ and tests/ on its path and `tracer` imported.  The
+    tracer patches the package's classes process-wide, and its uninstall
+    leaves inherited methods shadowed on the subclasses, which would hide a
+    later test's patch of the base class; so it never runs in this process."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (Path(cfosync.__file__).parents[1], here.parent / "bench",
+                                     here)))
+    run = subprocess.run([sys.executable, "-c", "import json, tracer\n" + code],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_every_bench_tracer_hook_resolves():
     # a hook whose target is gone is recorded as absent, and its per-layer
     # bench metric then reads empty instead of failing
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import tracer
-    hooks = tracer.Tracer()
-    hooks.install()
-    try:
-        assert hooks.absent == {}
-    finally:
-        hooks.uninstall()
+    absent = _traced("hooks = tracer.Tracer()\nhooks.install()\n"
+                     "hooks.uninstall()\nprint(json.dumps(hooks.absent))\n")
+    assert absent == {}
 
 
-def test_bench_tracer_counts_the_trace_messages(monkeypatch, tmp_path):
+def test_bench_tracer_counts_the_trace_messages(tmp_path):
     # the tracer reads sends, deliveries and drops off the value netsim's
     # counter returns, and would read 0 if it stopped naming them
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import tracer
     cfg = tmp_path / "run.cfg"
     cfg.write_text("topology = edges:1-2;1-3;2-3\npdr = 0.6\nskip_prob = 0.2\n"
                    "master_seed = 4\nl_max = 40\n")
-    hooks = tracer.Tracer()
-    hooks.install()
-    try:
-        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
-    finally:
-        hooks.uninstall()
+    code, *counts = _traced(
+        "from cfosync.cli import main\nhooks = tracer.Tracer()\nhooks.install()\n"
+        f"code = main(['--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
+        "hooks.uninstall()\nprint(json.dumps([code] + [hooks.counts[k] for k in (\n"
+        "    'netsim.messages_sent', 'netsim.deliveries', 'netsim.drops')]))\n")
+    assert code == 0
     rows = {r["iteration"]: r for r in read_trace_csv((tmp_path / "trace.csv").read_text())}
     totals = [sum(r[k] for r in rows.values()) for k in ("broadcasts", "deliveries", "drops")]
-    counts = hooks.counts
     assert totals[2] > 0
-    assert [counts["netsim.messages_sent"], counts["netsim.deliveries"],
-            counts["netsim.drops"]] == totals
+    assert counts == totals
