@@ -13,7 +13,7 @@ from .bp import BeliefPropagation, BpEngine
 from .config import ExperimentConfig, load_config, parse_config_text
 from .graph import Graph, random_geometric
 from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, is_feasible_start,
-                   variance_fixed_point, variance_map, variance_map_bound)
+                   variance_fixed_point, variance_map)
 from .metrics import RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, generate_measurements,
                     generate_truth)
@@ -31,7 +31,7 @@ __all__ = [
     "build_linear_system", "crlb", "generate_measurements", "generate_truth",
     "is_feasible_start", "load_config", "mean_fixed_point", "parse_config_text",
     "preset_configs", "random_geometric", "run_experiment", "spectral_radius",
-    "variance_fixed_point", "variance_map", "variance_map_bound", "wls_solve",
+    "variance_fixed_point", "variance_map", "wls_solve",
 ]
 
 __version__ = "0.1.0"

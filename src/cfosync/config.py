@@ -12,9 +12,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .edges import DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION
 from .errors import ConfigError, GenerationError
-from .graph import DEFAULT_COMM_RADIUS, Graph, canonical_edge, random_geometric
+from .graph import (DEFAULT_COMM_RADIUS, DEFAULT_RETRY_BUDGET, Graph, canonical_edge,
+                    random_geometric)
 from .lsbp import BeliefInit
+from .model import DEFAULT_MAX_OFFSET_HZ
 
 
 @dataclass
@@ -34,7 +37,7 @@ class ExperimentConfig:
     init_mode: str = "zero_precision"    # "zero_precision" | "uniform"
     init_variance: float = 1.0
     init_mean: float = 0.0
-    max_offset: float = 200.0
+    max_offset: float = DEFAULT_MAX_OFFSET_HZ
     sigma: float = 1.0
     # per-edge noise std overrides, "1-2:2.0;2-3:0.5"
     sigma_overrides: str = ""
@@ -43,12 +46,12 @@ class ExperimentConfig:
     # "5:leave:4;10:join:1500,2000" (iteration:kind:payload)
     timeline: str = ""
     l_max: int = 100
-    mean_tol: float = 1e-9
-    prec_tol: float = 1e-12
+    mean_tol: float = DEFAULT_MEAN_TOL
+    prec_tol: float = DEFAULT_PREC_TOL
     mse_normalization: float = 1.0
     trials: int = 1
     master_seed: int = 0
-    reference_precision: float = 1e12
+    reference_precision: float = DEFAULT_REFERENCE_PRECISION
     oracle: bool = False
 
 
@@ -111,7 +114,7 @@ def _random_params(text: str) -> dict[str, float]:
     """The parameters of a 'random:k=v,...' topology: n, width and height
     are required, radius, seed and retries have defaults, and any other key
     is an error."""
-    params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": 50.0}
+    params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": DEFAULT_RETRY_BUDGET}
     for part in text[len("random:"):].split(","):
         if not part:
             continue

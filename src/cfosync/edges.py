@@ -129,11 +129,11 @@ class EdgeEngine(DirectedEdges):
     # -- state views --------------------------------------------------------
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """(means with NaN at flat agents, precisions), (T, n) aligned to
-        self.ids."""
+        """(a copy of the means, NaN at flat agents; the engine's own
+        precisions, valid only until the next round), (T, n) by self.ids."""
         means = self.mean.copy()
         means[self.prec == 0.0] = np.nan
-        return means, self.prec.copy()
+        return means, self.prec
 
     def has_pending_information(self) -> np.ndarray:
         """Per trial: is some agent's belief still flat although its inbox
@@ -144,13 +144,13 @@ class EdgeEngine(DirectedEdges):
             return np.zeros(len(self.trials), bool)
         return np.any((self.edge_prec > 0.0) & flat[:, self.dst], axis=1)
 
-    def estimates(self, row: int = 0) -> dict[int, float | None]:
+    def estimates(self) -> dict[int, float | None]:
         return {a: (m if p > 0 else None) for a, m, p in
-                zip(self.ids, self.mean[row].tolist(), self.prec[row].tolist())}
+                zip(self.ids, self.mean[0].tolist(), self.prec[0].tolist())}
 
-    def variances(self, row: int = 0) -> dict[int, float]:
+    def variances(self) -> dict[int, float]:
         return {a: (1.0 / p if p > 0 else math.inf)
-                for a, p in zip(self.ids, self.prec[row].tolist())}
+                for a, p in zip(self.ids, self.prec[0].tolist())}
 
     # -- dynamic topology ----------------------------------------------------
 

@@ -110,10 +110,6 @@ class Graph:
             a.flags.writeable = False
         return layout
 
-    @property
-    def num_agents(self) -> int:
-        return len(self.agents)
-
     def neighbors(self, i: int) -> frozenset[int]:
         if i not in self.agents:
             raise UnknownAgentError(f"unknown agent id {i}")

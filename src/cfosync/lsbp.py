@@ -75,9 +75,11 @@ def variance_map(graph: Graph, meas: MeasurementSet, p: np.ndarray,
     """One application of the belief-precision update.
 
     `p` holds precisions of non-reference agents in sorted-id order; entry 0
-    encodes an infinite-variance (flat) neighbor.  The reference agent is
-    pinned at `ref_precision` and is not part of the vector.  Pure function,
-    shared by the simulator's tests and the feasibility check.
+    encodes an infinite-variance (flat) neighbor and inf a perfectly known
+    one (all-inf maps to the update's upper bound, sum_j 1/sigma2_ij).  The
+    reference agent is pinned at `ref_precision` and is not part of the
+    vector.  Pure function, shared by the simulator's tests and the
+    feasibility check.
     """
     edges = DirectedEdges(graph, meas)
     p = np.asarray(p, dtype=float)
@@ -88,41 +90,28 @@ def variance_map(graph: Graph, meas: MeasurementSet, p: np.ndarray,
     return _precision_update(edges, p, ref_precision)
 
 
-def variance_map_bound(graph: Graph, meas: MeasurementSet,
-                       ref_precision: float = DEFAULT_REFERENCE_PRECISION) -> np.ndarray:
-    """Elementwise upper bound of the precision update: the image of
-    zero-variance (perfectly known) neighbors, i.e. sum_j 1/sigma2_ij.
-
-    Every finite-precision input maps strictly below this bound in each
-    coordinate that has at least one non-reference neighbor.
-    """
-    edges = DirectedEdges(graph, meas)
-    return _precision_update(edges, np.full(edges.n - 1, np.inf), ref_precision)
-
-
 def is_feasible_start(graph: Graph, meas: MeasurementSet, p0: np.ndarray,
-                      ref_precision: float = DEFAULT_REFERENCE_PRECISION,
-                      slack: float = 1e-12) -> bool:
+                      ref_precision: float = DEFAULT_REFERENCE_PRECISION) -> bool:
     """True iff the precision update moves every coordinate of p0 the same
-    way (elementwise >= or elementwise <=), the start condition under which
-    the variance trajectory is monotone."""
+    way (elementwise >= or elementwise <=, with a slack of 1e-12), the start
+    condition under which the variance trajectory is monotone."""
     diff = variance_map(graph, meas, p0, ref_precision) - np.asarray(p0)
-    return bool(np.all(diff >= -slack) or np.all(diff <= slack))
+    return bool(np.all(diff >= -1e-12) or np.all(diff <= 1e-12))
 
 
 def variance_fixed_point(graph: Graph, meas: MeasurementSet,
-                         ref_precision: float = DEFAULT_REFERENCE_PRECISION,
-                         tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
-    """Iterate the precision update from the flat start until stationary.
-    Returns precisions of non-reference agents in sorted-id order."""
+                         ref_precision: float = DEFAULT_REFERENCE_PRECISION) -> np.ndarray:
+    """Iterate the precision update from the flat start until no precision
+    moves by more than 1e-14, within 100000 steps.  Returns precisions of
+    non-reference agents in sorted-id order."""
     edges = DirectedEdges(graph, meas)
     p = np.zeros(edges.n - 1)
-    for _ in range(max_iter):
+    for _ in range(100000):
         p_next = _precision_update(edges, p, ref_precision)
-        if np.max(np.abs(p_next - p), initial=0.0) <= tol:
+        if np.max(np.abs(p_next - p), initial=0.0) <= 1e-14:
             return p_next
         p = p_next
-    raise NumericError(f"variance iteration did not settle within {max_iter} steps")
+    raise NumericError("variance iteration did not settle within 100000 steps")
 
 
 # ---------------------------------------------------------------------------

@@ -120,12 +120,12 @@ def generate_truth(graph: Graph, max_offset: float = DEFAULT_MAX_OFFSET_HZ,
                        reference=graph.reference)
 
 
-def draw_joiner_offset(truth_seed, agent_id: int,
+def draw_joiner_offset(truth_seed: list[int], agent_id: int,
                        max_offset: float = DEFAULT_MAX_OFFSET_HZ) -> float:
-    """Offset for an agent joining mid-run, from a stream keyed by its fresh
-    id so the value is reproducible and independent of join timing."""
-    base = truth_seed if isinstance(truth_seed, (list, tuple)) else [truth_seed]
-    rng = np.random.default_rng([*base, agent_id])
+    """Offset for an agent joining mid-run, from the stream truth_seed +
+    [agent_id], keyed by its fresh id so the value is reproducible and
+    independent of join timing."""
+    rng = np.random.default_rng([*truth_seed, agent_id])
     return float(rng.uniform(-max_offset, max_offset)) if max_offset > 0 else 0.0
 
 

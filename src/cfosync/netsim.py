@@ -37,12 +37,12 @@ from .bp import BpEngine
 from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
                      parse_topology, validate_config)
 from .edges import iterate
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, UnobservableError
 from .graph import Graph
 from .lsbp import BeliefInit, LsbpEngine, variance_fixed_point
 from .metrics import IterationRow, RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, draw_joiner_offset,
-                    generate_measurements, generate_truth)
+                    generate_measurements, generate_truth, sorted_lookup)
 from . import oracle as oracle_mod
 
 STREAM_TRUTH = 1
@@ -185,13 +185,12 @@ class _Batch:
 
     def _topology(self, engine) -> None:
         """What the rows of one topology share: the engine's sorted ids, the
-        non-reference agents without a neighbor and the true offsets, in id
+        agents without a path to the reference and the true offsets, in id
         order; and fresh held means and variances, which the next record
         fills for every trial, since no trial stops before the last timeline
         event."""
         self.agents = tuple(engine.ids)
-        alone = np.flatnonzero(np.diff(engine.indptr) == 0)
-        self.isolated = tuple(engine.ids[k] for k in alone if k != engine.ref)
+        self.unobservable = tuple(sorted(self.graph.unreachable_agents()))
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
         self.means, self.variances = np.empty((2, self.cfg.trials, engine.n))
 
@@ -250,7 +249,7 @@ class _Batch:
                 broadcasts=sends,
                 deliveries=deliveries,
                 drops=drops,
-                unobservable=self.isolated,
+                unobservable=self.unobservable,
             ))
 
     def _apply_events(self, steps: list[tuple[TimelineEvent, Graph]], engine):
@@ -308,8 +307,6 @@ def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> Non
     engine has already laid out, and one linear system's normal matrix is
     solved once for every trial and inverted once for the CRLB."""
     graph, truth, meas = batch.graph, batch.truth, batch.meas
-    if len(graph.agents) < 2:
-        raise ConfigError("the oracle needs an agent besides the reference")
     pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
     system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
     fps = oracle_mod.build_fixed_point_system(graph, meas, pstar, truth.reference_value,
@@ -320,6 +317,24 @@ def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> Non
         "crlb_avg": oracle_mod.avg_crlb(system, cfg.mse_normalization),
         "wls_mean": {a: float(np.mean(v)) for a, v in oracle_mod.wls_solve(system).items()},
     }
+
+
+def _check_topologies(cfg: ExperimentConfig, overrides: dict[tuple[int, int], float],
+                      topologies: list[Graph]) -> None:
+    """Before round 1: every sigma override names an edge of some topology
+    of the run (an id past every agent's becomes next_id, which no edge
+    holds), and the oracle's final topology has an unknown besides the
+    reference and anchors every agent."""
+    final = topologies[-1]
+    named = np.array([[min(a, final.next_id) for a in edge] for edge in overrides],
+                     dtype=np.intp).reshape(-1, 2)
+    found = np.any([sorted_lookup(g.edge_array, named)[1] for g in topologies], axis=0)
+    if not found.all():
+        raise ConfigError(f"sigma override for non-edge {list(overrides)[np.argmin(found)]}")
+    if cfg.oracle and len(final.agents) < 2:
+        raise ConfigError("the oracle needs an agent besides the reference")
+    if cfg.oracle and final.unreachable_agents():
+        raise UnobservableError(final.unreachable_agents())
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunTrace:
@@ -336,9 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunTrace:
     events = parse_timeline(cfg.timeline)
     graphs = validate_timeline(events, graph, cfg)
     overrides = parse_sigma_overrides(cfg.sigma_overrides)
-    for edge in overrides:
-        if edge not in graph.edges:
-            raise ConfigError(f"sigma override for non-edge {edge}")
+    _check_topologies(cfg, overrides, [graph, *graphs])
     truth = generate_truth(graph, cfg.max_offset,
                            seed=[cfg.master_seed, STREAM_TRUTH, 0])
     batch = _Batch(cfg, graph, truth, overrides).run(events, graphs)

@@ -29,12 +29,10 @@ per-round deltas are not reachable inside the 100-round horizon, while at
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import replace
 
 from .config import ExperimentConfig, parse_topology
 from .errors import ConfigError
-
-PRESET_NAMES = ("variance-sweep", "pdr-sweep", "dynamic-topology")
 
 SWEEP_VARIANCES = (100.0, 10.0, 1.0, 0.1, 0.01)
 SWEEP_TOPOLOGY = "random:n=100,width=3000,height=4000,radius=500,seed=78"
@@ -44,25 +42,21 @@ FLOOR_MEAN_TOL = 0.1
 LEAVERS = (4, 5, 8, 10)
 
 
-def _with(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **kw)
-
-
 def variance_sweep(overrides: dict | None = None) -> list[tuple[str, ExperimentConfig]]:
     base = ExperimentConfig(
         topology=SWEEP_TOPOLOGY, algorithm="lsbp", pdr=0.8,
         init_mode="uniform", init_mean=0.0, sigma=1.0,
         l_max=100, trials=1, master_seed=101, mean_tol=FLOOR_MEAN_TOL)
-    base = _with(base, **(overrides or {}))
-    return [(f"p0-{v:g}", _with(base, init_variance=v)) for v in SWEEP_VARIANCES]
+    base = replace(base, **(overrides or {}))
+    return [(f"p0-{v:g}", replace(base, init_variance=v)) for v in SWEEP_VARIANCES]
 
 
 def pdr_sweep(overrides: dict | None = None) -> list[tuple[str, ExperimentConfig]]:
     base = ExperimentConfig(
         topology=DENSE_TOPOLOGY, sigma=1.0, l_max=100, trials=200,
         master_seed=202, mean_tol=FLOOR_MEAN_TOL, oracle=True)
-    base = _with(base, **(overrides or {}))
-    return [(f"{algo}-pdr{int(pdr * 100)}", _with(base, algorithm=algo, pdr=pdr))
+    base = replace(base, **(overrides or {}))
+    return [(f"{algo}-pdr{int(pdr * 100)}", replace(base, algorithm=algo, pdr=pdr))
             for algo in ("lsbp", "bp") for pdr in (0.6, 0.8)]
 
 
@@ -70,23 +64,24 @@ def dynamic_topology(overrides: dict | None = None) -> list[tuple[str, Experimen
     base = ExperimentConfig(
         topology=SMALL_TOPOLOGY, sigma=1.0, pdr=0.8, l_max=40, trials=100,
         master_seed=303, mean_tol=FLOOR_MEAN_TOL, oracle=True)
-    base = _with(base, **(overrides or {}))
+    base = replace(base, **(overrides or {}))
     graph = parse_topology(base)
     pos = graph.positions
     entries = [f"5:leave:{a}" for a in LEAVERS]
     for when, agent in zip((10, 10, 11, 11), LEAVERS):
         x, y = pos[agent]
         entries.append(f"{when}:join:{x!r},{y!r}")
-    base = _with(base, timeline=";".join(entries))
-    return [(algo, _with(base, algorithm=algo)) for algo in ("lsbp", "bp")]
+    base = replace(base, timeline=";".join(entries))
+    return [(algo, replace(base, algorithm=algo)) for algo in ("lsbp", "bp")]
+
+
+PRESETS = {"variance-sweep": variance_sweep, "pdr-sweep": pdr_sweep,
+           "dynamic-topology": dynamic_topology}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_configs(name: str, overrides: dict | None = None
                    ) -> list[tuple[str, ExperimentConfig]]:
-    if name == "variance-sweep":
-        return variance_sweep(overrides)
-    if name == "pdr-sweep":
-        return pdr_sweep(overrides)
-    if name == "dynamic-topology":
-        return dynamic_topology(overrides)
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return PRESETS[name](overrides)

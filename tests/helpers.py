@@ -373,7 +373,7 @@ def measurements_from_csv(text: str) -> MeasurementSet:
 
 def edgelist_text(g: Graph) -> str:
     """The `N <n> REF <ref>` / `i j` / `POS i x y` text of a graph."""
-    lines = [f"N {g.num_agents} REF {g.reference}"]
+    lines = [f"N {len(g.agents)} REF {g.reference}"]
     lines += [f"{i} {j}" for i, j in sorted(g.edges)]
     if g.positions is not None:
         lines += [f"POS {a} {g.positions[a][0]!r} {g.positions[a][1]!r}"

@@ -20,7 +20,7 @@ import pytest
 from cfosync import (BeliefPropagation, Graph, LinearScalingBP, build_fixed_point_system,
                      build_linear_system, generate_measurements, generate_truth,
                      is_feasible_start, run_experiment, spectral_radius,
-                     variance_fixed_point, variance_map, variance_map_bound, wls_solve)
+                     variance_fixed_point, variance_map, wls_solve)
 from cfosync.cli import main as cli_main
 from cfosync.config import ExperimentConfig, parse_topology
 from cfosync.lsbp import nonref_agents
@@ -69,7 +69,7 @@ def test_criterion_01_variance_map_properties():
         n = int(rng.integers(5, 31))
         graph, _, ms = _random_instance(rng, n)
         m = len(nonref_agents(graph))
-        bound = variance_map_bound(graph, ms)
+        bound = variance_map(graph, ms, np.full(m, np.inf))   # known neighbours
         ref_nbrs = graph.neighbors(graph.reference)
         ids = nonref_agents(graph)
         for _ in range(20):

@@ -102,6 +102,12 @@ def config_texts(draw):
 @example(_text(timeline="1:leave:2;1:leave:3", oracle="true"))   # oracle, no unknowns
 @example(_text(algorithm="bp", max_offset="1e13"))               # no divergence
 @example(_text(l_max="3", timeline="3:leave:3"))                 # never fires
+@example(_text(positions="1:0,0;2:100,0;3:0,100", radius="150",  # a joiner's edge
+               timeline="2:join:5,5", sigma_overrides="1-4:3.0"))
+@example(_text(positions="1:0,0;2:100,0;3:0,100", radius="150",  # no topology's edge
+               timeline="2:join:5,5", sigma_overrides="1-5:3.0"))
+@example(_text(topology="edges:1-2;2-3;3-4", timeline="2:leave:2",  # cut off, oracle
+               oracle="true"))
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \

@@ -56,7 +56,7 @@ def test_parse_topology_variants():
     assert g.agents == {1, 2, 3}
     g2 = parse_topology(ExperimentConfig(
         topology="random:n=12,width=100,height=100,radius=60,seed=1"))
-    assert g2.num_agents == 12 and g2.is_connected()
+    assert len(g2.agents) == 12 and g2.is_connected()
     for bad in ("grid:3x3", "random:n=5", "edges:", "edges:1_2",
                 "random:n=12,width=100,height=100,sead=1"):
         with pytest.raises(ConfigError):
@@ -115,6 +115,28 @@ def test_cli_oracle_run(tmp_path, capsys):
     assert summary["rho_K"] == pytest.approx(0.3819660112501051, abs=1e-6)
     assert (out / "trace.csv").exists()
     assert "rho_K" in capsys.readouterr().out
+
+
+JOIN_CFG = TRIANGLE_CFG + "positions = 1:0,0;2:100,0;3:0,100\nradius = 150\ntimeline = 2:join:5,5\n"
+
+
+@pytest.mark.parametrize("override, code", [("1-4:3.0", 0), ("1-5:3.0", 2)])
+def test_cli_sigma_override_on_a_joiners_edge(tmp_path, capsys, override, code):
+    # the joiner gets id 4: {1, 4} is an edge of the run's last topology, {1, 5} of none
+    cfg = _write_cfg(tmp_path, JOIN_CFG + f"sigma_overrides = {override}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([] if code == 0 else [
+        "error: code=2 kind=validation reason=sigma override for non-edge (1, 5)"])
+
+
+def test_cli_unobservable_oracle_run_fails_before_round_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "topology = edges:1-2;2-3;3-4\ntimeline = 2:leave:2\n"
+                               "l_max = 50000\noracle = true\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: code=2 kind=validation reason=agents not anchored to the reference: [3, 4]"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_zero_iterations(tmp_path):

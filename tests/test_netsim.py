@@ -10,7 +10,7 @@ from cfosync import (BeliefPropagation, ExperimentConfig, Graph, LinearScalingBP
                      generate_measurements, generate_truth, run_experiment)
 import cfosync.netsim as netsim
 from cfosync.edges import EdgeEngine
-from cfosync.errors import ConfigError
+from cfosync.errors import ConfigError, UnobservableError
 from cfosync.metrics import RunTrace, summary_dict, trace_to_csv
 from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
                             validate_timeline)
@@ -419,6 +419,55 @@ def test_leave_isolating_an_agent_flags_it_unobservable():
     row = trace.rows[3]   # first row after the leave fires
     assert row.unobservable == (3,)
     assert np.isnan(row.means[row.agents.index(3)])   # empty neighborhood resets the belief
+
+
+def test_leave_cutting_off_a_component_flags_it_unobservable():
+    # agents 3 and 4 keep their edge but lose every path to the reference
+    cfg = ExperimentConfig(topology="edges:1-2;2-3;3-4", l_max=8, pdr=0.5,
+                           timeline="2:leave:2", master_seed=11, mean_tol=1e-12)
+    rows = run_experiment(cfg).rows
+    assert [r.unobservable for r in rows[:3]] == [()] * 3
+    assert [r.unobservable for r in rows[3:]] == [(3, 4)] * (len(rows) - 3)
+
+
+JOIN_CFG = ExperimentConfig(topology=TRIANGLE, positions="1:0,0;2:100,0;3:0,100",
+                            radius=150.0, timeline="2:join:5,5", l_max=6, master_seed=3)
+
+
+def test_sigma_override_may_name_a_joiners_edge(monkeypatch):
+    # agent 4 joins at (5, 5), in range of all three; its edge {1, 4} is in
+    # no topology before the join
+    batches, run = [], _Batch.run
+    monkeypatch.setattr(_Batch, "run", lambda self, *args: batches.append(self) or run(self, *args))
+    run_experiment(dataclasses.replace(JOIN_CFG, sigma_overrides="1-4:3.0"))
+    meas = batches[0].meas
+    sig2 = meas.sigma2_array[meas.rows_of(np.array([[1, 4], [2, 4], [3, 4], [1, 2]]))]
+    assert sig2.tolist() == [9.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ("2-4:1.0;4-5:2.0", "(4, 5)"),                             # 5 never joins
+    ("1-99999999999999999999:2.0", "(1, 99999999999999999999)"),  # beyond int64
+])
+def test_sigma_override_naming_no_edge_of_any_topology_rejected(overrides, named):
+    cfg = dataclasses.replace(JOIN_CFG, sigma_overrides=overrides)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == f"sigma override for non-edge {named}"
+
+
+@pytest.mark.parametrize("topology, timeline, error, match", [
+    ("edges:1-2;2-3;3-4", "2:leave:2", UnobservableError, r"reference: \[3, 4\]$"),
+    ("edges:1-2", "1:leave:2", ConfigError, "an agent besides the reference"),
+])
+def test_oracle_preconditions_fail_before_round_1(monkeypatch, topology, timeline, error,
+                                                  match):
+    rounds = []
+    monkeypatch.setattr(_Batch, "_round", lambda self, engine: rounds.append(engine))
+    cfg = ExperimentConfig(topology=topology, timeline=timeline, l_max=50000, oracle=True)
+    with pytest.raises(error, match=match):
+        run_experiment(cfg)
+    assert rounds == []
 
 
 def test_dynamic_mse_recovers_after_joins():

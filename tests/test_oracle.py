@@ -9,7 +9,7 @@ from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, a
                      build_fixed_point_system, build_linear_system, crlb,
                      generate_measurements, generate_truth, is_feasible_start,
                      mean_fixed_point, random_geometric, run_experiment, spectral_radius,
-                     variance_fixed_point, variance_map, variance_map_bound, wls_solve)
+                     variance_fixed_point, variance_map, wls_solve)
 from cfosync.edges import DirectedEdges
 from cfosync.lsbp import LsbpEngine
 from cfosync.errors import NumericError, UnobservableError
@@ -169,7 +169,7 @@ def test_oracle_factors_once_per_run(monkeypatch):
 
 
 def test_precision_updates_read_no_measurements():
-    # the four precision-update functions read only the variances: they run
+    # the precision-update functions read only the variances: they run
     # on a set that has no r_array, and agree with the full set
     g, _, ms = seeded_instance(44, 10)
     unread = MeasurementSet.__new__(MeasurementSet)   # reading r_array raises
@@ -178,7 +178,8 @@ def test_precision_updates_read_no_measurements():
     np.testing.assert_array_equal(pstar, variance_fixed_point(g, ms))
     p0 = np.zeros(len(pstar))
     np.testing.assert_array_equal(variance_map(g, unread, p0), variance_map(g, ms, p0))
-    np.testing.assert_array_equal(variance_map_bound(g, unread), variance_map_bound(g, ms))
+    known = np.full(len(pstar), np.inf)   # the update's upper bound
+    np.testing.assert_array_equal(variance_map(g, unread, known), variance_map(g, ms, known))
     assert is_feasible_start(g, unread, p0) == is_feasible_start(g, ms, p0)
 
 
