@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
-                    EdgeEngine, MessagePassingEstimator, message_precision)
+from .edges import EdgeEngine, MessagePassingEstimator, message_precision
 from .graph import Graph
 from .model import MeasurementSet
 
@@ -100,14 +99,6 @@ class BpEngine(EdgeEngine):
 class BeliefPropagation(MessagePassingEstimator):
     """Estimator-style front end for synchronous BP; see
     MessagePassingEstimator for fit() and the fitted attributes."""
-
-    def __init__(self, max_iter: int = 1000, mean_tol: float = DEFAULT_MEAN_TOL,
-                 prec_tol: float = DEFAULT_PREC_TOL,
-                 reference_precision: float = DEFAULT_REFERENCE_PRECISION):
-        self.max_iter = max_iter
-        self.mean_tol = mean_tol
-        self.prec_tol = prec_tol
-        self.reference_precision = reference_precision
 
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float):

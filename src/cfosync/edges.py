@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -236,14 +237,20 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
 
 # -- estimator front ends -----------------------------------------------------
 
+@dataclass(kw_only=True, eq=False)
 class MessagePassingEstimator:
     """Estimator-style front end for lossless runs on a static graph.
 
-    The constructor carries the parameters as attributes.  fit() runs rounds
-    until the per-round change falls below mean_tol/prec_tol or max_iter
-    rounds have run, then exposes estimates_ (dict id -> Hz, None while
-    flat), variances_, n_iter_ and converged_.
+    The parameters are keyword-only fields.  fit() runs rounds until the
+    per-round change falls below mean_tol/prec_tol or max_iter rounds have
+    run, then exposes estimates_ (dict id -> Hz, None while flat),
+    variances_, n_iter_ and converged_.
     """
+
+    max_iter: int = 1000
+    mean_tol: float = DEFAULT_MEAN_TOL
+    prec_tol: float = DEFAULT_PREC_TOL
+    reference_precision: float = DEFAULT_REFERENCE_PRECISION
 
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float

@@ -11,7 +11,7 @@ which neighbour lookups, connectivity, the engines and the oracle all read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -156,13 +156,8 @@ class Graph:
         positions = None
         if self.positions is not None:
             positions = {a: p for a, p in self.positions.items() if a != i}
-        return Graph(
-            agents=self.agents - {i},
-            edge_array=self.edge_array[np.all(self.edge_array != i, axis=1)],
-            reference=self.reference,
-            positions=positions,
-            next_id=self.next_id,
-        )
+        return replace(self, agents=self.agents - {i}, positions=positions,
+                       edge_array=self.edge_array[np.all(self.edge_array != i, axis=1)])
 
     def add_agent(self, position: tuple[float, float],
                   radius: float = DEFAULT_COMM_RADIUS) -> tuple["Graph", int]:
@@ -184,14 +179,8 @@ class Graph:
                           np.column_stack([linked, np.full(len(linked), new_id)]), axis=0)
         positions = dict(self.positions)
         positions[new_id] = (x, y)
-        g = Graph(
-            agents=self.agents | {new_id},
-            edge_array=edges,
-            reference=self.reference,
-            positions=positions,
-            next_id=new_id + 1,
-        )
-        return g, new_id
+        return replace(self, agents=self.agents | {new_id}, edge_array=edges,
+                       positions=positions, next_id=new_id + 1), new_id
 
 
 def _cell_width(radius: float) -> float:

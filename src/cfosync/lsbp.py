@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
-                    DirectedEdges, EdgeEngine, MessagePassingEstimator,
-                    message_precision)
+from .edges import (DEFAULT_REFERENCE_PRECISION, DirectedEdges, EdgeEngine,
+                    MessagePassingEstimator, message_precision)
 from .graph import Graph
 from .model import MeasurementSet
 
@@ -212,26 +211,17 @@ class LsbpEngine(EdgeEngine):
 # Estimator front end
 # ---------------------------------------------------------------------------
 
+@dataclass(kw_only=True, eq=False)
 class LinearScalingBP(MessagePassingEstimator):
     """Estimator-style front end for the broadcast algorithm, synchronous or
     asynchronous (a seeded random update order per round); see
     MessagePassingEstimator for fit() and the fitted attributes."""
 
-    def __init__(self, init: str = ZERO_PRECISION, init_variance: float = 1.0,
-                 init_mean: float = 0.0, max_iter: int = 1000,
-                 mean_tol: float = DEFAULT_MEAN_TOL,
-                 prec_tol: float = DEFAULT_PREC_TOL,
-                 reference_precision: float = DEFAULT_REFERENCE_PRECISION,
-                 schedule: str = "synchronous", seed: int = 0):
-        self.init = init
-        self.init_variance = init_variance
-        self.init_mean = init_mean
-        self.max_iter = max_iter
-        self.mean_tol = mean_tol
-        self.prec_tol = prec_tol
-        self.reference_precision = reference_precision
-        self.schedule = schedule
-        self.seed = seed
+    init: str = ZERO_PRECISION
+    init_variance: float = 1.0
+    init_mean: float = 0.0
+    schedule: str = "synchronous"
+    seed: int = 0
 
     def _start(self, graph: Graph, measurements: MeasurementSet,
                reference_value: float):

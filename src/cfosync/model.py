@@ -7,7 +7,7 @@ n ~ N(0, sigma^2).  The reference agent's shift is known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +37,10 @@ class GroundTruth:
         return self.offsets[self.reference]
 
     def with_offset(self, agent: int, value: float) -> "GroundTruth":
-        offs = dict(self.offsets)
-        offs[agent] = float(value)
-        return GroundTruth(offsets=offs, reference=self.reference)
+        return replace(self, offsets={**self.offsets, agent: float(value)})
 
 
+@dataclass(eq=False)
 class MeasurementSet:
     """One measurement per edge.
 
@@ -52,12 +51,9 @@ class MeasurementSet:
     is never changed in place.
     """
 
-    def __init__(self, edge_array: np.ndarray | None = None,
-                 r_array: np.ndarray | None = None,
-                 sigma2_array: np.ndarray | None = None):
-        self.edge_array = np.empty((0, 2), np.intp) if edge_array is None else edge_array
-        self.r_array = np.empty(0) if r_array is None else r_array
-        self.sigma2_array = np.empty(0) if sigma2_array is None else sigma2_array
+    edge_array: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.intp))
+    r_array: np.ndarray = field(default_factory=lambda: np.empty(0))
+    sigma2_array: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @classmethod
     def stacked(cls, sets: list["MeasurementSet"]) -> "MeasurementSet":

@@ -6,8 +6,10 @@ from cfosync import (BeliefPropagation, Graph, LinearScalingBP, build_linear_sys
                      spectral_radius, wls_solve)
 from cfosync.bp import BpEngine
 from cfosync.config import parse_sigma_overrides, parse_topology
-from cfosync.edges import DEFAULT_REFERENCE_PRECISION, iterate
+from cfosync.edges import (DEFAULT_MEAN_TOL, DEFAULT_PREC_TOL, DEFAULT_REFERENCE_PRECISION,
+                           iterate)
 from cfosync.errors import NumericError
+from cfosync.lsbp import ZERO_PRECISION
 from cfosync.presets import PRESET_NAMES, preset_configs
 
 from helpers import (Gaussian1D, bp_message, directed_edge, meas_r, measurement_set,
@@ -30,6 +32,25 @@ def test_bp_message_from_reference_uses_pin():
                      reference=1, reference_belief=pin)
     assert out.mean() == pytest.approx(5.0)
     assert out.variance() == pytest.approx(1.0, abs=1e-9)
+
+
+SHARED_DEFAULTS = dict(max_iter=1000, mean_tol=DEFAULT_MEAN_TOL, prec_tol=DEFAULT_PREC_TOL,
+                       reference_precision=DEFAULT_REFERENCE_PRECISION)
+
+
+@pytest.mark.parametrize("estimator, own_defaults", [
+    (BeliefPropagation, {}),
+    (LinearScalingBP, dict(init=ZERO_PRECISION, init_variance=1.0, init_mean=0.0,
+                           schedule="synchronous", seed=0)),
+])
+def test_front_end_parameters_are_keyword_only_fields(estimator, own_defaults):
+    with pytest.raises(TypeError):
+        estimator(1000)
+    est = estimator()
+    expected = {**SHARED_DEFAULTS, **own_defaults}
+    assert vars(est) == expected
+    fields = ", ".join(f"{k}={v!r}" for k, v in expected.items())
+    assert repr(est) == f"{estimator.__name__}({fields})"
 
 
 def _chain():

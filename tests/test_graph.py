@@ -75,10 +75,13 @@ def test_random_geometric_exhausts_budget():
 
 
 def test_remove_agent_triangle_to_path():
-    tri = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-    g = tri.remove_agent(3)
-    assert g.agents == {1, 2}
-    assert g.edges == {(1, 2)}
+    pos = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (0.0, 1.0)}
+    for positions, kept in ((None, None), (pos, {1: (0.0, 0.0), 2: (1.0, 0.0)})):
+        tri = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)], reference=2, positions=positions)
+        g = tri.remove_agent(3)
+        assert g.agents == {1, 2}
+        assert g.edges == {(1, 2)}
+        assert (g.reference, g.next_id, g.positions) == (2, 4, kept)   # id 3 is never reused
 
 
 def test_remove_reference_forbidden():
@@ -131,7 +134,7 @@ def test_add_agent_keeps_edge_order_and_links_only_agents():
                          positions={1: (0, 0), 2: (10, 0), 3: (0, 10), 4: (10, 10),
                                     9: (5, 5)})
     back, new_id = g.add_agent((5, 5), radius=7.5)
-    assert new_id == 5
+    assert (new_id, back.next_id, back.reference) == (5, 6, 1)
     assert back.edge_array.tolist() == [[1, 2], [1, 3], [1, 5], [2, 4], [2, 5],
                                         [3, 4], [3, 5], [4, 5]]
     assert back.positions[5] == (5.0, 5.0)

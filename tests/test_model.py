@@ -164,7 +164,10 @@ def test_vectorized_generation_matches_scalar_reference(seed):
     ref = measurement_dict(ms)
     victim = int(rng.integers(2, max(g.agents) + 1))
     joiner = max(g.agents) + 1
-    later = scalar_measurements(g, truth.with_offset(joiner, 5.0), 3.0, seed=seed + 99,
+    joined = truth.with_offset(joiner, 5.0)
+    assert joiner not in truth.offsets   # the original truth is unchanged
+    assert (joined.offsets, joined.reference) == ({**truth.offsets, joiner: 5.0}, 1)
+    later = scalar_measurements(g, joined, 3.0, seed=seed + 99,
                                 edges=edges[::3] + [(1, joiner), (victim, joiner)])
     merged = dict(ref)
     merged.update(measurement_dict(later))       # the later set wins on a shared edge

@@ -430,6 +430,20 @@ def test_leave_cutting_off_a_component_flags_it_unobservable():
     assert [r.unobservable for r in rows[3:]] == [(3, 4)] * (len(rows) - 3)
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_agents_cut_off_from_the_reference_are_flat_and_unscored(seed):
+    # at these seeds the cut-off pair 3-4 still trades beliefs after the
+    # leave; what it holds is anchored to nothing, so rows report it flat
+    cfg = ExperimentConfig(topology="edges:1-2;2-3;3-4", l_max=8, pdr=0.5,
+                           timeline="2:leave:2", master_seed=seed, mean_tol=1e-12)
+    trace = run_experiment(cfg)
+    for row in trace.rows[3:]:
+        assert row.agents == (1, 3, 4)
+        assert np.isnan(row.means[1:]).all() and np.isnan(row.variances[1:]).all()
+        assert row.avg_mse == 0.0   # only the reference is scored
+    assert trace.final_estimates[3] is None and trace.final_estimates[4] is None
+
+
 JOIN_CFG = ExperimentConfig(topology=TRIANGLE, positions="1:0,0;2:100,0;3:0,100",
                             radius=150.0, timeline="2:join:5,5", l_max=6, master_seed=3)
 

@@ -27,16 +27,23 @@ def test_public_names_resolve_and_the_scalar_layer_is_gone():
 
 def test_set_up_path_does_not_import_orjson(tmp_path):
     # only the trace writer needs orjson, which takes milliseconds to import; a
-    # process that only sets up runs must not pay for it
+    # process that only sets up runs must not pay for it.  No run imports
+    # numpy.ma (13-25 ms of a fresh process), which a plain np.unique would.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("topology = random:n=20,width=500,height=500,radius=200,seed=3\n"
-                   "trials = 3\nl_max = 10\n")
+                   "trials = 3\nl_max = 10\ntimeline = 3:leave:5;6:join:250,250\n")
     code = ("import sys\nimport cfosync\n"
             "from cfosync.config import load_config, parse_topology, validate_config\n"
             f"cfg = load_config({str(cfg)!r})\nvalidate_config(cfg)\nparse_topology(cfg)\n"
             "assert 'orjson' not in sys.modules, 'orjson imported'\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by the set-up'\n"
             "from cfosync.metrics import _cells\n_cells([1.5])\n"
-            "assert 'orjson' in sys.modules\n")
+            "assert 'orjson' in sys.modules\n"
+            "from cfosync.cli import main\n"
+            "for algo in ('lsbp', 'bp'):\n"
+            f"    assert main(['--config', {str(cfg)!r}, '--out', {str(tmp_path)!r} + '/' + algo,\n"
+            "                 '--oracle', '--algo', algo]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by a run'\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cfosync.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
