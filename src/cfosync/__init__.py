@@ -10,14 +10,14 @@ reference for verifying them.
 """
 
 from .bp import BeliefPropagation, BpEngine
-from .config import ExperimentConfig, load_config, parse_config_text
+from .config import ExperimentConfig, TimelineEvent, load_config, parse_config_text
 from .graph import Graph, random_geometric
 from .lsbp import (BeliefInit, LinearScalingBP, LsbpEngine, is_feasible_start,
                    variance_fixed_point, variance_map)
 from .metrics import RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, generate_measurements,
                     generate_truth)
-from .netsim import TimelineEvent, run_experiment
+from .netsim import run_experiment
 from .oracle import (FixedPointSystem, LinearSystem, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
                      mean_fixed_point, spectral_radius, wls_solve)

@@ -110,21 +110,43 @@ def load_config(path) -> ExperimentConfig:
 
 # -- structured field grammars ------------------------------------------------
 
+def _entries(text: str, what: str, parse, sep: str = ";", keyed: bool = True):
+    """What `parse` makes of each non-empty, stripped entry of a
+    `sep`-separated list: a dict of the (key, value) pairs it returns, in
+    which a repeated key is an error, or with keyed=False a list.  A
+    ValueError in `parse` becomes ConfigError("bad {what} {entry!r}")."""
+    out = {} if keyed else []
+    for entry in filter(None, (s.strip() for s in text.split(sep))):
+        try:
+            item = parse(entry)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"bad {what} {entry!r}") from None
+        if not keyed:
+            out.append(item)
+        elif item[0] in out:
+            raise ConfigError(f"duplicate {what} {entry!r}")
+        else:
+            out[item[0]] = item[1]
+    return out
+
+
+def _random_param(entry: str) -> tuple[str, float]:
+    key, _, value = (s.strip() for s in entry.partition("="))
+    if key not in ("n", "width", "height", "radius", "seed", "retries"):
+        raise ConfigError(f"unknown random topology key {key!r}")
+    if key in ("n", "seed", "retries") and not float(value).is_integer():
+        raise ValueError(f"{key} must be a whole number")
+    return key, float(value)
+
+
 def _random_params(text: str) -> dict[str, float]:
     """The parameters of a 'random:k=v,...' topology: n, width and height
-    are required, radius, seed and retries have defaults, and any other key
-    is an error."""
-    params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": DEFAULT_RETRY_BUDGET}
-    for part in text[len("random:"):].split(","):
-        if not part:
-            continue
-        k, _, v = (s.strip() for s in part.partition("="))
-        if k not in ("n", "width", "height", "radius", "seed", "retries"):
-            raise ConfigError(f"unknown random topology key {k!r}")
-        try:
-            params[k] = float(v)
-        except ValueError:
-            raise ConfigError(f"bad topology parameter {part!r}")
+    are required, radius, seed and retries have defaults, n, seed and
+    retries are whole numbers, and any other key is an error."""
+    params = {"radius": DEFAULT_COMM_RADIUS, "seed": 0.0, "retries": DEFAULT_RETRY_BUDGET,
+              **_entries(text[len("random:"):], "topology parameter", _random_param, ",")}
     for req in ("n", "width", "height"):
         if req not in params:
             raise ConfigError(f"random topology needs {req}=")
@@ -163,35 +185,54 @@ def _build_topology(cfg: ExperimentConfig, text: str) -> Graph:
                       f"got {text!r}")
 
 
+def _position(entry: str) -> tuple[int, tuple[float, float]]:
+    ident, coords = entry.split(":")
+    x, y = map(float, coords.split(","))
+    return int(ident), (x, y)
+
+
 def parse_positions(text: str) -> dict[int, tuple[float, float]]:
-    out = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            ident, coords = part.split(":")
-            x, y = (float(s) for s in coords.split(","))
-            out[int(ident)] = (x, y)
-        except ValueError:
-            raise ConfigError(f"bad position entry {part!r}")
-    return out
+    return _entries(text, "position entry", _position)
+
+
+def _sigma_override(entry: str) -> tuple[tuple[int, int], float]:
+    edge, value = entry.split(":")
+    i, j = map(int, edge.split("-"))
+    key, std = canonical_edge(i, j), float(value)
+    _check_noise_std(f"sigma override {edge}", std)
+    return key, std
 
 
 def parse_sigma_overrides(text: str) -> dict[tuple[int, int], float]:
-    out = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            edge, val = part.split(":")
-            i, j = (int(s) for s in edge.split("-"))
-            out[canonical_edge(i, j)] = float(val)
-        except ValueError:
-            raise ConfigError(f"bad sigma override {part!r}")
-        _check_noise_std(f"sigma override {edge}", out[canonical_edge(i, j)])
-    return out
+    return _entries(text, "sigma override", _sigma_override)
+
+
+@dataclass(frozen=True)
+class TimelineEvent:
+    iteration: int
+    kind: str                       # "leave" | "join"
+    agent: int | None = None        # leave target
+    position: tuple[float, float] | None = None  # join placement
+
+
+def _timeline_event(entry: str) -> TimelineEvent:
+    when, kind, payload = entry.split(":")
+    iteration = int(when)
+    if iteration < 0:
+        raise ConfigError(f"timeline iteration must be >= 0: {entry!r}")
+    if kind == "leave":
+        return TimelineEvent(iteration, "leave", agent=int(payload))
+    if kind == "join":
+        x, y = map(float, payload.split(","))
+        return TimelineEvent(iteration, "join", position=(x, y))
+    raise ConfigError(f"unknown timeline event kind {kind!r}")
+
+
+def parse_timeline(text: str) -> list[TimelineEvent]:
+    events = _entries(text, "timeline entry", _timeline_event, keyed=False)
+    if any(b.iteration < a.iteration for a, b in zip(events, events[1:])):
+        raise ConfigError("timeline iterations must be non-decreasing")
+    return events
 
 
 def _check_noise_std(name: str, std: float) -> None:

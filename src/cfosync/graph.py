@@ -120,10 +120,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
-    def is_connected(self) -> bool:
-        """True iff every agent is reachable from the reference."""
-        return not self.unreachable_agents()
-
     def unreachable_agents(self) -> set[int]:
         """Breadth-first search from the reference, one array step per hop:
         the frontier's inbox slices of the layout give its neighbours, and
@@ -281,7 +277,7 @@ def random_geometric(n: int, width: float, height: float,
         g = Graph(agents=frozenset(range(1, n + 1)), edge_array=_close_pairs(pos, radius) + 1,
                   reference=reference,
                   positions=dict(zip(range(1, n + 1), zip(xs.tolist(), ys.tolist()))))
-        if g.is_connected():
+        if not g.unreachable_agents():
             return g
     raise GenerationError(
         f"no connected placement within {retry_budget} attempts "

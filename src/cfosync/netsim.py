@@ -34,8 +34,8 @@ from itertools import groupby
 import numpy as np
 
 from .bp import BpEngine
-from .config import (ExperimentConfig, join_radius, parse_sigma_overrides,
-                     parse_topology, validate_config)
+from .config import (ExperimentConfig, TimelineEvent, join_radius, parse_sigma_overrides,
+                     parse_timeline, parse_topology, validate_config)
 from .edges import iterate
 from .errors import ConfigError, NumericError, UnobservableError
 from .graph import Graph
@@ -49,48 +49,6 @@ STREAM_TRUTH = 1
 STREAM_NOISE = 2
 STREAM_LOSS = 3
 STREAM_SCHEDULE = 4
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    iteration: int
-    kind: str                       # "leave" | "join"
-    agent: int | None = None        # leave target
-    position: tuple[float, float] | None = None  # join placement
-
-
-def parse_timeline(text: str) -> list[TimelineEvent]:
-    events = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ConfigError(f"bad timeline entry {part!r}")
-        when, kind, payload = pieces
-        try:
-            iteration = int(when)
-        except ValueError:
-            raise ConfigError(f"bad timeline iteration {when!r}")
-        if iteration < 0:
-            raise ConfigError(f"timeline iteration must be >= 0: {part!r}")
-        if kind == "leave":
-            try:
-                events.append(TimelineEvent(iteration, "leave", agent=int(payload)))
-            except ValueError:
-                raise ConfigError(f"bad leave target {payload!r}")
-        elif kind == "join":
-            try:
-                x, y = (float(s) for s in payload.split(","))
-            except ValueError:
-                raise ConfigError(f"bad join position {payload!r}")
-            events.append(TimelineEvent(iteration, "join", position=(x, y)))
-        else:
-            raise ConfigError(f"unknown timeline event kind {kind!r}")
-    if any(b.iteration < a.iteration for a, b in zip(events, events[1:])):
-        raise ConfigError("timeline iterations must be non-decreasing")
-    return events
 
 
 def validate_timeline(events: list[TimelineEvent], graph: Graph,

@@ -233,7 +233,7 @@ def dense_random_geometric(n: int, width: float, height: float,
                           for a, b in zip(ii, jj))
         positions = {k + 1: (float(xs[k]), float(ys[k])) for k in range(n)}
         g = Graph.from_edges(n, edges, reference=reference, positions=positions)
-        if g.is_connected():
+        if not g.unreachable_agents():
             return g
     raise GenerationError(
         f"no connected placement within {retry_budget} attempts "

@@ -1,8 +1,8 @@
 """CLI contract under arbitrary config values: on the triangle, every field
 may take a value from a fixed alphabet (nan, inf, negatives, huge and
-subnormal numbers, empty strings, garbage text and valid values), and the
-run must end in exit 0, 2 or 4; a failure prints exactly one `error:` line,
-and nothing raises or warns.  Runs stay small: 3 agents in the base
+subnormal numbers, fractional counts, empty strings, garbage text, repeated
+or blank list entries and valid values), and the run must end in exit 0, 2
+or 4; a failure prints exactly one `error:` line, and nothing raises or warns.  Runs stay small: 3 agents in the base
 topology, l_max <= 50 and trials <= 3."""
 
 import contextlib
@@ -38,11 +38,12 @@ FIELDS = {
     "topology": st.one_of(
         _choice("edges:1-2;1-3;2-3", "edges:1-2;2-3", "edges:1-1", "edges:1-2;x",
                 "nan", "random:n=3"),
-        _template("random:n={n},width={w},height={h},radius={r},seed={s}",
-                  n=_choice("3", "2", "1", "-1", "nan", "inf", "1e-320"),
-                  w=NUM, h=NUM, r=NUM, s=_choice("0", "1", "-1", "nan"))),
+        _template("random:n={n},width={w},height={h},radius={r},seed={s}{more}",
+                  n=_choice("3", "2", "1", "-1", "nan", "inf", "1e-320", "2.5"),
+                  w=NUM, h=NUM, r=NUM, s=_choice("0", "1", "-1", "nan", "1.9"),
+                  more=st.sampled_from(["", ",n=3", ", ,"]))),
     "positions": st.one_of(
-        _choice("1:0,0;2:100,0;3:0,100", "1:0,0"),
+        _choice("1:0,0;2:100,0;3:0,100", "1:0,0", "1:0,0;2:100,0;3:0,100;2:100,0"),
         _template("1:{x},{y};2:100,0;3:0,100", x=NUM, y=NUM)),
     "radius": NUM,
     "reference": _choice("1", "2", "3", "4", "0", "-1", "nan"),
@@ -54,7 +55,8 @@ FIELDS = {
     "max_offset": NUM,
     "sigma": NUM,
     "sigma_overrides": st.one_of(
-        _choice(), _template("{e}:{v}", e=_choice("1-2", "2-3", "1-4", "1-1"), v=NUM)),
+        _choice("1-2:1.0;2-1:1.0"),
+        _template("{e}:{v}", e=_choice("1-2", "2-3", "1-4", "1-1"), v=NUM)),
     "pdr": NUM,
     "skip_prob": NUM,
     "timeline": st.one_of(_choice(), st.lists(TIMELINE_EVENT, min_size=1, max_size=3)
@@ -74,6 +76,17 @@ BASE = {"topology": "edges:1-2;1-3;2-3", "l_max": "30", "trials": "2"}
 def _text(**fields):
     """Config text: the base fields, replaced or added to by `fields`."""
     return "".join(f"{k} = {v}\n" for k, v in {**BASE, **fields}.items())
+
+
+# inputs that must exit 2: fractional counts and repeated list entries, which
+# used to run on a truncated value or on the last entry
+REJECTED = (
+    _text(topology="random:n=2.5,width=100,height=100,radius=200"),
+    _text(topology="random:n=3,width=100,height=100,radius=200,seed=1.9"),
+    _text(topology="random:n=3,width=100,height=100,radius=200,seed=1,n=12"),
+    _text(positions="1:0,0;2:100,0;3:0,100;2:900,900"),
+    _text(sigma_overrides="1-2:1.0;2-1:3.0"),
+)
 
 
 @st.composite
@@ -108,6 +121,11 @@ def config_texts(draw):
                timeline="2:join:5,5", sigma_overrides="1-5:3.0"))
 @example(_text(topology="edges:1-2;2-3;3-4", timeline="2:leave:2",  # cut off, oracle
                oracle="true"))
+@example(REJECTED[0])
+@example(REJECTED[1])
+@example(REJECTED[2])
+@example(REJECTED[3])
+@example(REJECTED[4])
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
@@ -117,7 +135,7 @@ def test_any_config_exits_0_2_or_4_with_one_error_line(text):
         cfg.write_text(text)
         rc = main(["--config", str(cfg), "--out", str(Path(tmp) / "out")])
     lines = err.getvalue().splitlines()
-    assert rc in (0, 2, 4), text
+    assert rc == 2 if text in REJECTED else rc in (0, 2, 4), text
     assert lines == [] if rc == 0 else len(lines) == 1 and lines[0].startswith(
         f"error: code={rc} "), (text, lines)
     assert not caught, (text, [str(w.message) for w in caught])

@@ -12,8 +12,8 @@ import cfosync
 from cfosync import ExperimentConfig, parse_config_text
 from cfosync.cli import main
 from cfosync.config import (FINITE_FIELDS, config_to_text, join_radius,
-                            parse_sigma_overrides, parse_topology,
-                            validate_config)
+                            parse_positions, parse_sigma_overrides,
+                            parse_topology, validate_config)
 from cfosync.errors import ConfigError, NumericError
 from cfosync.lsbp import LsbpEngine
 
@@ -56,13 +56,15 @@ def test_parse_topology_variants():
     assert g.agents == {1, 2, 3}
     g2 = parse_topology(ExperimentConfig(
         topology="random:n=12,width=100,height=100,radius=60,seed=1"))
-    assert len(g2.agents) == 12 and g2.is_connected()
+    assert len(g2.agents) == 12 and not g2.unreachable_agents()
     for bad in ("grid:3x3", "random:n=5", "edges:", "edges:1_2",
                 "random:n=12,width=100,height=100,sead=1"):
         with pytest.raises(ConfigError):
             parse_topology(ExperimentConfig(topology=bad))
     spaced = "random:n=12, width=100, height=100, radius=60, seed=1"
     assert join_radius(ExperimentConfig(topology=spaced)) == 60.0
+    blank = "random:n=12, ,width=100,height=100,radius=60,seed=1,"
+    assert parse_topology(ExperimentConfig(topology=blank)).edges == g2.edges
 
 
 def test_validate_config_rules():
@@ -96,6 +98,37 @@ def test_parse_sigma_overrides():
     for bad in ("1-2", "1-2:-1", "1-2:nan", "1-2:inf", "1-2:1e200", "1-2:1e-200"):
         with pytest.raises(ConfigError):
             parse_sigma_overrides(bad)
+    with pytest.raises(ConfigError, match=r"^bad sigma override '1-1:-5'$"):
+        parse_sigma_overrides("1-1:-5")
+
+
+def test_parse_positions():
+    assert parse_positions(" ;1:0,0; ;2:5,5;") == {1: (0.0, 0.0), 2: (5.0, 5.0)}
+    for bad in ("1:0", "1:0,0,0", "x:0,0", "1:0:0"):
+        with pytest.raises(ConfigError, match=f"^bad position entry '{bad}'$"):
+            parse_positions(f"2:1,1;{bad}")
+
+
+@pytest.mark.parametrize("fields, reason", [
+    pytest.param("topology = random:n=2.5,width=100,height=100,radius=60",
+                 "bad topology parameter 'n=2.5'", id="fractional-n"),
+    pytest.param("topology = random:n=12,width=100,height=100,radius=60,seed=1.9",
+                 "bad topology parameter 'seed=1.9'", id="fractional-seed"),
+    pytest.param("topology = random:n=12,width=100,height=100,radius=60,retries=2.5",
+                 "bad topology parameter 'retries=2.5'", id="fractional-retries"),
+    pytest.param("topology = random:n=30,width=100,height=100,radius=60,seed=1,n=12",
+                 "duplicate topology parameter 'n=12'", id="repeated-random-key"),
+    pytest.param("topology = edges:1-2;1-3;2-3\npositions = 1:0,0;2:100,0;3:0,100;2:900,900",
+                 "duplicate position entry '2:900,900'", id="repeated-position"),
+    pytest.param("topology = edges:1-2;1-3;2-3\nsigma_overrides = 1-2:1.0;2-1:3.0",
+                 "duplicate sigma override '2-1:3.0'", id="repeated-sigma-override"),
+])
+def test_cli_rejects_fractional_counts_and_duplicate_entries(tmp_path, capsys, fields, reason):
+    cfg = _write_cfg(tmp_path, f"{fields}\nl_max = 10\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: code=2 kind=validation reason={reason}"]
+    assert not (tmp_path / "o").exists()
 
 
 # -- CLI ----------------------------------------------------------------------

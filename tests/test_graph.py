@@ -34,9 +34,9 @@ def test_unknown_agent_raises():
 
 
 def test_is_connected():
-    assert Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]).is_connected()
-    assert not Graph.from_edges(4, [(1, 2), (3, 4)]).is_connected()
-    assert Graph.from_edges(1, []).is_connected()
+    assert not Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]).unreachable_agents()
+    assert Graph.from_edges(4, [(1, 2), (3, 4)]).unreachable_agents() == {3, 4}
+    assert not Graph.from_edges(1, []).unreachable_agents()
 
 
 def test_no_self_loops():
@@ -59,7 +59,7 @@ def test_random_geometric_deterministic():
     g2 = random_geometric(100, 3000, 4000, radius=1000, seed=7)
     assert g1.edges == g2.edges
     assert g1.positions == g2.positions
-    assert g1.is_connected()
+    assert not g1.unreachable_agents()
     g3 = random_geometric(100, 3000, 4000, radius=1000, seed=8)
     assert g3.edges != g1.edges
 
@@ -93,7 +93,7 @@ def test_remove_reference_forbidden():
 def test_remove_star_leaf_keeps_connectivity():
     star = Graph.from_edges(5, [(1, k) for k in range(2, 6)])
     g = star.remove_agent(5)
-    assert g.is_connected()
+    assert not g.unreachable_agents()
     assert g.degree(1) == 3
 
 
@@ -203,7 +203,6 @@ def test_unreachable_agents_match_a_set_search():
                 seen.add(j)
                 stack.append(j)
         assert g.unreachable_agents() == set(g.agents) - seen
-        assert g.is_connected() == (seen == set(g.agents))
 
 
 def _outcome(build, **kwargs):

@@ -130,10 +130,16 @@ def test_parse_timeline():
     assert evs[0].iteration == 5 and evs[0].kind == "leave" and evs[0].agent == 4
     assert evs[1].position == (1500.0, 2000.0)
     assert parse_timeline("") == []
-    for bad in ("5:leave", "x:leave:4", "5:dance:4", "5:join:oops",
-                "9:leave:4;5:leave:3"):
-        with pytest.raises(ConfigError):
+    for bad, reason in (("5:leave", "bad timeline entry '5:leave'"),
+                        ("x:leave:4", "bad timeline entry 'x:leave:4'"),
+                        ("5:leave:x", "bad timeline entry '5:leave:x'"),
+                        ("5:join:oops", "bad timeline entry '5:join:oops'"),
+                        ("-1:join:1,2", "timeline iteration must be >= 0: '-1:join:1,2'"),
+                        ("5:dance:4", "unknown timeline event kind 'dance'"),
+                        ("9:leave:4;5:leave:3", "timeline iterations must be non-decreasing")):
+        with pytest.raises(ConfigError) as info:
             parse_timeline(bad)
+        assert str(info.value) == reason
 
 
 def test_validate_timeline_rejects_unknown_and_reference():

@@ -68,7 +68,7 @@ def _oracle_case(seed: int) -> tuple[Graph, MeasurementSet, float]:
     n = int(rng.integers(4, 25))
     if kind == 3:
         g = random_geometric(n, 1000.0, 1000.0, radius=600.0, seed=seed)
-        gone = next(a for a in sorted(g.agents - {1}) if g.remove_agent(a).is_connected())
+        gone = next(a for a in sorted(g.agents - {1}) if not g.remove_agent(a).unreachable_agents())
         g, _ = g.remove_agent(gone).add_agent(g.positions[gone], 600.0)
     else:
         g = random_tree(rng, n) if kind == 2 else random_connected_graph(rng, n)

@@ -88,3 +88,11 @@ def test_bench_tracer_counts_the_trace_messages(tmp_path):
     totals = [sum(r[k] for r in rows.values()) for k in ("broadcasts", "deliveries", "drops")]
     assert totals[2] > 0
     assert counts == totals
+
+
+def test_readme_quick_start_runs_and_converges():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["est"].converged_
