@@ -18,20 +18,19 @@ from .metrics import RunTrace, avg_mse
 from .model import (GroundTruth, MeasurementSet, generate_measurements,
                     generate_truth)
 from .netsim import run_experiment
-from .oracle import (FixedPointSystem, LinearSystem, avg_crlb,
-                     build_fixed_point_system, build_linear_system, crlb,
-                     mean_fixed_point, spectral_radius, wls_solve)
+from .oracle import (LinearSystem, avg_crlb, build_fixed_point_system,
+                     build_linear_system, crlb, spectral_radius, wls_solve)
 from .presets import preset_configs
 
 __all__ = [
-    "BeliefInit", "BeliefPropagation", "BpEngine", "ExperimentConfig",
-    "FixedPointSystem", "Graph", "GroundTruth", "LinearScalingBP",
-    "LinearSystem", "LsbpEngine", "MeasurementSet", "RunTrace",
-    "TimelineEvent", "avg_crlb", "avg_mse", "build_fixed_point_system",
-    "build_linear_system", "crlb", "generate_measurements", "generate_truth",
-    "is_feasible_start", "load_config", "mean_fixed_point", "parse_config_text",
-    "preset_configs", "random_geometric", "run_experiment", "spectral_radius",
-    "variance_fixed_point", "variance_map", "wls_solve",
+    "BeliefInit", "BeliefPropagation", "BpEngine", "ExperimentConfig", "Graph",
+    "GroundTruth", "LinearScalingBP", "LinearSystem", "LsbpEngine",
+    "MeasurementSet", "RunTrace", "TimelineEvent", "avg_crlb", "avg_mse",
+    "build_fixed_point_system", "build_linear_system", "crlb",
+    "generate_measurements", "generate_truth", "is_feasible_start",
+    "load_config", "parse_config_text", "preset_configs", "random_geometric",
+    "run_experiment", "spectral_radius", "variance_fixed_point", "variance_map",
+    "wls_solve",
 ]
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ class ExperimentConfig:
     # "random:n=100,width=3000,height=4000,radius=1000,seed=0" or
     # "edges:1-2;1-3;2-3"
     topology: str = "random:n=100,width=3000,height=4000,radius=1000,seed=0"
-    # agent positions for edges topologies, "1:x,y;2:x,y"; random topologies
-    # carry their own
+    # agent positions for edges topologies, "1:x,y;2:x,y"; a random topology
+    # places its own and rejects them
     positions: str = ""
     # communication radius used when agents join mid-run; 0 means "use the
     # random topology's radius"
@@ -167,6 +167,8 @@ def parse_topology(cfg: ExperimentConfig) -> Graph:
 
 def _build_topology(cfg: ExperimentConfig, text: str) -> Graph:
     if text.startswith("random:"):
+        if cfg.positions.strip():
+            raise ConfigError("positions apply only to an edges: topology")
         params = _random_params(text)
         return random_geometric(
             n=int(params["n"]), width=params["width"], height=params["height"],

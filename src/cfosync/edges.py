@@ -266,5 +266,4 @@ class MessagePassingEstimator:
         self.n_iter_, self.converged_ = rounds[0], settled_at[0] is not None
         self.estimates_ = engine.estimates()
         self.variances_ = engine.variances()
-        self.engine_ = engine
         return self

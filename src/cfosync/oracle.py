@@ -2,15 +2,18 @@
 
 Everything the distributed algorithms are judged against lives here: the
 weighted-least-squares estimator over the stacked edge measurements, the
-Cramer-Rao bound for the linear Gaussian model, and the linear system that
+Cramer-Rao bound for the linear Gaussian model, and the system that
 governs the broadcast algorithm's belief means once variances have settled
-(iteration matrix, constant term, spectral radius, fixed point).  Both
-are read off the engines' `DirectedEdges`; on a stacked measurement set
-(one row per trial) the results hold a length-T array per agent.
+(iteration matrix, spectral radius, fixed point).  Both are one weighted
+`LinearSystem` read off the engines' `DirectedEdges`: WLS weighs each
+measurement by 1/sigma^2, the broadcast fixed point by the converged
+message precision.  On a stacked measurement set (one row per trial) the
+results hold a length-T array per agent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,17 +26,16 @@ from .lsbp import DEFAULT_REFERENCE_PRECISION, nonref_agents
 from .model import MeasurementSet
 
 
-def _reduced_matrix(edges: DirectedEdges, w: np.ndarray, diag=None) -> np.ndarray:
+def _reduced_matrix(edges: DirectedEdges, w: np.ndarray) -> np.ndarray:
     """Dense matrix over the non-reference agents in id order: w[e] at
-    [dst[e], src[e]] and `diag` (per agent, default 0) on the diagonal; the
-    reference's row and column are dropped."""
+    [dst[e], src[e]] and each agent's summed inbox weights on the diagonal;
+    the reference's row and column are dropped."""
     n, ref = edges.n, edges.ref
     at = np.arange(n) - (np.arange(n) > ref)   # position once ref is dropped
     off = (edges.src != ref) & (edges.dst != ref)
     mat = np.zeros((n - 1, n - 1))
     mat[at[edges.dst[off]], at[edges.src[off]]] = w[off]
-    if diag is not None:
-        np.fill_diagonal(mat, np.delete(diag, ref))
+    np.fill_diagonal(mat, np.delete(np.bincount(edges.dst, w, n), ref))
     return mat
 
 
@@ -54,10 +56,12 @@ def _by_agent(ids: tuple[int, ...], values: np.ndarray) -> dict[int, float | np.
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Normal equations `normal` f = `target` of the stacked edge measurements
-    A f = rhs (r = f_i + f_j + n, the reference's value folded into rhs)
-    over the non-reference unknowns, W = diag(1/sigma2): normal = A^T W A,
-    the Fisher information; target = A^T W rhs, (N-1,) or (T, N-1)."""
+    """Normal equations `normal` f = `target` over the non-reference unknowns,
+    directed edge j -> i weighted by w: w at [i, j], i's summed inbox weights
+    at [i, i], and in `target` ((N-1,) or (T, N-1)) the weighted sum of i's
+    measurements, the reference's value taken out.  w = 1/sigma2 gives WLS,
+    and `normal` is then the Fisher information; the converged message
+    precisions give the broadcast algorithm's mean fixed point."""
 
     normal: np.ndarray
     target: np.ndarray
@@ -71,26 +75,58 @@ class LinearSystem:
         except np.linalg.LinAlgError as exc:
             raise UnobservableError(self.columns) from exc
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Iteration matrix of mu <- target / diag(normal) - K mu: `normal`'s
+        off-diagonal, each row divided by that row's diagonal entry."""
+        k_mat = self.normal / np.diag(self.normal)[:, None]
+        np.fill_diagonal(k_mat, 0.0)
+        return k_mat
 
-def build_linear_system(graph: Graph, meas: MeasurementSet,
-                        reference_value: float) -> LinearSystem:
-    """The normal equations.  Agents without a path to the reference raise
-    UnobservableError."""
+
+def _weighted_system(graph: Graph, meas: MeasurementSet, reference_value: float,
+                     weight: Callable[[DirectedEdges], np.ndarray]) -> LinearSystem:
+    """The system whose directed edge e weighs weight(edges)[e].  Agents
+    without a path to the reference raise UnobservableError."""
     unreachable = graph.unreachable_agents()
     if unreachable:
         raise UnobservableError(unreachable)
     edges = DirectedEdges(graph, meas)
-    w = 1.0 / edges.sig2
+    w = weight(edges)
     return LinearSystem(
-        normal=_reduced_matrix(edges, w, np.bincount(edges.dst, w, edges.n)),
+        normal=_reduced_matrix(edges, w),
         target=_inbox_sums(edges, w, reference_value, meas.r_array.ndim == 2),
         columns=tuple(nonref_agents(graph)))
 
 
+def build_linear_system(graph: Graph, meas: MeasurementSet,
+                        reference_value: float) -> LinearSystem:
+    """The WLS normal equations: each measurement weighs 1/sigma2."""
+    return _weighted_system(graph, meas, reference_value, lambda edges: 1.0 / edges.sig2)
+
+
+def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
+                             converged_precisions: np.ndarray,
+                             reference_value: float,
+                             reference_precision: float = DEFAULT_REFERENCE_PRECISION
+                             ) -> LinearSystem:
+    """The broadcast belief means at converged precisions (vector over
+    non-reference agents in sorted-id order): directed edge j -> i weighs the
+    message precision 1/(sigma2 + 1/p_j).  wls_solve gives the fixed point,
+    and `K` the mean update's iteration matrix."""
+    if len(converged_precisions) != len(graph.agents) - 1:
+        raise ValueError("converged_precisions misaligned with non-reference agents")
+
+    def weight(edges: DirectedEdges) -> np.ndarray:
+        prec = np.insert(converged_precisions, edges.ref, reference_precision)
+        return message_precision(edges.sig2, prec[edges.src])
+    return _weighted_system(graph, meas, reference_value, weight)
+
+
 def wls_solve(sys: LinearSystem) -> dict[int, float | np.ndarray]:
-    """argmin of the weighted squared residual via the normal equations, all
-    trials in one solve: per agent a float, on a stacked set a length-T
-    array."""
+    """The normal equations solved for every trial at once: the WLS estimate,
+    or on a fixed-point system the broadcast fixed point.  Per agent a float,
+    on a stacked set a length-T array."""
     try:
         sol = np.linalg.solve(sys.normal, sys.target.T)
     except np.linalg.LinAlgError as exc:
@@ -108,39 +144,6 @@ def avg_crlb(sys: LinearSystem, mse_normalization: float = 1.0) -> float:
     """Mean of the per-agent bounds, scaled by the same constant as the
     MSE metric so the two curves are directly comparable."""
     return float(np.mean(list(crlb(sys).values()))) / mse_normalization ** 2
-
-
-@dataclass(frozen=True)
-class FixedPointSystem:
-    """Belief-mean update at converged variances: mu <- eta - K mu over
-    non-reference agents.  K[i, j] is the weight agent `rows[i]` puts on
-    neighbor `rows[j]`'s previous mean: the neighbor's converged message
-    precision divided by the agent's total incoming precision.  eta folds
-    the measurements and the known reference mean: (N-1,), or (T, N-1) on a
-    stacked set."""
-
-    K: np.ndarray
-    eta: np.ndarray
-    rows: tuple[int, ...]
-
-
-def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
-                             converged_precisions: np.ndarray,
-                             reference_value: float,
-                             reference_precision: float = DEFAULT_REFERENCE_PRECISION
-                             ) -> FixedPointSystem:
-    """Materialize (K, eta) from converged belief precisions (vector over
-    non-reference agents in sorted-id order)."""
-    edges = DirectedEdges(graph, meas)
-    if len(converged_precisions) != edges.n - 1:
-        raise ValueError("converged_precisions misaligned with non-reference agents")
-    prec = np.insert(converged_precisions, edges.ref, reference_precision)
-    c = message_precision(edges.sig2, prec[edges.src])
-    w = c / np.bincount(edges.dst, c, edges.n)[edges.dst]
-    return FixedPointSystem(
-        K=_reduced_matrix(edges, w),
-        eta=_inbox_sums(edges, w, reference_value, meas.r_array.ndim == 2),
-        rows=tuple(nonref_agents(graph)))
 
 
 def spectral_radius(k_mat: np.ndarray, tol: float = 1e-10,
@@ -171,9 +174,3 @@ def spectral_radius(k_mat: np.ndarray, tol: float = 1e-10,
             return float(lam_new - 1.0)
         lam = lam_new
     raise NumericError(f"power iteration did not converge in {max_iter} steps")
-
-
-def mean_fixed_point(sys: FixedPointSystem) -> dict[int, float | np.ndarray]:
-    """The broadcast fixed point: mu = eta - K mu, solved directly for every
-    trial at once (a length-T array per agent on a stacked set)."""
-    return _by_agent(sys.rows, np.linalg.solve(np.eye(sys.K.shape[0]) + sys.K, sys.eta.T))

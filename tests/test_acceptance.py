@@ -165,7 +165,7 @@ def test_criterion_04_mean_iteration_contracts_and_forgets_init():
         fps = build_fixed_point_system(graph, ms, pstar, truth.reference_value)
         sums = fps.K.sum(axis=1)
         ok &= bool(np.all(sums <= 1.0 + ROWSUM_SLACK))
-        for k, a in enumerate(fps.rows):
+        for k, a in enumerate(fps.columns):
             if graph.reference in graph.neighbors(a):
                 ok &= bool(sums[k] < 1.0)
         rho = spectral_radius(fps.K)

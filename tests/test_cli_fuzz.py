@@ -78,14 +78,17 @@ def _text(**fields):
     return "".join(f"{k} = {v}\n" for k, v in {**BASE, **fields}.items())
 
 
-# inputs that must exit 2: fractional counts and repeated list entries, which
-# used to run on a truncated value or on the last entry
+# inputs that must exit 2: fractional counts, repeated list entries and
+# positions on a random topology, which used to run on a truncated value, on
+# the last entry or on the generated placement
 REJECTED = (
     _text(topology="random:n=2.5,width=100,height=100,radius=200"),
     _text(topology="random:n=3,width=100,height=100,radius=200,seed=1.9"),
     _text(topology="random:n=3,width=100,height=100,radius=200,seed=1,n=12"),
     _text(positions="1:0,0;2:100,0;3:0,100;2:900,900"),
     _text(sigma_overrides="1-2:1.0;2-1:3.0"),
+    _text(topology="random:n=5,width=100,height=100,radius=200,seed=1",
+          positions="1:0,0;2:1e6,1e6"),
 )
 
 
@@ -126,6 +129,7 @@ def config_texts(draw):
 @example(REJECTED[2])
 @example(REJECTED[3])
 @example(REJECTED[4])
+@example(REJECTED[5])
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \

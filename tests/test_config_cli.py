@@ -122,6 +122,10 @@ def test_parse_positions():
                  "duplicate position entry '2:900,900'", id="repeated-position"),
     pytest.param("topology = edges:1-2;1-3;2-3\nsigma_overrides = 1-2:1.0;2-1:3.0",
                  "duplicate sigma override '2-1:3.0'", id="repeated-sigma-override"),
+    # a random topology places its own agents; its positions used to be ignored
+    pytest.param("topology = random:n=5,width=100,height=100,radius=200,seed=1\n"
+                 "positions = 1:0,0;2:1e6,1e6",
+                 "positions apply only to an edges: topology", id="positions-on-random"),
 ])
 def test_cli_rejects_fractional_counts_and_duplicate_entries(tmp_path, capsys, fields, reason):
     cfg = _write_cfg(tmp_path, f"{fields}\nl_max = 10\n")

@@ -8,7 +8,7 @@ import pytest
 from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
                      generate_measurements, generate_truth, is_feasible_start,
-                     mean_fixed_point, random_geometric, run_experiment, spectral_radius,
+                     random_geometric, run_experiment, spectral_radius,
                      variance_fixed_point, variance_map, wls_solve)
 from cfosync.edges import DirectedEdges
 from cfosync.lsbp import LsbpEngine
@@ -97,20 +97,22 @@ def test_oracle_matches_dense_reference(seed):
     sys = build_linear_system(g, ms, ref_value)
     pstar = variance_fixed_point(g, ms, ref_prec)
     fps = build_fixed_point_system(g, ms, pstar, ref_value, ref_prec)
-    wls, bound = wls_solve(sys), crlb(sys)
+    wls, bound, mu = wls_solve(sys), crlb(sys), wls_solve(fps)
     for t, r in enumerate(np.atleast_2d(ms.r_array)):
         trial = MeasurementSet(ms.edge_array, r, ms.sigma2_array)
         design, rhs, weights, columns = dense_linear_system(g, trial, ref_value)
         normal = design.T @ (weights[:, None] * design)
-        assert sys.columns == fps.rows == columns
+        assert sys.columns == fps.columns == columns
         np.testing.assert_allclose(sys.normal, normal, rtol=1e-12, atol=0)
         sol = np.linalg.solve(normal, design.T @ (weights * rhs))
         _assert_close([np.atleast_1d(wls[a])[t] for a in columns], sol, 1e-10)
         _assert_close([bound[a] for a in columns], np.diag(np.linalg.inv(normal)), 1e-10)
         k_mat, eta, _ = scalar_fixed_point_system(g, trial, pstar, ref_value, ref_prec)
         np.testing.assert_allclose(fps.K, k_mat, rtol=1e-12, atol=0)
-        _assert_close(np.atleast_2d(fps.eta)[t], eta, 1e-12)
-    assert np.shape(sys.target) == np.shape(fps.eta) == (*ms.r_array.shape[:-1], len(columns))
+        _assert_close(np.atleast_2d(fps.target)[t] / np.diag(fps.normal), eta, 1e-12)
+        _assert_close([np.atleast_1d(mu[a])[t] for a in columns],
+                      np.linalg.solve(np.eye(len(columns)) + k_mat, eta), 1e-10)
+    assert np.shape(sys.target) == np.shape(fps.target) == (*ms.r_array.shape[:-1], len(columns))
 
 
 def test_fixed_point_system_on_stacked_set():
@@ -119,12 +121,12 @@ def test_fixed_point_system_on_stacked_set():
     pstar = variance_fixed_point(g, trials[0])
     fps = build_fixed_point_system(g, MeasurementSet.stacked(trials), pstar,
                                    truth.reference_value)
-    mu = mean_fixed_point(fps)
+    mu = wls_solve(fps)
     for t, ms in enumerate(trials):
         one = build_fixed_point_system(g, ms, pstar, truth.reference_value)
         np.testing.assert_array_equal(fps.K, one.K)
-        np.testing.assert_array_equal(fps.eta[t], one.eta)
-        for a, v in mean_fixed_point(one).items():
+        np.testing.assert_array_equal(fps.target[t], one.target)
+        for a, v in wls_solve(one).items():
             assert mu[a][t] == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
@@ -185,8 +187,8 @@ def test_precision_updates_read_no_measurements():
 
 def test_oracle_run_gathers_the_measurements_twice(monkeypatch):
     # the engine gathers its measurements once; the oracle gathers them for
-    # the linear system's target and the fixed point's eta, not for the
-    # variance fixed point
+    # the WLS system's target and the fixed-point system's target, not for
+    # the variance fixed point
     real, gathers = DirectedEdges.r.func, []
     monkeypatch.setattr(DirectedEdges.r, "func", lambda e: gathers.append(type(e)) or real(e))
     cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
@@ -200,6 +202,10 @@ def test_unobservable_component_raises_with_names():
     ms = measurement_set({(1, 2): (0.0, 1.0), (3, 4): (0.0, 1.0)})
     with pytest.raises(UnobservableError) as exc:
         build_linear_system(g, ms, 0.0)
+    assert exc.value.agents == [3, 4]
+    # the fixed-point system shares the builder, so it names them too
+    with pytest.raises(UnobservableError) as exc:
+        build_fixed_point_system(g, ms, variance_fixed_point(g, ms), 0.0)
     assert exc.value.agents == [3, 4]
 
 
@@ -248,9 +254,10 @@ def test_fixed_point_system_star_has_zero_matrix():
     fps = build_fixed_point_system(g, ms, pstar, reference_value=0.0)
     assert np.all(fps.K == 0.0)
     assert spectral_radius(fps.K) == 0.0
-    mu = mean_fixed_point(fps)
+    mu = wls_solve(fps)
+    eta = fps.target / np.diag(fps.normal)
     for a, v in mu.items():
-        assert v == pytest.approx(fps.eta[fps.rows.index(a)])
+        assert v == pytest.approx(eta[fps.columns.index(a)])
 
 
 def test_spectral_radius_triangle_and_cross_check():
@@ -287,7 +294,7 @@ def test_mean_fixed_point_matches_engine_on_loopy_graph():
     g, truth, ms = seeded_instance(9, 11)
     pstar = variance_fixed_point(g, ms)
     fps = build_fixed_point_system(g, ms, pstar, truth.reference_value)
-    mu = mean_fixed_point(fps)
+    mu = wls_solve(fps)
     est = LinearScalingBP(max_iter=20000, mean_tol=1e-13, prec_tol=1e-13)
     est.fit(g, ms, truth.reference_value)
     for a, v in mu.items():
@@ -302,7 +309,7 @@ def test_mean_fixed_point_equals_wls_on_trees():
         ms = generate_measurements(g, truth, 1.0, seed=int(rng.integers(2**31)))
         fps = build_fixed_point_system(g, ms, variance_fixed_point(g, ms),
                                        truth.reference_value)
-        mu = mean_fixed_point(fps)
+        mu = wls_solve(fps)
         wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
         for a in wls:
             assert mu[a] == pytest.approx(wls[a], abs=1e-9)
@@ -321,7 +328,7 @@ def test_loopy_gap_between_fixed_point_and_wls_is_real():
         n_loopy += 1
         fps = build_fixed_point_system(g, ms, variance_fixed_point(g, ms),
                                        truth.reference_value)
-        mu = mean_fixed_point(fps)
+        mu = wls_solve(fps)
         wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
         gap = max(abs(mu[a] - wls[a]) for a in wls)
         max_gap = max(max_gap, gap)
@@ -352,7 +359,7 @@ def test_fixed_point_estimator_is_unbiased():
         if pstar is None:
             pstar = variance_fixed_point(g, ms)
         fps = build_fixed_point_system(g, ms, pstar, truth.reference_value)
-        mu = mean_fixed_point(fps)
+        mu = wls_solve(fps)
         if sums is None:
             sums = {a: 0.0 for a in mu}
         for a, v in mu.items():
@@ -373,7 +380,7 @@ def test_row_sums_substochastic_on_connected_graphs():
                                        truth.reference_value)
         sums = fps.K.sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-12)
-        for k, a in enumerate(fps.rows):
+        for k, a in enumerate(fps.columns):
             if g.reference in g.neighbors(a):
                 assert sums[k] < 1.0
         assert spectral_radius(fps.K) < 1.0

@@ -21,6 +21,9 @@ def test_public_names_resolve_and_the_scalar_layer_is_gone():
         assert hasattr(cfosync, name), name
     for name in ("Gaussian1D", "FLAT", "edge_message", "Measurement"):
         assert not hasattr(cfosync, name), name
+    # the broadcast fixed point is a LinearSystem solved by wls_solve
+    for name in ("FixedPointSystem", "mean_fixed_point"):
+        assert not hasattr(cfosync, name) and not hasattr(cfosync.oracle, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("cfosync.gaussian")
 
