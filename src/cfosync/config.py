@@ -104,8 +104,11 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from None
 
 
 # -- structured field grammars ------------------------------------------------

@@ -66,6 +66,9 @@ class Graph:
             missing = self.agents - self.positions.keys()
             if missing:
                 raise ValueError(f"positions missing for agents {sorted(missing)}")
+            extra = self.positions.keys() - self.agents
+            if extra:
+                raise ValueError(f"positions for agents not in graph {sorted(extra)}")
         if self.next_id <= max(self.agents):
             object.__setattr__(self, "next_id", max(self.agents) + 1)
 
@@ -120,10 +123,12 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
-    def unreachable_agents(self) -> set[int]:
-        """Breadth-first search from the reference, one array step per hop:
-        the frontier's inbox slices of the layout give its neighbours, and
-        the unseen ones form the next frontier."""
+    @cached_property
+    def unreachable_agents(self) -> tuple[int, ...]:
+        """The agents without a path to the reference, in id order, by one
+        breadth-first search per graph, one array step per hop: the
+        frontier's inbox slices of the layout give its neighbours, and the
+        unseen ones form the next frontier."""
         ids, nbr, _, _, indptr, _ = self.layout
         seen = np.zeros(len(ids), dtype=bool)
         frontier = np.searchsorted(ids, [self.reference])
@@ -137,7 +142,7 @@ class Graph:
             hops = np.sort(hops[~seen[hops]])
             frontier = hops[np.diff(hops, prepend=-1) != 0]
             seen[frontier] = True
-        return set(ids[~seen].tolist())
+        return tuple(ids[~seen].tolist())
 
     def remove_agent(self, i: int) -> "Graph":
         """Graph without agent i and its incident edges.
@@ -277,7 +282,7 @@ def random_geometric(n: int, width: float, height: float,
         g = Graph(agents=frozenset(range(1, n + 1)), edge_array=_close_pairs(pos, radius) + 1,
                   reference=reference,
                   positions=dict(zip(range(1, n + 1), zip(xs.tolist(), ys.tolist()))))
-        if not g.unreachable_agents():
+        if not g.unreachable_agents:
             return g
     raise GenerationError(
         f"no connected placement within {retry_budget} attempts "

@@ -56,10 +56,6 @@ class BeliefInit:
                              "precision 1/variance and a finite weighted mean mean/variance")
 
 
-def nonref_agents(graph: Graph) -> list[int]:
-    return sorted(graph.agents - {graph.reference})
-
-
 def _precision_update(edges: DirectedEdges, p: np.ndarray,
                       ref_precision: float) -> np.ndarray:
     """Every non-reference agent's precision becomes the summed precision

@@ -47,19 +47,13 @@ class MeasurementSet:
     Stored as three aligned arrays over the canonical edges in sorted order:
     `edge_array` (m, 2) with i < j in each row, `r_array` and `sigma2_array`
     (m,).  A batch of trials over the same edges and variances keeps one
-    row of measurements per trial, `r_array` (T, m) (see `stacked`).  A set
-    is never changed in place.
+    row of measurements per trial, `r_array` (T, m).  A set is never
+    changed in place.
     """
 
     edge_array: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.intp))
     r_array: np.ndarray = field(default_factory=lambda: np.empty(0))
     sigma2_array: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @classmethod
-    def stacked(cls, sets: list["MeasurementSet"]) -> "MeasurementSet":
-        """One batch from per-trial sets over the same edges and variances."""
-        return cls(sets[0].edge_array, np.stack([m.r_array for m in sets]),
-                   sets[0].sigma2_array)
 
     def __len__(self) -> int:
         return len(self.edge_array)

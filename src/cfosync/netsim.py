@@ -148,7 +148,7 @@ class _Batch:
         the next record fills for every trial, since no trial stops before
         the last timeline event."""
         self.agents = tuple(engine.ids)
-        self.unobservable = tuple(sorted(self.graph.unreachable_agents()))
+        self.unobservable = self.graph.unreachable_agents
         self.cut_off = np.isin(engine.ids, self.unobservable)
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
         self.means, self.variances = np.empty((2, self.cfg.trials, engine.n))
@@ -295,8 +295,8 @@ def _check_topologies(cfg: ExperimentConfig, overrides: dict[tuple[int, int], fl
         raise ConfigError(f"sigma override for non-edge {list(overrides)[np.argmin(found)]}")
     if cfg.oracle and len(final.agents) < 2:
         raise ConfigError("the oracle needs an agent besides the reference")
-    if cfg.oracle and final.unreachable_agents():
-        raise UnobservableError(final.unreachable_agents())
+    if cfg.oracle and final.unreachable_agents:
+        raise UnobservableError(final.unreachable_agents)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunTrace:

@@ -5,48 +5,25 @@ weighted-least-squares estimator over the stacked edge measurements, the
 Cramer-Rao bound for the linear Gaussian model, and the system that
 governs the broadcast algorithm's belief means once variances have settled
 (iteration matrix, spectral radius, fixed point).  Both are one weighted
-`LinearSystem` read off the engines' `DirectedEdges`: WLS weighs each
-measurement by 1/sigma^2, the broadcast fixed point by the converged
-message precision.  On a stacked measurement set (one row per trial) the
-results hold a length-T array per agent.
+`LinearSystem`: the engines' `DirectedEdges` and a weight per directed
+edge.  WLS weighs each measurement by 1/sigma^2, the broadcast fixed point
+by the converged message precision.  A system builds its matrices on first
+read, so a run, which reads only `K` of the fixed-point system, gathers the
+measurements once, for the WLS target.  On a stacked measurement set (one
+row per trial) the results hold a length-T array per agent.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .edges import DirectedEdges, message_precision
+from .edges import DEFAULT_REFERENCE_PRECISION, DirectedEdges, message_precision
 from .errors import NumericError, UnobservableError
 from .graph import Graph
-from .lsbp import DEFAULT_REFERENCE_PRECISION, nonref_agents
 from .model import MeasurementSet
-
-
-def _reduced_matrix(edges: DirectedEdges, w: np.ndarray) -> np.ndarray:
-    """Dense matrix over the non-reference agents in id order: w[e] at
-    [dst[e], src[e]] and each agent's summed inbox weights on the diagonal;
-    the reference's row and column are dropped."""
-    n, ref = edges.n, edges.ref
-    at = np.arange(n) - (np.arange(n) > ref)   # position once ref is dropped
-    off = (edges.src != ref) & (edges.dst != ref)
-    mat = np.zeros((n - 1, n - 1))
-    mat[at[edges.dst[off]], at[edges.src[off]]] = w[off]
-    np.fill_diagonal(mat, np.delete(np.bincount(edges.dst, w, n), ref))
-    return mat
-
-
-def _inbox_sums(edges: DirectedEdges, w: np.ndarray, reference_value: float,
-                stacked: bool) -> np.ndarray:
-    """Per trial and non-reference agent i: the sum over its inbox of
-    w[e] * r[e], with the known reference value taken out of the reference's
-    measurements.  (T, N-1) on a stacked set, else (N-1,)."""
-    terms = w * (edges.r - np.where(edges.src == edges.ref, reference_value, 0.0))
-    sums = np.delete(edges._agent_sums(terms), edges.ref, axis=1)
-    return sums if stacked else sums[0]
 
 
 def _by_agent(ids: tuple[int, ...], values: np.ndarray) -> dict[int, float | np.ndarray]:
@@ -54,18 +31,46 @@ def _by_agent(ids: tuple[int, ...], values: np.ndarray) -> dict[int, float | np.
     return dict(zip(ids, values.tolist() if values.ndim == 1 else values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Normal equations `normal` f = `target` over the non-reference unknowns,
-    directed edge j -> i weighted by w: w at [i, j], i's summed inbox weights
-    at [i, i], and in `target` ((N-1,) or (T, N-1)) the weighted sum of i's
-    measurements, the reference's value taken out.  w = 1/sigma2 gives WLS,
-    and `normal` is then the Fisher information; the converged message
-    precisions give the broadcast algorithm's mean fixed point."""
+    """Normal equations `normal` f = `target` over the non-reference unknowns
+    `columns`, directed edge e of `edges` weighted by w[e].  w = 1/sigma2
+    gives WLS, and `normal` is then the Fisher information; the converged
+    message precisions give the broadcast algorithm's mean fixed point.
+    Each matrix is built on first read: `K` alone gathers no measurements."""
 
-    normal: np.ndarray
-    target: np.ndarray
-    columns: tuple[int, ...]   # agent id per unknown
+    edges: DirectedEdges
+    w: np.ndarray
+    reference_value: float
+    stacked: bool   # a batch of trials: `target` is (T, N-1), else (N-1,)
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """The agent id per unknown: every id but the reference's."""
+        return tuple(a for k, a in enumerate(self.edges.ids) if k != self.edges.ref)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """Dense matrix over the non-reference agents in id order: w[e] at
+        [dst[e], src[e]] and each agent's summed inbox weights on the
+        diagonal; the reference's row and column are dropped."""
+        e, w, n, ref = self.edges, self.w, self.edges.n, self.edges.ref
+        at = np.arange(n) - (np.arange(n) > ref)   # position once ref is dropped
+        off = (e.src != ref) & (e.dst != ref)
+        mat = np.zeros((n - 1, n - 1))
+        mat[at[e.dst[off]], at[e.src[off]]] = w[off]
+        np.fill_diagonal(mat, np.delete(np.bincount(e.dst, w, n), ref))
+        return mat
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        """Per trial and non-reference agent i: the sum over its inbox of
+        w[e] * r[e], with the known reference value taken out of the
+        reference's measurements."""
+        e = self.edges
+        terms = self.w * (e.r - np.where(e.src == e.ref, self.reference_value, 0.0))
+        sums = np.delete(e._agent_sums(terms), e.ref, axis=1)
+        return sums if self.stacked else sums[0]
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -84,25 +89,18 @@ class LinearSystem:
         return k_mat
 
 
-def _weighted_system(graph: Graph, meas: MeasurementSet, reference_value: float,
-                     weight: Callable[[DirectedEdges], np.ndarray]) -> LinearSystem:
-    """The system whose directed edge e weighs weight(edges)[e].  Agents
-    without a path to the reference raise UnobservableError."""
-    unreachable = graph.unreachable_agents()
-    if unreachable:
-        raise UnobservableError(unreachable)
-    edges = DirectedEdges(graph, meas)
-    w = weight(edges)
-    return LinearSystem(
-        normal=_reduced_matrix(edges, w),
-        target=_inbox_sums(edges, w, reference_value, meas.r_array.ndim == 2),
-        columns=tuple(nonref_agents(graph)))
+def _anchored_edges(graph: Graph, meas: MeasurementSet) -> DirectedEdges:
+    """The graph's directed edges; an agent cut off from the reference raises."""
+    if graph.unreachable_agents:
+        raise UnobservableError(graph.unreachable_agents)
+    return DirectedEdges(graph, meas)
 
 
 def build_linear_system(graph: Graph, meas: MeasurementSet,
                         reference_value: float) -> LinearSystem:
     """The WLS normal equations: each measurement weighs 1/sigma2."""
-    return _weighted_system(graph, meas, reference_value, lambda edges: 1.0 / edges.sig2)
+    edges = _anchored_edges(graph, meas)
+    return LinearSystem(edges, 1.0 / edges.sig2, reference_value, meas.r_array.ndim == 2)
 
 
 def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
@@ -116,11 +114,10 @@ def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
     and `K` the mean update's iteration matrix."""
     if len(converged_precisions) != len(graph.agents) - 1:
         raise ValueError("converged_precisions misaligned with non-reference agents")
-
-    def weight(edges: DirectedEdges) -> np.ndarray:
-        prec = np.insert(converged_precisions, edges.ref, reference_precision)
-        return message_precision(edges.sig2, prec[edges.src])
-    return _weighted_system(graph, meas, reference_value, weight)
+    edges = _anchored_edges(graph, meas)
+    prec = np.insert(converged_precisions, edges.ref, reference_precision)
+    return LinearSystem(edges, message_precision(edges.sig2, prec[edges.src]),
+                        reference_value, meas.r_array.ndim == 2)
 
 
 def wls_solve(sys: LinearSystem) -> dict[int, float | np.ndarray]:

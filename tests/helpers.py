@@ -1,6 +1,6 @@
 """Shared generators for randomized tests (connected graphs, trees,
-preset-density graphs, measurement sets with heterogeneous noise, and
-per-edge delivery masks), scalar references (information-
+preset-density graphs, measurement sets with heterogeneous noise, stacked
+trial batches and per-edge delivery masks), scalar references (information-
 form Gaussians and the edge and BP cavity messages, per-edge measurement
 generation and lookups, the oracle's dense design and fixed-point loop,
 the mean square error, the per-value trace cells), the dense n x n random
@@ -165,6 +165,16 @@ def measurement_set(records: dict[tuple[int, int], tuple[float, float]]
     return MeasurementSet(np.array(edges, dtype=np.intp).reshape(-1, 2), r, sigma2)
 
 
+def stacked(sets: list[MeasurementSet]) -> MeasurementSet:
+    """One batch from per-trial sets over the same edges and variances."""
+    return MeasurementSet(sets[0].edge_array, np.stack([m.r_array for m in sets]),
+                          sets[0].sigma2_array)
+
+
+def nonref_agents(graph: Graph) -> list[int]:
+    return sorted(graph.agents - {graph.reference})
+
+
 def measurement_dict(ms: MeasurementSet) -> dict[tuple[int, int], tuple[float, float]]:
     """{(i, j): (r, sigma2)} of a 1-D set, in its edge order."""
     return {(i, j): (r, s2) for (i, j), r, s2 in zip(
@@ -233,7 +243,7 @@ def dense_random_geometric(n: int, width: float, height: float,
                           for a, b in zip(ii, jj))
         positions = {k + 1: (float(xs[k]), float(ys[k])) for k in range(n)}
         g = Graph.from_edges(n, edges, reference=reference, positions=positions)
-        if not g.unreachable_agents():
+        if not g.unreachable_agents:
             return g
     raise GenerationError(
         f"no connected placement within {retry_budget} attempts "

@@ -23,10 +23,10 @@ from cfosync import (BeliefPropagation, Graph, LinearScalingBP, build_fixed_poin
                      variance_fixed_point, variance_map, wls_solve)
 from cfosync.cli import main as cli_main
 from cfosync.config import ExperimentConfig, parse_topology
-from cfosync.lsbp import nonref_agents
 from cfosync.presets import SWEEP_VARIANCES, preset_configs
 
-from helpers import meas_r, measurement_set, random_connected_graph, random_tree, triangle
+from helpers import (meas_r, measurement_set, nonref_agents, random_connected_graph,
+                     random_tree, triangle)
 
 ELEMENTWISE_SLACK = 1e-12          # criterion 1
 SWEEP_COMMON_REL = 1e-8            # criterion 2

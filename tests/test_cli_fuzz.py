@@ -78,9 +78,10 @@ def _text(**fields):
     return "".join(f"{k} = {v}\n" for k, v in {**BASE, **fields}.items())
 
 
-# inputs that must exit 2: fractional counts, repeated list entries and
-# positions on a random topology, which used to run on a truncated value, on
-# the last entry or on the generated placement
+# inputs that must exit 2: fractional counts, repeated list entries,
+# positions on a random topology and a position of no agent, which used to
+# run on a truncated value, on the last entry, on the generated placement or
+# without that position
 REJECTED = (
     _text(topology="random:n=2.5,width=100,height=100,radius=200"),
     _text(topology="random:n=3,width=100,height=100,radius=200,seed=1.9"),
@@ -89,6 +90,7 @@ REJECTED = (
     _text(sigma_overrides="1-2:1.0;2-1:3.0"),
     _text(topology="random:n=5,width=100,height=100,radius=200,seed=1",
           positions="1:0,0;2:1e6,1e6"),
+    _text(positions="1:0,0;2:100,0;3:0,100;9:5,5", radius="50", timeline="1:join:5,6"),
 )
 
 
@@ -110,8 +112,6 @@ def config_texts(draw):
 @example(_text(topology="random:n=nan,width=100,height=100"))    # n not an integer
 @example(_text(topology="random:n=2,width=1e308,height=1,radius=inf"))  # overflow
 @example(_text(topology="random:n=4,width=1e12,height=1e12,radius=1e-8,retries=2"))
-@example(_text(positions="1:0,0;2:100,0;3:0,100;9:5,5", radius="50",   # not an agent
-               timeline="1:join:5,6"))
 @example(_text(init_mode="uniform", init_variance="1e-320"))     # 1/v overflows
 @example(_text(init_mode="uniform", init_mean="1e308", init_variance="0.5"))
 @example(_text(init_mode="uniform", init_variance="1e308"))      # trial mean overflows
@@ -130,6 +130,7 @@ def config_texts(draw):
 @example(REJECTED[3])
 @example(REJECTED[4])
 @example(REJECTED[5])
+@example(REJECTED[6])
 def test_any_config_exits_0_2_or_4_with_one_error_line(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \

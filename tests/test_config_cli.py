@@ -56,7 +56,7 @@ def test_parse_topology_variants():
     assert g.agents == {1, 2, 3}
     g2 = parse_topology(ExperimentConfig(
         topology="random:n=12,width=100,height=100,radius=60,seed=1"))
-    assert len(g2.agents) == 12 and not g2.unreachable_agents()
+    assert len(g2.agents) == 12 and not g2.unreachable_agents
     for bad in ("grid:3x3", "random:n=5", "edges:", "edges:1_2",
                 "random:n=12,width=100,height=100,sead=1"):
         with pytest.raises(ConfigError):
@@ -126,6 +126,15 @@ def test_parse_positions():
     pytest.param("topology = random:n=5,width=100,height=100,radius=200,seed=1\n"
                  "positions = 1:0,0;2:1e6,1e6",
                  "positions apply only to an edges: topology", id="positions-on-random"),
+    # a position of an id outside an edges: topology used to be ignored, or
+    # taken over by the joiner that got that id
+    pytest.param("topology = edges:1-2;2-3\npositions = 1:0,0;2:100,0;3:200,0;9:5,5",
+                 "invalid topology 'edges:1-2;2-3': positions for agents not in graph [9]",
+                 id="position-of-no-agent"),
+    pytest.param("topology = edges:1-2;2-3\npositions = 1:0,0;2:100,0;3:200,0;4:5,5\n"
+                 "radius = 150\ntimeline = 2:join:300,0",
+                 "invalid topology 'edges:1-2;2-3': positions for agents not in graph [4]",
+                 id="position-of-a-joiner"),
 ])
 def test_cli_rejects_fractional_counts_and_duplicate_entries(tmp_path, capsys, fields, reason):
     cfg = _write_cfg(tmp_path, f"{fields}\nl_max = 10\n")
@@ -141,6 +150,16 @@ def _write_cfg(tmp_path, text=TRIANGLE_CFG):
     p = tmp_path / "exp.cfg"
     p.write_text(text)
     return p
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"topology = edges:1-2\n# caf\xff\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: code=2 kind=validation reason=config file is not UTF-8 text")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_oracle_run(tmp_path, capsys):

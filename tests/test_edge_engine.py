@@ -24,7 +24,8 @@ from cfosync.edges import DirectedEdges, iterate, message_precision, step_delta
 from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
                      edge_message, heterogeneous_measurements, lexsort_directed_edges,
                      masked_bp_round, masked_message_precision, meas_r, meas_sigma2,
-                     measurement_set, preset_density_graph, random_connected_graph)
+                     measurement_set, preset_density_graph, random_connected_graph,
+                     stacked)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -210,7 +211,7 @@ def _batch_run(engine, trial_ids, timeline, schedule):
                 eng.prec, eng.mean, eng.edge_prec, eng.edge_mean)))
 
     changes = [(k, lambda eng, g=g, sets=sets: eng.rebuilt(
-        g, MeasurementSet.stacked([sets[t] for t in trial_ids])))
+        g, stacked([sets[t] for t in trial_ids])))
         for k, g, sets in timeline]
     _, *results = iterate(engine, step, 300, 1e-6, 1e-9, changes)
     return {t: tuple(r[row] for r in results) for row, t in enumerate(trial_ids)}, states
@@ -229,7 +230,7 @@ def test_directed_edges_match_the_lexsort_reference(seed):
     bare = Graph(agents=frozenset({1, 2, 3}), edge_array=np.empty((0, 2), np.intp))
     for g in (g0, g1, g2, random_connected_graph(rng, 12), bare):
         sets = _per_trial_measurements(g, rng)
-        for meas in (sets[0], MeasurementSet.stacked(sets)):
+        for meas in (sets[0], stacked(sets)):
             edges = DirectedEdges(g, meas)
             want = lexsort_directed_edges(g, meas)
             for name, w in zip(("src", "dst", "rev", "indptr", "r", "sig2"), want):
@@ -253,7 +254,7 @@ def _batch_case(algo, init):
     timeline = [(3, g1, sets0), (5, g2, sets2)]   # leave, then a join at its place
 
     def engine(trial_ids):
-        meas = MeasurementSet.stacked([sets0[t] for t in trial_ids])
+        meas = stacked([sets0[t] for t in trial_ids])
         if algo == "bp":
             return BpEngine(g0, meas, ref_value, REF_PREC)
         return LsbpEngine(g0, meas, init, ref_value, REF_PREC)
@@ -312,8 +313,8 @@ def _batch_engine(init, trials, seed=9):
     rng = np.random.default_rng(seed)
     pairs = g.edge_array
     sig2 = rng.uniform(0.25, 4.0, len(pairs))
-    meas = MeasurementSet.stacked([MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
-                                   for _ in range(trials)])
+    meas = stacked([MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
+                    for _ in range(trials)])
     engine = LsbpEngine(g, meas, init, float(rng.uniform(-200, 200)), REF_PREC)
     return g, meas, engine, rng
 
@@ -356,7 +357,7 @@ def test_rebuilds_compose(algo, init):
     rng = np.random.default_rng(12)
     sets0 = _per_trial_measurements(g0, rng)
     ref_value = float(rng.uniform(-200, 200))
-    meas0 = MeasurementSet.stacked(sets0)
+    meas0 = stacked(sets0)
     engine = BpEngine(g0, meas0, ref_value, REF_PREC) if algo == "bp" else \
         LsbpEngine(g0, meas0, init, ref_value, REF_PREC)
     for _ in range(3):
@@ -365,7 +366,7 @@ def test_rebuilds_compose(algo, init):
     victim = max(g0.agents - {g0.reference})
     g1 = g0.remove_agent(victim)
     g2, new_id = g1.add_agent(g0.positions[victim], 400)
-    meas2 = MeasurementSet.stacked([m.merged_with(f) for m, f in zip(
+    meas2 = stacked([m.merged_with(f) for m, f in zip(
         sets0, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))])
     neighbour = min(g2.neighbors(new_id) - {g2.reference})
     g3 = g2.remove_agent(neighbour)
@@ -445,9 +446,9 @@ def test_bp_round_matches_the_masked_reference(seed):
     ref_value = float(rng.uniform(-200, 200))
     victim = max(g0.agents - {g0.reference})
     g1, new_id = g0.remove_agent(victim).add_agent(g0.positions[victim], 400)
-    meas1 = MeasurementSet.stacked([m.merged_with(f) for m, f in zip(
+    meas1 = stacked([m.merged_with(f) for m, f in zip(
         sets0, _per_trial_measurements(g1, rng, [e for e in g1.edges if new_id in e]))])
-    fast, slow = (BpEngine(g0, MeasurementSet.stacked(sets0), ref_value, REF_PREC)
+    fast, slow = (BpEngine(g0, stacked(sets0), ref_value, REF_PREC)
                   for _ in range(2))
     for k in range(1, 15):
         if k == 5:

@@ -34,9 +34,9 @@ def test_unknown_agent_raises():
 
 
 def test_is_connected():
-    assert not Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]).unreachable_agents()
-    assert Graph.from_edges(4, [(1, 2), (3, 4)]).unreachable_agents() == {3, 4}
-    assert not Graph.from_edges(1, []).unreachable_agents()
+    assert not Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]).unreachable_agents
+    assert Graph.from_edges(4, [(1, 2), (3, 4)]).unreachable_agents == (3, 4)
+    assert not Graph.from_edges(1, []).unreachable_agents
 
 
 def test_no_self_loops():
@@ -59,7 +59,7 @@ def test_random_geometric_deterministic():
     g2 = random_geometric(100, 3000, 4000, radius=1000, seed=7)
     assert g1.edges == g2.edges
     assert g1.positions == g2.positions
-    assert not g1.unreachable_agents()
+    assert not g1.unreachable_agents
     g3 = random_geometric(100, 3000, 4000, radius=1000, seed=8)
     assert g3.edges != g1.edges
 
@@ -93,7 +93,7 @@ def test_remove_reference_forbidden():
 def test_remove_star_leaf_keeps_connectivity():
     star = Graph.from_edges(5, [(1, k) for k in range(2, 6)])
     g = star.remove_agent(5)
-    assert not g.unreachable_agents()
+    assert not g.unreachable_agents
     assert g.degree(1) == 3
 
 
@@ -129,10 +129,13 @@ def test_joiner_and_generator_share_one_distance_rule():
 
 
 def test_add_agent_keeps_edge_order_and_links_only_agents():
-    # a position entry of an id outside the graph is not an agent to link to
-    g = Graph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)],
-                         positions={1: (0, 0), 2: (10, 0), 3: (0, 10), 4: (10, 10),
-                                    9: (5, 5)})
+    # a position entry of an id outside the graph is rejected, so a joiner
+    # links to agents only
+    edges = [(1, 2), (1, 3), (2, 4), (3, 4)]
+    positions = {1: (0, 0), 2: (10, 0), 3: (0, 10), 4: (10, 10)}
+    with pytest.raises(ValueError, match=r"not in graph \[9\]"):
+        Graph.from_edges(4, edges, positions={**positions, 9: (5, 5)})
+    g = Graph.from_edges(4, edges, positions=positions)
     back, new_id = g.add_agent((5, 5), radius=7.5)
     assert (new_id, back.next_id, back.reference) == (5, 6, 1)
     assert back.edge_array.tolist() == [[1, 2], [1, 3], [1, 5], [2, 4], [2, 5],
@@ -202,7 +205,7 @@ def test_unreachable_agents_match_a_set_search():
             for j in g.neighbors(stack.pop()) - seen:
                 seen.add(j)
                 stack.append(j)
-        assert g.unreachable_agents() == set(g.agents) - seen
+        assert g.unreachable_agents == tuple(sorted(g.agents - seen))
 
 
 def _outcome(build, **kwargs):

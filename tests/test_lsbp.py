@@ -7,11 +7,11 @@ from cfosync import (Graph, LinearScalingBP, generate_measurements, generate_tru
                      is_feasible_start, variance_fixed_point, variance_map)
 from cfosync.edges import iterate, step_delta
 from cfosync.errors import NumericError
-from cfosync.lsbp import BeliefInit, LsbpEngine, nonref_agents
+from cfosync.lsbp import BeliefInit, LsbpEngine
 
 from helpers import (FLAT, Gaussian1D, beliefs, delivery_mask, directed_edge, edge_message,
-                     meas_r, meas_sigma2, measurement_set, random_connected_graph,
-                     seeded_instance, triangle)
+                     meas_r, meas_sigma2, measurement_set, nonref_agents,
+                     random_connected_graph, seeded_instance, triangle)
 
 GOLDEN_VARIANCE = (math.sqrt(5.0) - 1.0) / 2.0   # positive root of P^2 + P = 1
 

@@ -328,6 +328,24 @@ def test_oracle_lays_out_the_directed_edges_once(monkeypatch, cfg, event_rounds)
     assert trace.oracle["crlb_avg"] > 0
 
 
+@pytest.mark.parametrize("cfg, topologies", [
+    (ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                      pdr=0.7, trials=3, l_max=25, master_seed=21, oracle=True), 1),
+    (ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
+                      pdr=0.7, trials=3, l_max=25, master_seed=21,
+                      timeline="6:leave:5;9:join:250,250", oracle=True), 3),
+    (_dynamic_topology_lsbp(), 4),   # the first, then three rounds of events
+], ids=["static", "leave-join", "dynamic-topology"])
+def test_one_reachability_search_per_topology(monkeypatch, cfg, topologies):
+    # the generator's connectivity check, the oracle's precondition, each
+    # topology's rows and both oracle systems share one search per graph
+    real, searched = Graph.unreachable_agents.func, []
+    monkeypatch.setattr(Graph.unreachable_agents, "func",
+                        lambda g: searched.append(g) or real(g))
+    run_experiment(cfg)
+    assert len(searched) == topologies and len({id(g) for g in searched}) == topologies
+
+
 @pytest.mark.parametrize("algorithm, estimator",
                          [("lsbp", LinearScalingBP), ("bp", BeliefPropagation)])
 def test_simulator_and_front_end_share_the_stop_rule(algorithm, estimator):

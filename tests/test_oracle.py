@@ -16,7 +16,7 @@ from cfosync.errors import NumericError, UnobservableError
 
 from helpers import (dense_linear_system, heterogeneous_measurements, meas_r,
                      measurement_set, random_connected_graph, random_tree,
-                     scalar_fixed_point_system, seeded_instance, triangle)
+                     scalar_fixed_point_system, seeded_instance, stacked, triangle)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 K_OFFDIAG = 1.0 - GOLDEN          # (1/(1+P*)) / (1 + 1/(1+P*)) at sigma2=1
@@ -68,7 +68,7 @@ def _oracle_case(seed: int) -> tuple[Graph, MeasurementSet, float]:
     n = int(rng.integers(4, 25))
     if kind == 3:
         g = random_geometric(n, 1000.0, 1000.0, radius=600.0, seed=seed)
-        gone = next(a for a in sorted(g.agents - {1}) if not g.remove_agent(a).unreachable_agents())
+        gone = next(a for a in sorted(g.agents - {1}) if not g.remove_agent(a).unreachable_agents)
         g, _ = g.remove_agent(gone).add_agent(g.positions[gone], 600.0)
     else:
         g = random_tree(rng, n) if kind == 2 else random_connected_graph(rng, n)
@@ -119,8 +119,7 @@ def test_fixed_point_system_on_stacked_set():
     g, truth, _ = seeded_instance(31, 14)
     trials = [generate_measurements(g, truth, 1.0, seed=[31, t]) for t in range(3)]
     pstar = variance_fixed_point(g, trials[0])
-    fps = build_fixed_point_system(g, MeasurementSet.stacked(trials), pstar,
-                                   truth.reference_value)
+    fps = build_fixed_point_system(g, stacked(trials), pstar, truth.reference_value)
     mu = wls_solve(fps)
     for t, ms in enumerate(trials):
         one = build_fixed_point_system(g, ms, pstar, truth.reference_value)
@@ -185,16 +184,29 @@ def test_precision_updates_read_no_measurements():
     assert is_feasible_start(g, unread, p0) == is_feasible_start(g, ms, p0)
 
 
-def test_oracle_run_gathers_the_measurements_twice(monkeypatch):
-    # the engine gathers its measurements once; the oracle gathers them for
-    # the WLS system's target and the fixed-point system's target, not for
-    # the variance fixed point
+def test_oracle_run_gathers_the_measurements_once(monkeypatch):
+    # the engine gathers its measurements once; the oracle gathers them once,
+    # for the WLS system's target: the fixed-point system is read only for K,
+    # and the variance fixed point reads only the variances
     real, gathers = DirectedEdges.r.func, []
     monkeypatch.setattr(DirectedEdges.r, "func", lambda e: gathers.append(type(e)) or real(e))
     cfg = ExperimentConfig(topology="random:n=20,width=500,height=500,radius=200,seed=3",
                            pdr=0.7, trials=12, l_max=25, master_seed=21, oracle=True)
     run_experiment(cfg)
-    assert gathers == [LsbpEngine, DirectedEdges, DirectedEdges]
+    assert gathers == [LsbpEngine, DirectedEdges]
+
+
+def test_system_read_for_k_gathers_no_measurements(monkeypatch):
+    # K reads only the normal matrix: the target, the one reader of the
+    # measurements, is built on first read and not before
+    real, gathers = DirectedEdges.r.func, []
+    monkeypatch.setattr(DirectedEdges.r, "func", lambda e: gathers.append(e) or real(e))
+    g, truth, _ = seeded_instance(31, 14)
+    ms = stacked([generate_measurements(g, truth, 1.0, seed=[31, t]) for t in range(3)])
+    fps = build_fixed_point_system(g, ms, variance_fixed_point(g, ms), truth.reference_value)
+    spectral_radius(fps.K)
+    assert gathers == [] and "target" not in vars(fps)
+    assert fps.target.shape == (3, 13) and gathers == [fps.edges]
 
 
 def test_unobservable_component_raises_with_names():
