@@ -12,7 +12,7 @@ engine keeps the receiver's cached copy of the sender's belief, per-edge BP
 the last cavity message that arrived.  An engine advances a batch of T
 Monte-Carlo trials on one topology: the edge structure is shared, and every
 per-trial array has a leading trial axis (beliefs (T, n), payloads and
-measurements (T, 2|E|)).  The estimator front ends run the T = 1 case.
+measurements (T, 2|E|)).  The estimator front ends run one trial.
 
 `iterate` is the one round loop and stop rule, shared by the simulator and
 by both estimator front ends (`MessagePassingEstimator`).
@@ -48,10 +48,9 @@ def message_precision(sig2: np.ndarray, sender_prec: np.ndarray) -> np.ndarray:
 
 class DirectedEdges:
     """The directed edges of a graph (its `layout`) with their noise
-    variances `sig2` and, per trial, their measurements `r` (T, 2|E|):
-    `meas` holds one row of measurements per trial over shared edges and
-    variances (a 1-D set is one trial).  Agents are numbered by position in
-    the sorted id list `ids`; `index` maps an id to its position."""
+    variances `sig2` and, per trial, their measurements `r` (T, 2|E|), one
+    row per row of `meas.r_array`.  Agents are numbered by position in the
+    sorted id list `ids`; `index` maps an id to its position."""
 
     def __init__(self, graph: Graph, meas: MeasurementSet):
         ids, self.src, self.dst, self.rev, self.indptr, pair = graph.layout
@@ -68,7 +67,7 @@ class DirectedEdges:
     def r(self) -> np.ndarray:
         """Gathered on first read; np.take keeps r C-ordered, a fancy index would not."""
         meas, rows = self.__dict__.pop("_gather")
-        return np.take(np.atleast_2d(meas.r_array), rows, axis=1)
+        return np.take(meas.r_array, rows, axis=1)
 
     def _agent_sums(self, values: np.ndarray) -> np.ndarray:
         """(T, n) per-agent sums of (T, 2|E|) edge values: one bincount over
@@ -241,10 +240,10 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
 class MessagePassingEstimator:
     """Estimator-style front end for lossless runs on a static graph.
 
-    The parameters are keyword-only fields.  fit() runs rounds until the
-    per-round change falls below mean_tol/prec_tol or max_iter rounds have
-    run, then exposes estimates_ (dict id -> Hz, None while flat),
-    variances_, n_iter_ and converged_.
+    The parameters are keyword-only fields.  fit() runs trial 0 of the
+    measurement set until the per-round change falls below mean_tol/prec_tol
+    or max_iter rounds have run, then exposes its estimates_ (dict id -> Hz,
+    None while flat), variances_, n_iter_ and converged_.
     """
 
     max_iter: int = 1000
@@ -262,7 +261,7 @@ class MessagePassingEstimator:
             reference_value: float = 0.0) -> "MessagePassingEstimator":
         engine, step = self._start(graph, measurements, reference_value)
         engine, rounds, settled_at = iterate(
-            engine, step, self.max_iter, self.mean_tol, self.prec_tol)
+            engine.take([0]), step, self.max_iter, self.mean_tol, self.prec_tol)
         self.n_iter_, self.converged_ = rounds[0], settled_at[0] is not None
         self.estimates_ = engine.estimates()
         self.variances_ = engine.variances()

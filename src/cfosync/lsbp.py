@@ -98,13 +98,17 @@ def variance_fixed_point(graph: Graph, meas: MeasurementSet,
                          ref_precision: float = DEFAULT_REFERENCE_PRECISION) -> np.ndarray:
     """Iterate the precision update from the flat start until no precision
     moves by more than 1e-14, within 100000 steps.  Returns precisions of
-    non-reference agents in sorted-id order."""
+    non-reference agents in sorted-id order.  The first step that leaves a
+    precision non-finite raises NumericError."""
     edges = DirectedEdges(graph, meas)
     p = np.zeros(edges.n - 1)
-    for _ in range(100000):
+    for k in range(1, 100001):
         p_next = _precision_update(edges, p, ref_precision)
-        if np.max(np.abs(p_next - p), initial=0.0) <= 1e-14:
+        moved = np.max(np.abs(p_next - p), initial=0.0)   # non-finite iff p_next is
+        if moved <= 1e-14:
             return p_next
+        if not math.isfinite(moved):
+            raise NumericError(f"non-finite precision at variance step {k}")
         p = p_next
     raise NumericError("variance iteration did not settle within 100000 steps")
 

@@ -42,18 +42,25 @@ class GroundTruth:
 
 @dataclass(eq=False)
 class MeasurementSet:
-    """One measurement per edge.
+    """One measurement per edge in each of T >= 1 Monte-Carlo trials.
 
     Stored as three aligned arrays over the canonical edges in sorted order:
-    `edge_array` (m, 2) with i < j in each row, `r_array` and `sigma2_array`
-    (m,).  A batch of trials over the same edges and variances keeps one
-    row of measurements per trial, `r_array` (T, m).  A set is never
-    changed in place.
+    `edge_array` (m, 2) with i < j in each row, `sigma2_array` (m,), shared
+    by the trials, and `r_array` (T, m), one row of measurements per trial;
+    a single trial is T = 1.  Any other shape raises ValueError, and a set
+    is never changed in place.
     """
 
     edge_array: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.intp))
-    r_array: np.ndarray = field(default_factory=lambda: np.empty(0))
+    r_array: np.ndarray = field(default_factory=lambda: np.empty((1, 0)))
     sigma2_array: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self):
+        m = len(self.edge_array)
+        if not (np.shape(self.r_array)[1:] == np.shape(self.sigma2_array) == (m,)
+                and len(self.r_array) > 0):
+            raise ValueError(f"need measurements (T >= 1, {m}) and variances ({m},), got "
+                             f"{np.shape(self.r_array)} and {np.shape(self.sigma2_array)}")
 
     def __len__(self) -> int:
         return len(self.edge_array)
@@ -68,7 +75,7 @@ class MeasurementSet:
         return at
 
     def _select(self, rows: np.ndarray) -> "MeasurementSet":
-        return MeasurementSet(self.edge_array[rows], self.r_array[..., rows],
+        return MeasurementSet(self.edge_array[rows], self.r_array[:, rows],
                               self.sigma2_array[rows])
 
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
@@ -76,7 +83,7 @@ class MeasurementSet:
         _, shared = sorted_lookup(other.edge_array, self.edge_array)
         mine = self._select(~shared)
         both = MeasurementSet(np.concatenate([mine.edge_array, other.edge_array]),
-                              np.concatenate([mine.r_array, other.r_array], axis=-1),
+                              np.concatenate([mine.r_array, other.r_array], axis=1),
                               np.concatenate([mine.sigma2_array, other.sigma2_array]))
         return both._select(np.lexsort(both.edge_array.T[::-1]))   # by i, then j
 
@@ -119,19 +126,18 @@ def draw_joiner_offset(truth_seed: list[int], agent_id: int,
     return float(rng.uniform(-max_offset, max_offset)) if max_offset > 0 else 0.0
 
 
-def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
-                          seed=0, sigma_overrides: dict[tuple[int, int], float] | None = None,
-                          edges=None, seeds=None) -> MeasurementSet:
+def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0, seeds=(0,),
+                          sigma_overrides: dict[tuple[int, int], float] | None = None,
+                          edges=None) -> MeasurementSet:
     """One noisy measurement r = f_i + f_j + n per edge of the graph, or per
-    edge of `edges` when given: (k, 2) canonical rows (i < j) in sorted order.
+    edge of `edges` when given: (k, 2) canonical rows (i < j) in sorted order,
+    in each of T = len(seeds) trials.
 
     sigma is the homogeneous noise std; per-edge stds may be overridden via
     sigma_overrides.  sigma = 0 is allowed for noiseless tests; the stored
     variance then falls back to NOISELESS_SIGMA2 so weights stay finite.
-    Deterministic per seed; the edges with a positive std consume one normal
-    draw each, in sorted edge order.  Given `seeds` (T seeds, in place of
-    seed), the set holds one row of measurements per seed, (T, k): row t is
-    the set drawn with seed=seeds[t].
+    Row t of `r_array` (T, k) is drawn from seeds[t] alone: the edges with a
+    positive std consume one normal draw each, in sorted edge order.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -142,8 +148,8 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
         at, found = sorted_lookup(pairs, np.array(list(sigma_overrides), dtype=np.intp))
         s[at[found]] = np.array(list(sigma_overrides.values()), dtype=float)[found]
     noisy = s > 0
-    noise = np.zeros((1 if seeds is None else len(seeds), len(pairs)))
-    for row, key in zip(noise, [seed] if seeds is None else seeds):
+    noise = np.zeros((len(seeds), len(pairs)))
+    for row, key in zip(noise, seeds):
         row[noisy] = np.random.default_rng(key).normal(0.0, s[noisy])
     sigma2 = np.where(noisy, s * s, NOISELESS_SIGMA2)
     if np.any(sigma2 <= 0.0):
@@ -152,4 +158,4 @@ def generate_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
     ends = ends.reshape(pairs.shape)   # numpy < 2 returns it flat
     f = np.array([truth.offsets[a] for a in agents.tolist()])
     r = f[ends[:, 0]] + f[ends[:, 1]] + noise
-    return MeasurementSet(pairs, r[0] if seeds is None else r, sigma2)
+    return MeasurementSet(pairs, r, sigma2)

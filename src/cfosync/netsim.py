@@ -267,18 +267,30 @@ def _attach_oracle(trace: RunTrace, batch: _Batch, cfg: ExperimentConfig) -> Non
     """WLS means over the trials, CRLB and rho_K on the final topology: the
     three systems read the final graph's directed-edge layout, which the
     engine has already laid out, and one linear system's normal matrix is
-    solved once for every trial and inverted once for the CRLB."""
+    solved once for every trial and inverted once for the CRLB.  Arithmetic
+    beyond the float range, or a value that is not finite, raises
+    NumericError."""
     graph, truth, meas = batch.graph, batch.truth, batch.meas
-    pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
-    system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
-    fps = oracle_mod.build_fixed_point_system(graph, meas, pstar, truth.reference_value,
-                                              cfg.reference_precision)
-    trace.oracle = {
-        "rho_K": oracle_mod.spectral_radius(fps.K),
-        "crlb": oracle_mod.crlb(system),
-        "crlb_avg": oracle_mod.avg_crlb(system, cfg.mse_normalization),
-        "wls_mean": {a: float(np.mean(v)) for a, v in oracle_mod.wls_solve(system).items()},
-    }
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pstar = variance_fixed_point(graph, meas, cfg.reference_precision)
+            system = oracle_mod.build_linear_system(graph, meas, truth.reference_value)
+            fps = oracle_mod.build_fixed_point_system(
+                graph, meas, pstar, truth.reference_value, cfg.reference_precision)
+            oracle = {
+                "rho_K": oracle_mod.spectral_radius(fps.K),
+                "crlb": oracle_mod.crlb(system),
+                "crlb_avg": oracle_mod.avg_crlb(system, cfg.mse_normalization),
+                "wls_mean": {a: float(np.mean(v))
+                             for a, v in oracle_mod.wls_solve(system).items()},
+            }
+    except FloatingPointError as exc:
+        raise NumericError(f"{exc} in the oracle") from None
+    values = [oracle["rho_K"], oracle["crlb_avg"], *oracle["crlb"].values(),
+              *oracle["wls_mean"].values()]
+    if not np.isfinite(values).all():
+        raise NumericError("non-finite oracle value")
+    trace.oracle = oracle
 
 
 def _check_topologies(cfg: ExperimentConfig, overrides: dict[tuple[int, int], float],

@@ -1,7 +1,7 @@
 """Centralized reference machinery.
 
 Everything the distributed algorithms are judged against lives here: the
-weighted-least-squares estimator over the stacked edge measurements, the
+weighted-least-squares estimator over the edge measurements, the
 Cramer-Rao bound for the linear Gaussian model, and the system that
 governs the broadcast algorithm's belief means once variances have settled
 (iteration matrix, spectral radius, fixed point).  Both are one weighted
@@ -9,8 +9,8 @@ governs the broadcast algorithm's belief means once variances have settled
 edge.  WLS weighs each measurement by 1/sigma^2, the broadcast fixed point
 by the converged message precision.  A system builds its matrices on first
 read, so a run, which reads only `K` of the fixed-point system, gathers the
-measurements once, for the WLS target.  On a stacked measurement set (one
-row per trial) the results hold a length-T array per agent.
+measurements once, for the WLS target.  Every measurement set holds T >= 1
+trials, and a solve holds a length-T array per agent.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .graph import Graph
 from .model import MeasurementSet
 
 
-def _by_agent(ids: tuple[int, ...], values: np.ndarray) -> dict[int, float | np.ndarray]:
-    """Per agent id: a float, or a length-T array for a (N-1, T) result."""
-    return dict(zip(ids, values.tolist() if values.ndim == 1 else values))
-
-
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Normal equations `normal` f = `target` over the non-reference unknowns
@@ -42,7 +37,6 @@ class LinearSystem:
     edges: DirectedEdges
     w: np.ndarray
     reference_value: float
-    stacked: bool   # a batch of trials: `target` is (T, N-1), else (N-1,)
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
@@ -64,13 +58,12 @@ class LinearSystem:
 
     @cached_property
     def target(self) -> np.ndarray:
-        """Per trial and non-reference agent i: the sum over its inbox of
-        w[e] * r[e], with the known reference value taken out of the
-        reference's measurements."""
+        """(T, N-1): per trial and non-reference agent i, the sum over its
+        inbox of w[e] * r[e], with the known reference value taken out of
+        the reference's measurements."""
         e = self.edges
         terms = self.w * (e.r - np.where(e.src == e.ref, self.reference_value, 0.0))
-        sums = np.delete(e._agent_sums(terms), e.ref, axis=1)
-        return sums if self.stacked else sums[0]
+        return np.delete(e._agent_sums(terms), e.ref, axis=1)
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -100,7 +93,7 @@ def build_linear_system(graph: Graph, meas: MeasurementSet,
                         reference_value: float) -> LinearSystem:
     """The WLS normal equations: each measurement weighs 1/sigma2."""
     edges = _anchored_edges(graph, meas)
-    return LinearSystem(edges, 1.0 / edges.sig2, reference_value, meas.r_array.ndim == 2)
+    return LinearSystem(edges, 1.0 / edges.sig2, reference_value)
 
 
 def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
@@ -117,24 +110,24 @@ def build_fixed_point_system(graph: Graph, meas: MeasurementSet,
     edges = _anchored_edges(graph, meas)
     prec = np.insert(converged_precisions, edges.ref, reference_precision)
     return LinearSystem(edges, message_precision(edges.sig2, prec[edges.src]),
-                        reference_value, meas.r_array.ndim == 2)
+                        reference_value)
 
 
-def wls_solve(sys: LinearSystem) -> dict[int, float | np.ndarray]:
+def wls_solve(sys: LinearSystem) -> dict[int, np.ndarray]:
     """The normal equations solved for every trial at once: the WLS estimate,
-    or on a fixed-point system the broadcast fixed point.  Per agent a float,
-    on a stacked set a length-T array."""
+    or on a fixed-point system the broadcast fixed point.  Per agent a
+    length-T array, entry t for trial t."""
     try:
         sol = np.linalg.solve(sys.normal, sys.target.T)
     except np.linalg.LinAlgError as exc:
         raise UnobservableError(sys.columns) from exc
-    return _by_agent(sys.columns, sol)
+    return dict(zip(sys.columns, sol))
 
 
 def crlb(sys: LinearSystem) -> dict[int, float]:
     """Per-agent minimum estimator variance: diagonal of the inverse Fisher
-    information of the stacked linear Gaussian model, in Hz^2."""
-    return _by_agent(sys.columns, np.diag(sys.covariance))
+    information of the linear Gaussian model, in Hz^2."""
+    return dict(zip(sys.columns, np.diag(sys.covariance).tolist()))
 
 
 def avg_crlb(sys: LinearSystem, mse_normalization: float = 1.0) -> float:

@@ -125,7 +125,7 @@ def lexsort_directed_edges(graph: Graph, meas: MeasurementSet
     order = np.lexsort((src, dst))
     where = np.empty_like(order)
     where[order] = np.arange(2 * m)
-    r = np.take(np.tile(np.atleast_2d(meas.r_array)[:, rows], 2), order, axis=1)
+    r = np.take(np.tile(meas.r_array[:, rows], 2), order, axis=1)
     sig2 = np.tile(meas.sigma2_array[rows], 2)[order]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[order], minlength=len(ids)))])
     return src[order], dst[order], where[(order + m) % max(2 * m, 1)], indptr, r, sig2
@@ -158,16 +158,18 @@ def scalar_cells(values) -> list[str]:
 
 def measurement_set(records: dict[tuple[int, int], tuple[float, float]]
                     ) -> MeasurementSet:
-    """A set from {(i, j): (r, sigma2)}, edges in any order and orientation."""
+    """A one-trial set from {(i, j): (r, sigma2)}, edges in any order and
+    orientation."""
     by_edge = {canonical_edge(*e): v for e, v in records.items()}
     edges = sorted(by_edge)
     r, sigma2 = np.array([by_edge[e] for e in edges], dtype=float).reshape(-1, 2).T.copy()
-    return MeasurementSet(np.array(edges, dtype=np.intp).reshape(-1, 2), r, sigma2)
+    return MeasurementSet(np.array(edges, dtype=np.intp).reshape(-1, 2), r[None], sigma2)
 
 
 def stacked(sets: list[MeasurementSet]) -> MeasurementSet:
-    """One batch from per-trial sets over the same edges and variances."""
-    return MeasurementSet(sets[0].edge_array, np.stack([m.r_array for m in sets]),
+    """One batch from sets over the same edges and variances, their trials
+    in order."""
+    return MeasurementSet(sets[0].edge_array, np.concatenate([m.r_array for m in sets]),
                           sets[0].sigma2_array)
 
 
@@ -176,9 +178,9 @@ def nonref_agents(graph: Graph) -> list[int]:
 
 
 def measurement_dict(ms: MeasurementSet) -> dict[tuple[int, int], tuple[float, float]]:
-    """{(i, j): (r, sigma2)} of a 1-D set, in its edge order."""
+    """{(i, j): (r, sigma2)} of a set's trial 0, in its edge order."""
     return {(i, j): (r, s2) for (i, j), r, s2 in zip(
-        ms.edge_array.tolist(), ms.r_array.tolist(), ms.sigma2_array.tolist())}
+        ms.edge_array.tolist(), ms.r_array[0].tolist(), ms.sigma2_array.tolist())}
 
 
 def _row(ms: MeasurementSet, i: int, j: int) -> int:
@@ -186,8 +188,8 @@ def _row(ms: MeasurementSet, i: int, j: int) -> int:
 
 
 def meas_r(ms: MeasurementSet, i: int, j: int) -> float:
-    """The measurement of edge {i, j}; InconsistentStateError without one."""
-    return float(ms.r_array[_row(ms, i, j)])
+    """Trial 0's measurement of edge {i, j}; InconsistentStateError without one."""
+    return float(ms.r_array[0, _row(ms, i, j)])
 
 
 def meas_sigma2(ms: MeasurementSet, i: int, j: int) -> float:
@@ -291,14 +293,15 @@ def seeded_instance(seed: int, n: int, sigma: float = 1.0):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n)
     truth = generate_truth(g, 100.0, seed=seed + 1)
-    meas = generate_measurements(g, truth, sigma, seed=seed + 2)
+    meas = generate_measurements(g, truth, sigma, seeds=[seed + 2])
     return g, truth, meas
 
 
 def scalar_measurements(graph: Graph, truth: GroundTruth, sigma: float = 1.0,
                         seed=0, sigma_overrides=None, edges=None) -> MeasurementSet:
-    """generate_measurements one edge at a time: the scalar reference the
-    vectorized generator must match exactly."""
+    """generate_measurements one edge at a time, one trial from `seed`: the
+    scalar reference each row of the vectorized generator must match
+    exactly."""
     rng = np.random.default_rng(seed)
     recs = {}
     for (i, j) in sorted(edges) if edges is not None else sorted(graph.edges):
@@ -316,14 +319,14 @@ def dense_linear_system(graph: Graph, meas: MeasurementSet, reference_value: flo
     """The stacked measurements r = f_i + f_j + n as A f = rhs over the
     non-reference unknowns, with a dense design: (A, rhs, weights, columns).
 
-    A: (|E|, N-1) with +1 per non-reference endpoint per row; rhs: (|E|,),
-    or (T, |E|) on a stacked set, the reference's value folded in; weights:
-    1/sigma2 per edge; columns: the agent id per column of A."""
+    A: (|E|, N-1) with +1 per non-reference endpoint per row; rhs: (T, |E|),
+    the reference's value folded in; weights: 1/sigma2 per edge; columns:
+    the agent id per column of A."""
     cols = sorted(graph.agents - {graph.reference})
     pairs = graph.edge_array
     rows = meas.rows_of(pairs)
-    rhs = meas.r_array[..., rows]
-    rhs[..., np.any(pairs == graph.reference, axis=1)] -= reference_value
+    rhs = meas.r_array[:, rows]
+    rhs[:, np.any(pairs == graph.reference, axis=1)] -= reference_value
     a_mat = np.zeros((len(pairs), len(cols)))
     edge, end = np.nonzero(pairs != graph.reference)
     a_mat[edge, np.searchsorted(cols, pairs[edge, end])] = 1.0
@@ -335,7 +338,7 @@ def scalar_fixed_point_system(graph: Graph, meas: MeasurementSet,
                               reference_precision: float = 1e12
                               ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """(K, eta, rows) of the broadcast mean update mu <- eta - K mu, one
-    agent and one scalar measurement lookup at a time (a 1-D set)."""
+    agent and one scalar measurement lookup at a time (trial 0)."""
     ids = sorted(graph.agents - {graph.reference})
     pstar = {a: 1.0 / p for a, p in zip(ids, converged_precisions)}
     pstar[graph.reference] = 1.0 / reference_precision

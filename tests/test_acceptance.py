@@ -109,7 +109,7 @@ def test_criterion_02_variance_sweep_monotone_common_fixed_point():
     graph = parse_topology(cfg0)
     truth = generate_truth(graph, cfg0.max_offset, seed=[cfg0.master_seed, 1, 0])
     meas = generate_measurements(graph, truth, cfg0.sigma,
-                                 seed=[cfg0.master_seed, 2, 0])
+                                 seeds=[[cfg0.master_seed, 2, 0]])
     m = len(nonref_agents(graph))
     for p0_var in SWEEP_VARIANCES:
         assert is_feasible_start(graph, meas, np.full(m, 1.0 / p0_var)), \
@@ -197,14 +197,14 @@ def test_criterion_05_tree_exactness_both_algorithms():
         graph = random_tree(rng, n)
         truth = generate_truth(graph, 100.0, seed=int(rng.integers(2**31)))
         ms = generate_measurements(graph, truth, 1.0,
-                                   seed=int(rng.integers(2**31)))
+                                   seeds=[int(rng.integers(2**31))])
         wls = wls_solve(build_linear_system(graph, ms, truth.reference_value))
         bp = BeliefPropagation(max_iter=500, mean_tol=1e-12, prec_tol=1e-12)
         bp.fit(graph, ms, truth.reference_value)
         ls = LinearScalingBP(max_iter=60000, mean_tol=1e-12, prec_tol=1e-13)
         ls.fit(graph, ms, truth.reference_value)
         ok &= bp.converged_ and ls.converged_
-        for a, v in wls.items():
+        for a, (v,) in wls.items():   # the one trial's estimate
             worst = max(worst, abs(bp.estimates_[a] - v),
                         abs(ls.estimates_[a] - v))
     ok &= worst <= TREE_TOL
@@ -224,13 +224,13 @@ def test_criterion_06_triangle_closed_form():
     est = LinearScalingBP(max_iter=2000, mean_tol=1e-13, prec_tol=1e-13)
     est.fit(g, ms, mu1)
     got = est.estimates_[2]
-    wls_matches_closed = abs(wls[2] - closed_form) <= TRIANGLE_TOL
+    wls_matches_closed = abs(wls[2][0] - closed_form) <= TRIANGLE_TOL
     lsbp_matches = (abs(got - closed_form) <= TRIANGLE_TOL
-                    and abs(got - wls[2]) <= TRIANGLE_TOL)
+                    and abs(got - wls[2][0]) <= TRIANGLE_TOL)
     ok = wls_matches_closed and lsbp_matches
     _report(6, "triangle converged mean equals (2a-b+s)/3 and WLS", ok,
-            f"lsbp={got:.9f}, wls={wls[2]:.9f}, closed={closed_form:.9f}, "
-            f"gap={abs(got - wls[2]):.3e}; broadcast beliefs reuse full "
+            f"lsbp={got:.9f}, wls={wls[2][0]:.9f}, closed={closed_form:.9f}, "
+            f"gap={abs(got - wls[2][0]):.3e}; broadcast beliefs reuse full "
             f"neighbor beliefs, so cycle evidence echoes and the fixed point "
             f"is a different unbiased estimate than WLS")
     assert wls_matches_closed

@@ -65,8 +65,8 @@ def test_chain_belief_is_tree_exact():
     # r23 - (r12 - mu1): confirmed by the WLS oracle below
     assert est.estimates_[3] == pytest.approx(-3.0, abs=TREE_TOL)
     wls = wls_solve(build_linear_system(g, ms, 0.0))
-    assert est.estimates_[2] == pytest.approx(wls[2], abs=TREE_TOL)
-    assert est.estimates_[3] == pytest.approx(wls[3], abs=TREE_TOL)
+    assert est.estimates_[2] == pytest.approx(wls[2][0], abs=TREE_TOL)
+    assert est.estimates_[3] == pytest.approx(wls[3][0], abs=TREE_TOL)
 
 
 def test_first_round_messages_from_nonreference_leaves_are_flat():
@@ -110,7 +110,7 @@ def test_converged_loopy_means_match_wls():
         est.fit(g, ms, truth.reference_value)
         assert est.converged_, f"BP did not converge on seed {seed}"
         wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
-        for a, v in wls.items():
+        for a, (v,) in wls.items():
             assert est.estimates_[a] == pytest.approx(v, abs=LOOPY_WLS_TOL)
 
 
@@ -119,11 +119,11 @@ def test_trees_match_wls_exactly():
     for _ in range(5):
         g = random_tree(rng, int(rng.integers(4, 20)))
         truth = generate_truth(g, 100.0, seed=int(rng.integers(2**31)))
-        ms = generate_measurements(g, truth, 1.0, seed=int(rng.integers(2**31)))
+        ms = generate_measurements(g, truth, 1.0, seeds=[int(rng.integers(2**31))])
         est = BeliefPropagation(max_iter=200, mean_tol=1e-13, prec_tol=1e-13)
         est.fit(g, ms, truth.reference_value)
         wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
-        for a, v in wls.items():
+        for a, (v,) in wls.items():
             assert est.estimates_[a] == pytest.approx(v, abs=TREE_TOL)
 
 
@@ -140,11 +140,11 @@ def test_huge_offsets_converge_to_wls(max_offset):
     # messages far beyond 1e12 Hz are no sign of divergence
     g, _ = triangle()
     truth = generate_truth(g, max_offset, seed=5)
-    ms = generate_measurements(g, truth, 1.0, seed=6)
+    ms = generate_measurements(g, truth, 1.0, seeds=[6])
     est = BeliefPropagation(max_iter=50).fit(g, ms, truth.reference_value)
     assert est.converged_
     wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
-    for a, v in wls.items():
+    for a, (v,) in wls.items():
         assert est.estimates_[a] == pytest.approx(v, rel=1e-12)
 
 

@@ -124,6 +124,10 @@ def config_texts(draw):
                timeline="2:join:5,5", sigma_overrides="1-5:3.0"))
 @example(_text(topology="edges:1-2;2-3;3-4", timeline="2:leave:2",  # cut off, oracle
                oracle="true"))
+@example(_text(topology="edges:1-2;2-3;3-1;3-4", oracle="true",  # oracle overflows
+               sigma_overrides="1-2:1e-160"))
+@example(_text(topology="edges:1-2;2-3;3-1;3-4", oracle="true", sigma="1e-154"))
+@example(_text(topology="edges:1-2;2-3;3-1;3-4", oracle="true", sigma="1e-160"))
 @example(REJECTED[0])
 @example(REJECTED[1])
 @example(REJECTED[2])

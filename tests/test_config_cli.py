@@ -336,6 +336,27 @@ def test_cli_overflow_exits_numeric(tmp_path, capsys):
     assert "overflow computing the MSE (max_offset=1e+200" in err[0]
 
 
+@pytest.mark.parametrize("field, code, reason", [
+    ("sigma_overrides = 1-2:1e-160", 4, "overflow encountered in divide in the oracle"),
+    ("sigma = 1e-154", 4, "overflow encountered in multiply in the oracle"),
+    ("sigma = 1e-160", 4, "non-finite precision at variance step 1967"),
+    ("sigma = 1e-150", 0, None),
+])
+def test_cli_oracle_beyond_the_float_range_exits_numeric(tmp_path, capsys, field, code, reason):
+    # 1/sigma^2 or a WLS right-hand side overflows, or the precisions grow
+    # past the float range, which once wrote NaN to summary.json or ran out
+    # the variance iteration's 100000 steps
+    cfg = _write_cfg(tmp_path, f"topology = edges:1-2;2-3;3-1;3-4\noracle = true\n{field}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+        assert "NaN" not in (tmp_path / "o" / "summary.json").read_text()
+    else:
+        assert err == [f"error: code=4 kind=numeric reason={reason}"]
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_preset_expansion(tmp_path):
     # the joins are stamped 10 and 11, so they fire within 12 rounds
     rc = main(["--preset", "dynamic-topology", "--trials", "2", "--iters", "12",

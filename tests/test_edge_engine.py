@@ -181,7 +181,7 @@ def _per_trial_measurements(g, rng, edges=None):
     """One measurement set per trial over the same edges and variances."""
     pairs = g.edge_array if edges is None else np.array(sorted(edges)).reshape(-1, 2)
     sig2 = rng.uniform(0.25, 4.0, len(pairs))
-    return [MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
+    return [MeasurementSet(pairs, rng.normal(0, 50, (1, len(pairs))), sig2)
             for _ in range(BATCH_TRIALS)]
 
 
@@ -221,7 +221,7 @@ def _batch_run(engine, trial_ids, timeline, schedule):
 def test_directed_edges_match_the_lexsort_reference(seed):
     # the graph's one layout and the measurements gathered along it, exactly
     # as one lexsort by receiver, then sender lays them out: on connected
-    # graphs, after a leave and a join, without edges, for 1-D and stacked sets
+    # graphs, after a leave and a join, without edges, for one-trial and batch sets
     rng = np.random.default_rng(seed)
     g0 = random_geometric(n=25, width=900, height=900, radius=350, seed=seed)
     victim = int(rng.choice(sorted(g0.agents - {g0.reference})))
@@ -313,7 +313,7 @@ def _batch_engine(init, trials, seed=9):
     rng = np.random.default_rng(seed)
     pairs = g.edge_array
     sig2 = rng.uniform(0.25, 4.0, len(pairs))
-    meas = stacked([MeasurementSet(pairs, rng.normal(0, 50, len(pairs)), sig2)
+    meas = stacked([MeasurementSet(pairs, rng.normal(0, 50, (1, len(pairs))), sig2)
                     for _ in range(trials)])
     engine = LsbpEngine(g, meas, init, float(rng.uniform(-200, 200)), REF_PREC)
     return g, meas, engine, rng

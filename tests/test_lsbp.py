@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cfosync import (Graph, LinearScalingBP, generate_measurements, generate_truth,
-                     is_feasible_start, variance_fixed_point, variance_map)
+from cfosync import (BeliefPropagation, Graph, LinearScalingBP, generate_measurements,
+                     generate_truth, is_feasible_start, variance_fixed_point, variance_map)
 from cfosync.edges import iterate, step_delta
 from cfosync.errors import NumericError
+from cfosync import lsbp
 from cfosync.lsbp import BeliefInit, LsbpEngine
 
 from helpers import (FLAT, Gaussian1D, beliefs, delivery_mask, directed_edge, edge_message,
@@ -76,7 +77,7 @@ def test_variance_bound_dominates_map():
     rng = np.random.default_rng(21)
     g = random_connected_graph(rng, 12)
     truth = generate_truth(g, 10.0, seed=1)
-    ms = generate_measurements(g, truth, 1.0, seed=2)
+    ms = generate_measurements(g, truth, 1.0, seeds=[2])
     ub = variance_map(g, ms, np.full(len(nonref_agents(g)), np.inf))   # known neighbours
     for _ in range(20):
         p = 10.0 ** rng.uniform(-2, 2, len(nonref_agents(g)))
@@ -277,3 +278,34 @@ def test_triangle_converges_within_expected_iterations():
     # contraction rate ~0.382 per round implies convergence well under 60
     assert est.converged_ and est.n_iter_ <= 60
 
+
+def test_variance_fixed_point_stops_at_its_first_non_finite_step(monkeypatch):
+    # a noise std of 1e-160 squares to a subnormal variance: the precisions
+    # grow until one overflows, and the iteration stops at that step instead
+    # of running out its 100000 steps on non-finite values
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    ms = generate_measurements(g, generate_truth(g, 100.0, seed=0), sigma=1e-160)
+    finite, update = [], lsbp._precision_update
+
+    def counted(*args):
+        p = update(*args)
+        finite.append(bool(np.isfinite(p).all()))
+        return p
+    monkeypatch.setattr(lsbp, "_precision_update", counted)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+        variance_fixed_point(g, ms)
+    assert finite[-1] is False and all(finite[:-1]) and len(finite) < 10000
+    assert str(info.value) == f"non-finite precision at variance step {len(finite)}"
+
+
+def test_fit_reports_trial_0_of_a_batch():
+    g, truth, _ = seeded_instance(4, 10)
+    batch = generate_measurements(g, truth, 1.0, seeds=[[4, t] for t in range(3)])
+    first = generate_measurements(g, truth, 1.0, seeds=[[4, 0]])
+    for make in (lambda: LinearScalingBP(schedule="asynchronous", seed=3),
+                 lambda: LinearScalingBP(init="uniform", init_variance=4.0),
+                 BeliefPropagation):
+        got = make().fit(g, batch, truth.reference_value)
+        want = make().fit(g, first, truth.reference_value)
+        assert (got.estimates_, got.variances_, got.n_iter_, got.converged_) == \
+            (want.estimates_, want.variances_, want.n_iter_, want.converged_)

@@ -41,7 +41,7 @@ def test_default_offset_matches_doppler_scale():
 def test_noiseless_measurement_is_exact_sum():
     g = Graph.from_edges(2, [(1, 2)])
     truth = GroundTruth(offsets={1: 10.0, 2: -3.0}, reference=1)
-    ms = generate_measurements(g, truth, sigma=0.0, seed=0)
+    ms = generate_measurements(g, truth, sigma=0.0, seeds=[0])
     assert meas_r(ms, 1, 2) == 7.0
     assert meas_sigma2(ms, 1, 2) == NOISELESS_SIGMA2
 
@@ -49,9 +49,37 @@ def test_noiseless_measurement_is_exact_sum():
 def test_measurement_symmetric_query():
     g = Graph.from_edges(2, [(1, 2)])
     truth = generate_truth(g, 10.0, seed=0)
-    ms = generate_measurements(g, truth, sigma=1.0, seed=1)
+    ms = generate_measurements(g, truth, sigma=1.0, seeds=[1])
     assert meas_r(ms, 1, 2) == meas_r(ms, 2, 1)
     assert meas_sigma2(ms, 2, 1) == 1.0
+
+
+def test_generate_measurements_takes_seeds_only():
+    g = Graph.from_edges(3, [(1, 2), (2, 3)])
+    truth = generate_truth(g, 10.0, seed=0)
+    with pytest.raises(TypeError):
+        generate_measurements(g, truth, 1.0, seed=1)
+    default = generate_measurements(g, truth, 1.0)
+    assert default.r_array.shape == (1, 2)   # the default seeds=(0,): one trial
+    assert default.r_array.tobytes() == generate_measurements(
+        g, truth, 1.0, seeds=[0]).r_array.tobytes()
+    with pytest.raises(ValueError):   # no trial
+        generate_measurements(g, truth, 1.0, seeds=())
+
+
+def test_measurement_set_of_the_wrong_shape_raises():
+    g = Graph.from_edges(3, [(1, 2), (2, 3)])
+    edges = g.edge_array
+    MeasurementSet(edges, np.ones((3, 2)), np.ones(2))   # three trials on two edges
+    for r, sigma2 in [(np.array([[1.0, 2.0, 3.0, 4.0]]), np.ones(2)),   # 4 values, 2 edges
+                      (np.array([1.0, 2.0, 3.0, 4.0]), np.ones(2)),
+                      (np.ones((1, 2)), np.ones(3)),                     # 3 variances
+                      (np.ones(2), np.ones(2)),                          # 1-D: no trial axis
+                      (np.ones((0, 2)), np.ones(2)),                     # no trial
+                      (np.ones((1, 1, 2)), np.ones(2)),
+                      (np.ones((1, 2)), np.ones((1, 2)))]:
+        with pytest.raises(ValueError, match="need"):
+            MeasurementSet(edges, r, sigma2)
 
 
 def test_missing_measurement_raises():
@@ -67,7 +95,7 @@ def test_noise_moments_monte_carlo():
     edges = [(1, k) for k in range(2, n + 1)]
     g = Graph.from_edges(n, edges)
     truth = generate_truth(g, 10.0, seed=3)
-    ms = generate_measurements(g, truth, sigma=1.0, seed=4)
+    ms = generate_measurements(g, truth, sigma=1.0, seeds=[4])
     resid = np.array([r - truth.offsets[i] - truth.offsets[j]
                       for (i, j), (r, _) in measurement_dict(ms).items()])
     assert abs(resid.mean()) < MOMENT_MEAN_TOL
@@ -77,14 +105,14 @@ def test_noise_moments_monte_carlo():
 def test_empty_edge_set_gives_empty_measurements():
     g = Graph.from_edges(1, [])
     truth = generate_truth(g, 10.0, seed=0)
-    assert len(generate_measurements(g, truth, 1.0, seed=0)) == 0
+    assert len(generate_measurements(g, truth, 1.0, seeds=[0])) == 0
 
 
 def test_new_noise_seed_changes_measurements_not_truth():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     truth = generate_truth(g, 100.0, seed=9)
-    m1 = generate_measurements(g, truth, 1.0, seed=1)
-    m2 = generate_measurements(g, truth, 1.0, seed=2)
+    m1 = generate_measurements(g, truth, 1.0, seeds=[1])
+    m2 = generate_measurements(g, truth, 1.0, seeds=[2])
     assert meas_r(m1, 1, 2) != meas_r(m2, 1, 2)
     assert generate_truth(g, 100.0, seed=9).offsets == truth.offsets
 
@@ -92,7 +120,7 @@ def test_new_noise_seed_changes_measurements_not_truth():
 def test_sigma_overrides():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     truth = generate_truth(g, 10.0, seed=0)
-    ms = generate_measurements(g, truth, 1.0, seed=0,
+    ms = generate_measurements(g, truth, 1.0, seeds=[0],
                                sigma_overrides={(2, 3): 2.0})
     assert meas_sigma2(ms, 1, 2) == 1.0
     assert meas_sigma2(ms, 2, 3) == 4.0
@@ -117,7 +145,7 @@ def test_joiner_offset_deterministic():
 def test_csv_round_trips():
     g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     truth = generate_truth(g, 100.0, seed=12)
-    ms = generate_measurements(g, truth, 1.5, seed=13)
+    ms = generate_measurements(g, truth, 1.5, seeds=[13])
     t_back = truth_from_csv(truth_to_csv(truth))
     assert t_back.offsets == truth.offsets
     ms_back = measurements_from_csv(measurements_to_csv(ms))
@@ -144,23 +172,23 @@ def test_vectorized_generation_matches_scalar_reference(seed):
              dict(sigma=1.0, sigma_overrides=overrides, edges=subset)]
     for kw in cases:
         noise_seed = [seed, 2, 7]
-        fast = generate_measurements(g, truth, seed=noise_seed, **kw)
+        fast = generate_measurements(g, truth, seeds=[noise_seed], **kw)
         slow = scalar_measurements(g, truth, seed=noise_seed, **kw)
         _assert_same(fast, measurement_dict(slow))
 
-    # a stacked set from T seeds in one call: row t is the set of seed t
+    # a batch from T seeds in one call: row t is the one-row set of seed t
     for kw in cases:
         seeds = [[seed, 2, t, 5] for t in range(3)]
         batch = generate_measurements(g, truth, seeds=seeds, **kw)
         assert batch.r_array.shape == (3, len(batch))
         for t, noise_seed in enumerate(seeds):
-            one = generate_measurements(g, truth, seed=noise_seed, **kw)
+            one = generate_measurements(g, truth, seeds=[noise_seed], **kw)
             assert np.array_equal(batch.edge_array, one.edge_array)
             assert batch.sigma2_array.tobytes() == one.sigma2_array.tobytes()
-            assert batch.r_array[t].tobytes() == one.r_array.tobytes()
+            assert batch.r_array[t].tobytes() == one.r_array[0].tobytes()
 
     # set operations against a dict reference
-    ms = generate_measurements(g, truth, 1.0, seed=seed)
+    ms = generate_measurements(g, truth, 1.0, seeds=[seed])
     ref = measurement_dict(ms)
     victim = int(rng.integers(2, max(g.agents) + 1))
     joiner = max(g.agents) + 1

@@ -9,8 +9,9 @@ import pytest
 from cfosync import (BeliefPropagation, ExperimentConfig, Graph, LinearScalingBP,
                      generate_measurements, generate_truth, run_experiment)
 import cfosync.netsim as netsim
-from cfosync.edges import EdgeEngine
+from cfosync.bp import BpEngine
 from cfosync.errors import ConfigError, UnobservableError
+from cfosync.lsbp import LsbpEngine
 from cfosync.metrics import RunTrace, summary_dict, trace_to_csv
 from cfosync.netsim import (_Batch, _make_engine, _trial_mean, parse_timeline,
                             validate_timeline)
@@ -304,9 +305,13 @@ def test_oracle_lays_out_the_directed_edges_once(monkeypatch, cfg, event_rounds)
     # graph's layout, which the engine has already built
     real, layouts = Graph.layout.func, []
     monkeypatch.setattr(Graph.layout, "func", lambda g: layouts.append(g) or real(g))
-    rebuilds, rebuilt = [], EdgeEngine.rebuilt
-    monkeypatch.setattr(EdgeEngine, "rebuilt",
-                        lambda e, *args: rebuilds.append(e) or rebuilt(e, *args))
+    # patched on each engine class, not on their base: a class that holds
+    # its own `rebuilt` (as a tracer's uninstall can leave it) would hide a
+    # patch of the base's
+    rebuilds = []
+    for engine_cls in (LsbpEngine, BpEngine):
+        monkeypatch.setattr(engine_cls, "rebuilt", lambda e, *args, rebuilt=engine_cls.rebuilt:
+                            rebuilds.append(e) or rebuilt(e, *args))
     counted = {}
 
     def counting(name):
@@ -355,7 +360,7 @@ def test_simulator_and_front_end_share_the_stop_rule(algorithm, estimator):
     trace = run_experiment(cfg)
     g = parse_topology(cfg)
     truth = generate_truth(g, cfg.max_offset, seed=[8, 1, 0])
-    meas = generate_measurements(g, truth, cfg.sigma, seed=[8, 2, 0])
+    meas = generate_measurements(g, truth, cfg.sigma, seeds=[[8, 2, 0]])
     est = estimator(max_iter=cfg.l_max, mean_tol=cfg.mean_tol,
                     prec_tol=cfg.prec_tol).fit(g, meas, truth.reference_value)
     assert est.converged_

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfosync import (ExperimentConfig, Graph, LinearScalingBP, MeasurementSet, avg_crlb,
+from cfosync import (ExperimentConfig, Graph, LinearScalingBP, LinearSystem,
+                     MeasurementSet, avg_crlb,
                      build_fixed_point_system, build_linear_system, crlb,
                      generate_measurements, generate_truth, is_feasible_start,
                      random_geometric, run_experiment, spectral_radius,
                      variance_fixed_point, variance_map, wls_solve)
+import cfosync.oracle as oracle_mod
 from cfosync.edges import DirectedEdges
 from cfosync.lsbp import LsbpEngine
 from cfosync.errors import NumericError, UnobservableError
@@ -26,7 +28,7 @@ def test_wls_single_edge():
     g = Graph.from_edges(2, [(1, 2)])
     ms = measurement_set({(1, 2): (7.0, 1.0)})
     sol = wls_solve(build_linear_system(g, ms, reference_value=2.0))
-    assert sol[2] == pytest.approx(5.0)
+    assert sol[2][0] == pytest.approx(5.0)
 
 
 def test_wls_triangle_closed_form():
@@ -34,8 +36,8 @@ def test_wls_triangle_closed_form():
     mu1 = 0.5
     a, b, s = meas_r(ms, 1, 2) - mu1, meas_r(ms, 1, 3) - mu1, meas_r(ms, 2, 3)
     sol = wls_solve(build_linear_system(g, ms, mu1))
-    assert sol[2] == pytest.approx((2 * a - b + s) / 3, rel=1e-12)
-    assert sol[3] == pytest.approx((2 * b - a + s) / 3, rel=1e-12)
+    assert sol[2][0] == pytest.approx((2 * a - b + s) / 3, rel=1e-12)
+    assert sol[3][0] == pytest.approx((2 * b - a + s) / 3, rel=1e-12)
 
 
 def test_wls_chain_middle_estimate_ignores_far_edge():
@@ -43,7 +45,7 @@ def test_wls_chain_middle_estimate_ignores_far_edge():
     for r23 in (-5.0, 0.0, 11.0):
         ms = measurement_set({(1, 2): (4.0, 1.0), (2, 3): (r23, 1.0)})
         sol = wls_solve(build_linear_system(g, ms, 0.0))
-        assert sol[2] == pytest.approx(4.0, rel=1e-12)
+        assert sol[2][0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_wls_residual_orthogonality():
@@ -51,18 +53,18 @@ def test_wls_residual_orthogonality():
         g, truth, ms = seeded_instance(seed, 15)
         design, rhs, weights, columns = dense_linear_system(g, ms, truth.reference_value)
         sol = wls_solve(build_linear_system(g, ms, truth.reference_value))
-        f = np.array([sol[a] for a in columns])
-        resid = rhs - design @ f
+        f = np.array([sol[a][0] for a in columns])
+        resid = rhs[0] - design @ f
         grad = design.T @ (weights * resid)
-        scale = max(1.0, float(np.abs(design.T @ (weights * rhs)).max()))
+        scale = max(1.0, float(np.abs(design.T @ (weights * rhs[0])).max()))
         assert np.max(np.abs(grad)) / scale < 1e-8
 
 
 def _oracle_case(seed: int) -> tuple[Graph, MeasurementSet, float]:
     """(graph, measurements, reference precision) of a seeded case; by
     seed % 5: uniform noise, per-edge variances with a reference other than
-    agent 1, a tree, ids with a gap (a leave then a join), and a stacked
-    batch of 5 trials over per-edge variances."""
+    agent 1, a tree, ids with a gap (a leave then a join), and a batch of
+    5 trials over per-edge variances."""
     rng = np.random.default_rng(5000 + seed)
     kind = seed % 5
     n = int(rng.integers(4, 25))
@@ -76,7 +78,7 @@ def _oracle_case(seed: int) -> tuple[Graph, MeasurementSet, float]:
         g = dataclasses.replace(g, reference=int(rng.choice(sorted(g.agents - {1}))))
     if kind == 0:
         truth = generate_truth(g, 100.0, seed=seed)
-        return g, generate_measurements(g, truth, 1.0, seed=seed), 1e12
+        return g, generate_measurements(g, truth, 1.0, seeds=[seed]), 1e12
     ms = heterogeneous_measurements(rng, g)
     if kind == 4:
         noise = rng.normal(0.0, np.sqrt(ms.sigma2_array), (5, len(ms)))
@@ -98,35 +100,53 @@ def test_oracle_matches_dense_reference(seed):
     pstar = variance_fixed_point(g, ms, ref_prec)
     fps = build_fixed_point_system(g, ms, pstar, ref_value, ref_prec)
     wls, bound, mu = wls_solve(sys), crlb(sys), wls_solve(fps)
-    for t, r in enumerate(np.atleast_2d(ms.r_array)):
-        trial = MeasurementSet(ms.edge_array, r, ms.sigma2_array)
+    for t in range(len(ms.r_array)):
+        trial = MeasurementSet(ms.edge_array, ms.r_array[t:t + 1], ms.sigma2_array)
         design, rhs, weights, columns = dense_linear_system(g, trial, ref_value)
         normal = design.T @ (weights[:, None] * design)
         assert sys.columns == fps.columns == columns
         np.testing.assert_allclose(sys.normal, normal, rtol=1e-12, atol=0)
-        sol = np.linalg.solve(normal, design.T @ (weights * rhs))
-        _assert_close([np.atleast_1d(wls[a])[t] for a in columns], sol, 1e-10)
+        sol = np.linalg.solve(normal, design.T @ (weights * rhs[0]))
+        _assert_close([wls[a][t] for a in columns], sol, 1e-10)
         _assert_close([bound[a] for a in columns], np.diag(np.linalg.inv(normal)), 1e-10)
         k_mat, eta, _ = scalar_fixed_point_system(g, trial, pstar, ref_value, ref_prec)
         np.testing.assert_allclose(fps.K, k_mat, rtol=1e-12, atol=0)
-        _assert_close(np.atleast_2d(fps.target)[t] / np.diag(fps.normal), eta, 1e-12)
-        _assert_close([np.atleast_1d(mu[a])[t] for a in columns],
+        _assert_close(fps.target[t] / np.diag(fps.normal), eta, 1e-12)
+        _assert_close([mu[a][t] for a in columns],
                       np.linalg.solve(np.eye(len(columns)) + k_mat, eta), 1e-10)
-    assert np.shape(sys.target) == np.shape(fps.target) == (*ms.r_array.shape[:-1], len(columns))
+    assert np.shape(sys.target) == np.shape(fps.target) == (len(ms.r_array), len(columns))
 
 
 def test_fixed_point_system_on_stacked_set():
+    # a batch of trials solves each trial as its one-row set does, for the
+    # broadcast fixed point and for WLS
     g, truth, _ = seeded_instance(31, 14)
-    trials = [generate_measurements(g, truth, 1.0, seed=[31, t]) for t in range(3)]
+    trials = [generate_measurements(g, truth, 1.0, seeds=[[31, t]]) for t in range(3)]
     pstar = variance_fixed_point(g, trials[0])
     fps = build_fixed_point_system(g, stacked(trials), pstar, truth.reference_value)
     mu = wls_solve(fps)
+    wls = wls_solve(build_linear_system(g, stacked(trials), truth.reference_value))
     for t, ms in enumerate(trials):
         one = build_fixed_point_system(g, ms, pstar, truth.reference_value)
         np.testing.assert_array_equal(fps.K, one.K)
-        np.testing.assert_array_equal(fps.target[t], one.target)
-        for a, v in wls_solve(one).items():
-            assert mu[a][t] == pytest.approx(v, rel=1e-12, abs=1e-12)
+        np.testing.assert_array_equal(fps.target[t], one.target[0])
+        for batch, single in ((mu, wls_solve(one)), (wls, wls_solve(
+                build_linear_system(g, ms, truth.reference_value)))):
+            assert batch.keys() == single.keys()
+            for a, v in single.items():
+                assert v.shape == (1,) and batch[a].shape == (3,)
+                assert batch[a][t] == pytest.approx(v[0], rel=1e-12, abs=1e-12)
+
+
+def test_linear_system_has_one_shape():
+    # every set holds a trial axis, so a system carries no flag for it
+    assert [f.name for f in dataclasses.fields(LinearSystem)] == [
+        "edges", "w", "reference_value"]
+    g, ms = triangle(r12=3.1, r13=-0.7, r23=1.9)
+    sys = build_linear_system(g, ms, 0.5)
+    assert sys.target.shape == (1, 2)
+    assert all(v.shape == (1,) for v in wls_solve(sys).values())
+    assert all(type(v) is float for v in crlb(sys).values())
 
 
 def test_oracle_holds_no_edge_by_agent_array():
@@ -136,7 +156,7 @@ def test_oracle_holds_no_edge_by_agent_array():
     scale = math.sqrt(n / 100)
     g = random_geometric(n, 3000 * scale, 4000 * scale, radius=1000.0, seed=7)
     truth = generate_truth(g, 100.0, seed=1)
-    ms = generate_measurements(g, truth, 1.0, seed=2)
+    ms = generate_measurements(g, truth, 1.0, seeds=[2])
     tracemalloc.start()
     try:
         sys = build_linear_system(g, ms, truth.reference_value)
@@ -167,6 +187,20 @@ def test_oracle_factors_once_per_run(monkeypatch):
     trace = run_experiment(cfg)
     assert len(trace.oracle["wls_mean"]) == 19
     assert calls == {"solve": 1, "inv": 1}
+
+
+@pytest.mark.parametrize("name, poison", [
+    ("spectral_radius", lambda rho: math.nan),
+    ("wls_solve", lambda sol: {a: np.full_like(v, math.inf) for a, v in sol.items()}),
+])
+def test_oracle_refuses_a_non_finite_value(monkeypatch, name, poison):
+    # a non-finite value that no flagged overflow produced (np.linalg keeps
+    # its own error state) never reaches the summary
+    real = getattr(oracle_mod, name)
+    monkeypatch.setattr(oracle_mod, name, lambda *args: poison(real(*args)))
+    cfg = ExperimentConfig(topology="edges:1-2;2-3;3-1;3-4", l_max=10, oracle=True)
+    with pytest.raises(NumericError, match="^non-finite oracle value$"):
+        run_experiment(cfg)
 
 
 def test_precision_updates_read_no_measurements():
@@ -202,7 +236,7 @@ def test_system_read_for_k_gathers_no_measurements(monkeypatch):
     real, gathers = DirectedEdges.r.func, []
     monkeypatch.setattr(DirectedEdges.r, "func", lambda e: gathers.append(e) or real(e))
     g, truth, _ = seeded_instance(31, 14)
-    ms = stacked([generate_measurements(g, truth, 1.0, seed=[31, t]) for t in range(3)])
+    ms = stacked([generate_measurements(g, truth, 1.0, seeds=[[31, t]]) for t in range(3)])
     fps = build_fixed_point_system(g, ms, variance_fixed_point(g, ms), truth.reference_value)
     spectral_radius(fps.K)
     assert gathers == [] and "target" not in vars(fps)
@@ -267,9 +301,9 @@ def test_fixed_point_system_star_has_zero_matrix():
     assert np.all(fps.K == 0.0)
     assert spectral_radius(fps.K) == 0.0
     mu = wls_solve(fps)
-    eta = fps.target / np.diag(fps.normal)
+    eta = fps.target[0] / np.diag(fps.normal)
     for a, v in mu.items():
-        assert v == pytest.approx(eta[fps.columns.index(a)])
+        assert v[0] == pytest.approx(eta[fps.columns.index(a)])
 
 
 def test_spectral_radius_triangle_and_cross_check():
@@ -309,7 +343,7 @@ def test_mean_fixed_point_matches_engine_on_loopy_graph():
     mu = wls_solve(fps)
     est = LinearScalingBP(max_iter=20000, mean_tol=1e-13, prec_tol=1e-13)
     est.fit(g, ms, truth.reference_value)
-    for a, v in mu.items():
+    for a, (v,) in mu.items():
         assert est.estimates_[a] == pytest.approx(v, abs=1e-8)
 
 
@@ -318,7 +352,7 @@ def test_mean_fixed_point_equals_wls_on_trees():
     for _ in range(5):
         g = random_tree(rng, int(rng.integers(4, 20)))
         truth = generate_truth(g, 100.0, seed=int(rng.integers(2**31)))
-        ms = generate_measurements(g, truth, 1.0, seed=int(rng.integers(2**31)))
+        ms = generate_measurements(g, truth, 1.0, seeds=[int(rng.integers(2**31))])
         fps = build_fixed_point_system(g, ms, variance_fixed_point(g, ms),
                                        truth.reference_value)
         mu = wls_solve(fps)
@@ -342,7 +376,7 @@ def test_loopy_gap_between_fixed_point_and_wls_is_real():
                                        truth.reference_value)
         mu = wls_solve(fps)
         wls = wls_solve(build_linear_system(g, ms, truth.reference_value))
-        gap = max(abs(mu[a] - wls[a]) for a in wls)
+        gap = max(abs(mu[a][0] - wls[a][0]) for a in wls)
         max_gap = max(max_gap, gap)
     assert n_loopy > 50
     assert math.isfinite(max_gap)
@@ -374,7 +408,7 @@ def test_fixed_point_estimator_is_unbiased():
         mu = wls_solve(fps)
         if sums is None:
             sums = {a: 0.0 for a in mu}
-        for a, v in mu.items():
+        for a, (v,) in mu.items():
             sums[a] += v
     # per-agent standard error ~ sqrt(CRLB/n); allow 4 sigma
     for a, total in sums.items():
