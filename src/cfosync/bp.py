@@ -51,7 +51,7 @@ class BpEngine(EdgeEngine):
     def _inbox_sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def _outgoing(self) -> tuple[np.ndarray, np.ndarray]:
+    def _payloads(self) -> tuple[np.ndarray, np.ndarray]:
         """New message on every directed edge from the current inboxes: the
         sender's cavity excludes what arrived over the reverse edge.  A flat
         cavity (precision 0) sends a flat message: precision and mean 0."""
@@ -81,19 +81,11 @@ class BpEngine(EdgeEngine):
             out_mean[flat] = 0.0
         return out_prec, out_mean
 
-    def sync_round(self, arrived: np.ndarray | None = None) -> None:
-        """In every trial, recompute every directed message from the
-        previous snapshot, deliver those the (T, 2|E|) delivery mask lets
-        through (None: all), refresh beliefs.  The belief sums are the next
-        round's inbox sums: they differ only in the reference's pinned
-        precision, and the reference's cavity is its pin."""
-        out_prec, out_mean = self._outgoing()
-        if arrived is not None:
-            out_prec = np.where(arrived, out_prec, self.edge_prec)
-            out_mean = np.where(arrived, out_mean, self.edge_mean)
-        self.edge_prec, self.edge_mean = out_prec, out_mean
-        wm = out_prec * out_mean
-        self._inbox = (*self._set_beliefs(out_prec, wm), wm)
+    def _absorb(self) -> None:
+        """The belief sums are the next round's inbox sums: only the
+        reference's pinned precision differs, and its cavity is its pin."""
+        wm = self.edge_prec * self.edge_mean
+        self._inbox = (*self._set_beliefs(self.edge_prec, wm), wm)
 
 
 class BeliefPropagation(MessagePassingEstimator):

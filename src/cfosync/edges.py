@@ -7,12 +7,12 @@ indptr[k]:indptr[k+1], and `rev[e]` is the edge in the opposite direction.
 Per-agent sums are one np.bincount over `dst`, so a round costs O(|E|)
 however many agents there are.
 
-The engines differ only in the payload a directed edge holds: the broadcast
-engine keeps the receiver's cached copy of the sender's belief, per-edge BP
-the last cavity message that arrived.  An engine advances a batch of T
-Monte-Carlo trials on one topology: the edge structure is shared, and every
-per-trial array has a leading trial axis (beliefs (T, n), payloads and
-measurements (T, 2|E|)).  The estimator front ends run one trial.
+The engines differ only in the payload a directed edge holds (the broadcast
+engine: the receiver's cached copy of the sender's belief; per-edge BP: the
+last cavity message that arrived), and share one delivery rule.  An engine
+advances a batch of T Monte-Carlo trials on one topology: the edge structure
+is shared, and every per-trial array has a leading trial axis (beliefs
+(T, n), payloads and measurements (T, 2|E|)).  The front ends run one trial.
 
 `iterate` is the one round loop and stop rule, shared by the simulator and
 by both estimator front ends (`MessagePassingEstimator`).
@@ -83,10 +83,11 @@ class EdgeEngine(DirectedEdges):
     """Round-engine state of a batch of trials: per trial, belief
     precision/mean per agent (T, n), and per directed edge j -> i the
     payload `edge_prec`/`edge_mean` (T, 2|E|) that receiver i holds.
-    Payloads start flat and change only on a successful delivery, which is
-    what keeps the update well-defined under packet loss.  The reference
-    agent's belief is pinned.  Row k of every per-trial array belongs to
-    trial `trials[k]`."""
+    Payloads start flat and change only where a delivery lands, which keeps
+    the update well-defined under packet loss.  An engine defines two hooks:
+    `_payloads`, what every edge would carry now, and `_absorb`, which
+    recomputes the beliefs from the payloads held.  The reference agent's
+    belief is pinned.  Row k of every per-trial array belongs to trial `trials[k]`."""
 
     _per_trial = ("trials", "prec", "mean", "edge_prec", "edge_mean", "r")
 
@@ -125,6 +126,20 @@ class EdgeEngine(DirectedEdges):
         mean[:, self.ref] = self.reference_value
         self.prec, self.mean = prec, mean
         return prec, wm
+
+    def _deliver(self, arrived: np.ndarray | None) -> None:
+        """Land the payloads where the (T, 2|E|) delivery mask lets them
+        through (None: everywhere); elsewhere the held one stays."""
+        out_prec, out_mean = self._payloads()
+        if arrived is not None:
+            out_prec = np.where(arrived, out_prec, self.edge_prec)
+            out_mean = np.where(arrived, out_mean, self.edge_mean)
+        self.edge_prec, self.edge_mean = out_prec, out_mean
+
+    def sync_round(self, arrived: np.ndarray | None = None) -> None:
+        """One synchronous round in every trial: deliver, then `_absorb`."""
+        self._deliver(arrived)
+        self._absorb()
 
     # -- state views --------------------------------------------------------
 

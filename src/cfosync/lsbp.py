@@ -140,35 +140,28 @@ class LsbpEngine(EdgeEngine):
             # move the output bytes of such runs with init_mean != 0
             self.mean[:, others] = (p0 * init.mean) / p0
             # the reference's declared initial belief is its pin
-            self.edge_prec, self.edge_mean = (np.take(a, self.src, axis=1)
-                                              for a in (self.prec, self.mean))
+            self._deliver(None)
 
     def _fresh(self, graph: Graph, meas: MeasurementSet) -> "LsbpEngine":
         return LsbpEngine(graph, meas, self.init, self.reference_value,
                           self.reference_precision)
 
-    def sync_round(self, arrived: np.ndarray | None = None) -> None:
-        """One synchronous round in every trial: every non-skipped agent
-        broadcasts its current belief, deliveries land in the caches, then
-        all agents recompute from the cache snapshot.  `arrived` is the
-        (T, 2|E|) delivery mask; None delivers everything."""
-        sent_prec, sent_mean = (np.take(a, self.src, axis=1) for a in (self.prec, self.mean))
-        if arrived is None:
-            self.edge_prec, self.edge_mean = sent_prec, sent_mean
-        else:
-            self.edge_prec = np.where(arrived, sent_prec, self.edge_prec)
-            self.edge_mean = np.where(arrived, sent_mean, self.edge_mean)
+    def _payloads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every sender's current belief, along src."""
+        return np.take(self.prec, self.src, axis=1), np.take(self.mean, self.src, axis=1)
+
+    def _absorb(self) -> None:
         w = message_precision(self.sig2, self.edge_prec)
         self._set_beliefs(w, w * (self.r - self.edge_mean))
 
     def async_round(self, orders: Sequence[np.ndarray],
                     arrived: np.ndarray | None = None) -> None:
         """In each trial, agents update one at a time in that trial's order
-        (a permutation of engine positions, one per trial); each updated
-        agent broadcasts before the next one updates, over the edges the
-        (T, 2|E|) delivery mask lets through (None: all).  Step s updates
-        agent orders[t][s] of every trial t at once.  An inbox is summed left
-        to right in CSR order, as in sync_round."""
+        (a permutation of engine positions, one per trial), then all broadcast
+        as in sync_round.  Step s updates agent orders[t][s] of every trial t
+        at once.  An inbox entry reads its sender's new belief if the sender
+        went first and the (T, 2|E|) delivery mask (None: all) lets it
+        through, else its cache, and is summed in CSR order, as in sync_round."""
         t, n, m = len(self.trials), self.n, len(self.src)
         agents = np.asarray(orders).T.ravel()           # step-major: (step, trial)
         rows = np.tile(np.arange(t), n)
@@ -180,31 +173,30 @@ class LsbpEngine(EdgeEngine):
         row = np.repeat(rows, deg)
         inbox = row * m + edge                          # flat (trial, edge)
         sig2, r = self.sig2[edge], self.r.reshape(-1)[inbox]
-        bounds = np.concatenate([[0], ends[t - 1::t]])  # where each step starts
-        # the reverse edges carry each new belief out, where it arrives
-        out, sender, out_bounds = row * m + self.rev[edge], np.repeat(cells, deg), bounds
+        bounds = np.concatenate([[0], ends[t - 1::t]]).tolist()   # where each step starts
+        turn = np.argsort(cells) // t                   # each (trial, agent)'s step
+        sender = row * n + self.src[edge]               # flat (trial, sender)
+        fresh = turn[sender] < turn[np.repeat(cells, deg)]
         if arrived is not None:
-            keep = arrived.reshape(-1)[out]
-            out, sender = out[keep], sender[keep]
-            out_bounds = np.concatenate([[0], np.cumsum(keep)])[bounds]
+            fresh &= arrived.reshape(-1)[inbox]
+        at = np.flatnonzero(fresh)                      # the entries read off beliefs
+        sender, news = sender[at], np.searchsorted(at, bounds).tolist()
+        in_prec, in_mean = (a.reshape(-1)[inbox] for a in (self.edge_prec, self.edge_mean))
         # flat views: every per-trial array is C-contiguous
         prec, mean = self.prec.reshape(-1), self.mean.reshape(-1)
-        edge_prec, edge_mean = self.edge_prec.reshape(-1), self.edge_mean.reshape(-1)
-        bounds, out_bounds = bounds.tolist(), out_bounds.tolist()
         for s in range(n):
+            j = slice(news[s], news[s + 1])
+            in_prec[at[j]], in_mean[at[j]] = prec[sender[j]], mean[sender[j]]
             lo, hi = bounds[s], bounds[s + 1]
-            f, tr = inbox[lo:hi], row[lo:hi]
-            w = message_precision(sig2[lo:hi], edge_prec[f])
-            p = np.bincount(tr, w, t)
-            wm = np.bincount(tr, w * (r[lo:hi] - edge_mean[f]), t)
-            at = cells[s * t:(s + 1) * t]
-            prec[at] = p
-            mean[at] = np.divide(wm, p, out=np.zeros(t), where=p > 0)
+            w = message_precision(sig2[lo:hi], in_prec[lo:hi])
+            p = np.bincount(row[lo:hi], w, t)
+            wm = np.bincount(row[lo:hi], w * (r[lo:hi] - in_mean[lo:hi]), t)
+            step = cells[s * t:(s + 1) * t]
+            prec[step] = p
+            mean[step] = np.divide(wm, p, out=np.zeros(t), where=p > 0)
             self.prec[:, self.ref] = self.reference_precision   # the reference only sends
             self.mean[:, self.ref] = self.reference_value
-            lo, hi = out_bounds[s], out_bounds[s + 1]
-            edge_prec[out[lo:hi]] = prec[sender[lo:hi]]
-            edge_mean[out[lo:hi]] = mean[sender[lo:hi]]
+        self._deliver(arrived)
 
 
 # ---------------------------------------------------------------------------

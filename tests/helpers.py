@@ -5,7 +5,8 @@ form Gaussians and the edge and BP cavity messages, per-edge measurement
 generation and lookups, the oracle's dense design and fixed-point loop,
 the mean square error, the per-value trace cells), the dense n x n random
 geometric graph, the lexsort layout of the directed edges, the masked BP
-round, the per-agent trial mean, and text round trips of graphs, truths,
+round, the asynchronous round that scatters each new belief into the caches
+it reaches, the per-agent trial mean, and text round trips of graphs, truths,
 measurement sets and traces."""
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfosync import Graph, MeasurementSet, generate_measurements, generate_truth
+from cfosync.edges import message_precision
 from cfosync.errors import GenerationError, MetricError, NumericError
 from cfosync.graph import DEFAULT_COMM_RADIUS, DEFAULT_RETRY_BUDGET, canonical_edge
 from cfosync.metrics import TRACE_COLUMNS
@@ -462,6 +464,49 @@ def masked_bp_round(engine, arrived: np.ndarray | None = None) -> None:
     prec[:, engine.ref] = engine.reference_precision
     mean[:, engine.ref] = engine.reference_value
     engine.prec, engine.mean = prec, mean
+
+
+def scatter_async_round(engine, orders, arrived: np.ndarray | None = None) -> None:
+    """The reference for `LsbpEngine.async_round`: after each step, the
+    updated agents' new beliefs are scattered along the reverse edges of
+    their inboxes into the caches the (T, 2|E|) delivery mask lets them
+    reach (None: all), before the next step reads its inboxes."""
+    t, n, m = len(engine.trials), engine.n, len(engine.src)
+    agents = np.asarray(orders).T.ravel()           # step-major: (step, trial)
+    rows = np.tile(np.arange(t), n)
+    cells = rows * n + agents                       # flat (trial, agent)
+    # every step's inboxes, concatenated (a ragged arange over indptr)
+    deg = np.diff(engine.indptr)[agents]
+    ends = np.cumsum(deg)
+    edge = np.repeat(engine.indptr[agents] + deg - ends, deg) + np.arange(ends[-1])
+    row = np.repeat(rows, deg)
+    inbox = row * m + edge                          # flat (trial, edge)
+    sig2, r = engine.sig2[edge], engine.r.reshape(-1)[inbox]
+    bounds = np.concatenate([[0], ends[t - 1::t]])  # where each step starts
+    # the reverse edges carry each new belief out, where it arrives
+    out, sender, out_bounds = row * m + engine.rev[edge], np.repeat(cells, deg), bounds
+    if arrived is not None:
+        keep = arrived.reshape(-1)[out]
+        out, sender = out[keep], sender[keep]
+        out_bounds = np.concatenate([[0], np.cumsum(keep)])[bounds]
+    # flat views: every per-trial array is C-contiguous
+    prec, mean = engine.prec.reshape(-1), engine.mean.reshape(-1)
+    edge_prec, edge_mean = engine.edge_prec.reshape(-1), engine.edge_mean.reshape(-1)
+    bounds, out_bounds = bounds.tolist(), out_bounds.tolist()
+    for s in range(n):
+        lo, hi = bounds[s], bounds[s + 1]
+        f, tr = inbox[lo:hi], row[lo:hi]
+        w = message_precision(sig2[lo:hi], edge_prec[f])
+        p = np.bincount(tr, w, t)
+        wm = np.bincount(tr, w * (r[lo:hi] - edge_mean[f]), t)
+        at = cells[s * t:(s + 1) * t]
+        prec[at] = p
+        mean[at] = np.divide(wm, p, out=np.zeros(t), where=p > 0)
+        engine.prec[:, engine.ref] = engine.reference_precision   # the reference only sends
+        engine.mean[:, engine.ref] = engine.reference_value
+        lo, hi = out_bounds[s], out_bounds[s + 1]
+        edge_prec[out[lo:hi]] = prec[sender[lo:hi]]
+        edge_mean[out[lo:hi]] = mean[sender[lo:hi]]
 
 
 def loop_trial_mean(values: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ round and no stop rule before the last timeline change; the batched asynchronous
 layout, summation order and calls per round; the graph's directed-edge
 layout against a lexsort reference; one rebuild against one per event;
 the BP round and message precisions against their masked references, the
+asynchronous round against the one that scatters each new belief, the
 pending-information test's fast path against its formula; plus the
 O(|E|) state check."""
 
@@ -25,7 +26,7 @@ from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
                      edge_message, heterogeneous_measurements, lexsort_directed_edges,
                      masked_bp_round, masked_message_precision, meas_r, meas_sigma2,
                      measurement_set, preset_density_graph, random_connected_graph,
-                     stacked)
+                     scatter_async_round, stacked)
 
 TOL = 1e-12          # means absolute (Hz), precisions relative
 REF_PREC = 1e12
@@ -464,6 +465,43 @@ def test_bp_round_matches_the_masked_reference(seed):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
                 f"round {k}: {name}"
     assert (fast.prec > 0).all()
+
+
+@pytest.mark.parametrize("init", [BeliefInit(), BeliefInit("uniform", 4.0, 1.5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_async_round_matches_the_scatter_reference(init, seed):
+    # turns that read an earlier sender's new belief, then one delivery,
+    # against turns that each scatter the new beliefs into the caches they
+    # reach: bit for bit, through flat start-up, lossy rounds with skips,
+    # lossless rounds, trials stopping (take), a leave and a join
+    g0 = random_geometric(n=16, width=900, height=900, radius=400, seed=40 + seed)
+    rng = np.random.default_rng(seed)
+    sets0 = _per_trial_measurements(g0, rng)
+    ref_value = float(rng.uniform(-200, 200))
+    victim = max(g0.agents - {g0.reference})
+    g1 = g0.remove_agent(victim)
+    g2, new_id = g1.add_agent(g0.positions[victim], 400)
+    meas2 = stacked([m.merged_with(f) for m, f in zip(
+        sets0, _per_trial_measurements(g2, rng, [e for e in g2.edges if new_id in e]))])
+    fast, slow = (LsbpEngine(g0, stacked(sets0), init, ref_value, REF_PREC)
+                  for _ in range(2))
+    assert len(fast.trials) == 4
+    for k in range(1, 16):
+        if k == 5:
+            fast.take(np.array([True, False, True, True]))
+            slow.take(np.array([True, False, True, True]))
+        if k in (8, 11):
+            g, meas = (g1, stacked(sets0)) if k == 8 else (g2, meas2)
+            fast, slow = fast.rebuilt(g, meas), slow.rebuilt(g, meas)
+        arrived = delivery_mask(fast, [(rng, 0.7, 0.2)] * len(fast.trials)) if k % 3 else None
+        orders = [rng.permutation(fast.n) for _ in fast.trials]
+        fast.async_round(orders, arrived)
+        scatter_async_round(slow, orders, arrived)
+        for name in ("prec", "mean", "edge_prec", "edge_mean"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                f"round {k}: {name}"
+    assert (fast.prec > 0).all() and new_id in fast.ids
 
 
 def test_message_precision_matches_the_masked_form():
