@@ -151,13 +151,13 @@ class EdgeEngine(DirectedEdges):
         return means, self.prec
 
     def has_pending_information(self) -> np.ndarray:
-        """Per trial: is some agent's belief still flat although its inbox
-        holds an informative entry?  A zero-delta round in that state is
-        start-up lag, not convergence."""
+        """Per trial: is some agent's belief still flat although a neighbour's
+        is informative?  Its next delivery carries information, so a
+        zero-delta round in that state is start-up lag, not convergence."""
         flat = self.prec == 0.0
         if not flat.any():   # no agent waits: skip the (T, 2|E|) gather
             return np.zeros(len(self.trials), bool)
-        return np.any((self.edge_prec > 0.0) & flat[:, self.dst], axis=1)
+        return np.any((np.take(self.prec, self.src, axis=1) > 0) & flat[:, self.dst], axis=1)
 
     def estimates(self) -> dict[int, float | None]:
         return {a: (m if p > 0 else None) for a, m, p in
@@ -216,9 +216,9 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
     validation rejects any other stamp).  The stop rule runs only once no
     change is pending.  A trial
     stops at the first round that moved every mean by less than mean_tol
-    and every precision by less than prec_tol, while no agent still waits
-    for information already in its inbox (a zero-delta round then is
-    start-up lag, not convergence); its rows then leave the engine (the
+    and every precision by less than prec_tol, while no flat agent has an
+    informative neighbour (a zero-delta round then is start-up lag, not
+    convergence); its rows then leave the engine (the
     last trial's stay).  The rule compares the raw `mean`/`prec` before and
     after the round: every engine path leaves a flat agent's mean at
     exactly 0, so a flat agent contributes nothing until it turns

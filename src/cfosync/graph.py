@@ -28,6 +28,18 @@ def canonical_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def check_edge_rows(edges: np.ndarray) -> None:
+    """Raise ValueError unless the (k, 2) rows are canonical (i < j), sorted
+    by i, then j, and distinct: the order every edge array keeps."""
+    bad = edges[:, 0] >= edges[:, 1]
+    if bad.any():
+        i, j = edges[bad][0].tolist()
+        raise ValueError(f"edge ({i},{j}) not in canonical order")
+    step = np.diff(edges, axis=0)
+    if not np.all((step[:, 0] > 0) | (step[:, 0] == 0) & (step[:, 1] > 0)):
+        raise ValueError("edges not sorted and distinct")
+
+
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance between the points of two (..., 2) coordinate
     arrays, row by row: the one distance rule, shared by generated and
@@ -51,15 +63,11 @@ class Graph:
         if self.reference not in self.agents:
             raise ValueError(f"reference agent {self.reference} not in graph")
         edges = np.array(self.edge_array, dtype=np.intp).reshape(-1, 2)
-        for bad, what in ((edges[:, 0] >= edges[:, 1], "not in canonical order"),
-                          (~np.isin(edges, list(self.agents)).all(axis=1),
-                           "references unknown agent")):
-            if bad.any():
-                i, j = edges[bad][0].tolist()
-                raise ValueError(f"edge ({i},{j}) {what}")
-        step = np.diff(edges, axis=0)
-        if not np.all((step[:, 0] > 0) | (step[:, 0] == 0) & (step[:, 1] > 0)):
-            raise ValueError("edges not sorted and distinct")
+        check_edge_rows(edges)
+        unknown = ~np.isin(edges, list(self.agents)).all(axis=1)
+        if unknown.any():
+            i, j = edges[unknown][0].tolist()
+            raise ValueError(f"edge ({i},{j}) references unknown agent")
         edges.flags.writeable = False
         object.__setattr__(self, "edge_array", edges)
         if self.positions is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InconsistentStateError
-from .graph import Graph
+from .graph import Graph, check_edge_rows
 
 DEFAULT_MAX_OFFSET_HZ = 200.0
 # Noiseless generation still needs a positive variance so precision
@@ -47,8 +47,8 @@ class MeasurementSet:
     Stored as three aligned arrays over the canonical edges in sorted order:
     `edge_array` (m, 2) with i < j in each row, `sigma2_array` (m,), shared
     by the trials, and `r_array` (T, m), one row of measurements per trial;
-    a single trial is T = 1.  Any other shape raises ValueError, and a set
-    is never changed in place.
+    a single trial is T = 1.  Any other shape or edge order raises
+    ValueError, and a set is never changed in place.
     """
 
     edge_array: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.intp))
@@ -57,10 +57,12 @@ class MeasurementSet:
 
     def __post_init__(self):
         m = len(self.edge_array)
-        if not (np.shape(self.r_array)[1:] == np.shape(self.sigma2_array) == (m,)
-                and len(self.r_array) > 0):
-            raise ValueError(f"need measurements (T >= 1, {m}) and variances ({m},), got "
+        if not (np.shape(self.edge_array) == (m, 2) and len(self.r_array) > 0
+                and np.shape(self.r_array)[1:] == np.shape(self.sigma2_array) == (m,)):
+            raise ValueError(f"need edges ({m}, 2), measurements (T >= 1, {m}) and variances "
+                             f"({m},), got {np.shape(self.edge_array)}, "
                              f"{np.shape(self.r_array)} and {np.shape(self.sigma2_array)}")
+        check_edge_rows(self.edge_array)
 
     def __len__(self) -> int:
         return len(self.edge_array)
@@ -74,18 +76,15 @@ class MeasurementSet:
             raise InconsistentStateError(f"no measurement for edge {{{i},{j}}}")
         return at
 
-    def _select(self, rows: np.ndarray) -> "MeasurementSet":
-        return MeasurementSet(self.edge_array[rows], self.r_array[:, rows],
-                              self.sigma2_array[rows])
-
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
         """Both sets' measurements; on an edge in both, other's wins."""
         _, shared = sorted_lookup(other.edge_array, self.edge_array)
-        mine = self._select(~shared)
-        both = MeasurementSet(np.concatenate([mine.edge_array, other.edge_array]),
-                              np.concatenate([mine.r_array, other.r_array], axis=1),
-                              np.concatenate([mine.sigma2_array, other.sigma2_array]))
-        return both._select(np.lexsort(both.edge_array.T[::-1]))   # by i, then j
+        keep = ~shared
+        edges = np.concatenate([self.edge_array[keep], other.edge_array])
+        order = np.lexsort(edges.T[::-1])   # by i, then j
+        r = np.concatenate([self.r_array[:, keep], other.r_array], axis=1)
+        sigma2 = np.concatenate([self.sigma2_array[keep], other.sigma2_array])
+        return MeasurementSet(edges[order], r[:, order], sigma2[order])
 
 
 def sorted_lookup(keys: np.ndarray, queries: np.ndarray

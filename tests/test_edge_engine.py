@@ -529,7 +529,7 @@ def test_pending_information_fast_path_matches_the_formula(seed):
                                    rng.uniform(0.1, 2.0, shape))
             engine.edge_prec = np.where(rng.random((shape[0], m)) < payload_share,
                                         rng.uniform(0.1, 2.0, (shape[0], m)), 0.0)
-            want = np.any((engine.edge_prec > 0.0) & (engine.prec[:, engine.dst] == 0.0),
-                          axis=1)
+            want = np.any((engine.prec[:, engine.src] > 0.0)
+                          & (engine.prec[:, engine.dst] == 0.0), axis=1)
             got = engine.has_pending_information()
             assert got.dtype == bool and got.tolist() == want.tolist()

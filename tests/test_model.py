@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfosync import Graph, generate_measurements, generate_truth
+from cfosync import (Graph, LinearScalingBP, build_linear_system, generate_measurements,
+                     generate_truth)
 from cfosync.errors import InconsistentStateError
 from cfosync.model import (DEFAULT_MAX_OFFSET_HZ, NOISELESS_SIGMA2,
                            GroundTruth, MeasurementSet, draw_joiner_offset)
@@ -80,6 +81,24 @@ def test_measurement_set_of_the_wrong_shape_raises():
                       (np.ones((1, 2)), np.ones((1, 2)))]:
         with pytest.raises(ValueError, match="need"):
             MeasurementSet(edges, r, sigma2)
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([[2, 3], [1, 2]], "sorted and distinct"),   # descending
+    ([[2, 1], [3, 2]], r"edge \(2,1\) not in canonical order"),
+    ([[1, 2], [1, 2]], "sorted and distinct"),   # repeated
+])
+def test_measurement_set_of_unordered_edges_raises(rows, match):
+    # the rows are looked up by binary search, so a set out of order would
+    # report "no measurement" for an edge it holds
+    g = Graph.from_edges(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=match):
+        MeasurementSet(np.array(rows), np.array([[5.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="need edges"):   # not (m, 2)
+        MeasurementSet(np.array([1, 2]), np.array([[5.0, 1.0]]), np.ones(2))
+    ms = MeasurementSet(g.edge_array, np.array([[5.0, 1.0]]), np.ones(2))
+    assert build_linear_system(g, ms, 0.0).target.shape == (1, 2)
+    assert LinearScalingBP().fit(g, ms).converged_
 
 
 def test_missing_measurement_raises():

@@ -473,6 +473,59 @@ def test_agents_cut_off_from_the_reference_are_flat_and_unscored(seed):
     assert trace.final_estimates[3] is None and trace.final_estimates[4] is None
 
 
+PATH5 = "edges:1-2;2-3;3-4;4-5"
+
+
+@pytest.mark.parametrize("algorithm", ["lsbp", "bp"])
+def test_no_trial_stops_before_the_information_front_reaches_it(algorithm):
+    # agent 5 is 4 hops from the reference, so no trial can settle before
+    # round 5; a round that delivers nothing new to a flat agent while a
+    # neighbour is informative is start-up lag (half the trials stopped at
+    # round 1 with only the reference scored, mse 0.19 against crlb 2.5)
+    cfg = ExperimentConfig(topology=PATH5, algorithm=algorithm, pdr=0.5, trials=20,
+                           l_max=200, oracle=True)
+    trace = run_experiment(cfg)
+    assert all(k is not None and k >= 5 for k in trace.per_trial_converged_at), \
+        trace.per_trial_converged_at
+    assert not np.isnan(trace.rows[-1].means).any()
+    assert trace.final_mse > 0.3 * trace.oracle["crlb_avg"]
+
+
+@pytest.mark.parametrize("algorithm", ["lsbp", "bp"])
+def test_nothing_delivered_never_converges(algorithm):
+    cfg = ExperimentConfig(topology=PATH5, algorithm=algorithm, pdr=0.0, trials=3, l_max=12)
+    trace = run_experiment(cfg)
+    assert trace.per_trial_converged_at == [None] * 3 and trace.converged_at is None
+    assert len(trace.rows) == 13
+    assert np.isnan(trace.rows[-1].means[1:]).all()
+
+
+def test_settled_trials_hold_no_flat_agent(monkeypatch):
+    # a seeded sweep of lossy runs on small geometric graphs: every trial
+    # that settled holds an estimate at every agent with a path to the
+    # reference (under the rule that read only the inboxes, 159 of these 288
+    # trials settled with an agent still flat)
+    batches, run = [], _Batch.run
+    monkeypatch.setattr(_Batch, "run", lambda self, *args: batches.append(self) or run(self, *args))
+    rng = np.random.default_rng(30)
+    variants = [dict(algorithm="lsbp"),
+                dict(algorithm="lsbp", schedule="asynchronous", skip_prob=0.3),
+                dict(algorithm="bp", skip_prob=0.3)]
+    for _ in range(12):
+        topology = (f"random:n={rng.integers(6, 18)},width=1500,height=1500,radius=600,"
+                    f"seed={rng.integers(1000)}")
+        for options in variants:
+            run_experiment(ExperimentConfig(topology=topology, pdr=0.4, trials=8,
+                                            master_seed=int(rng.integers(1000)), **options))
+    settled = 0
+    for batch in batches:
+        for t, k in enumerate(batch.converged_at):
+            if k is not None:
+                settled += 1
+                assert not np.isnan(batch.means[t][~batch.cut_off]).any(), (batch.cfg, t)
+    assert settled > 150
+
+
 JOIN_CFG = ExperimentConfig(topology=TRIANGLE, positions="1:0,0;2:100,0;3:0,100",
                             radius=150.0, timeline="2:join:5,5", l_max=6, master_seed=3)
 
