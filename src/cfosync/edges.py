@@ -84,10 +84,11 @@ class EdgeEngine(DirectedEdges):
     precision/mean per agent (T, n), and per directed edge j -> i the
     payload `edge_prec`/`edge_mean` (T, 2|E|) that receiver i holds.
     Payloads start flat and change only where a delivery lands, which keeps
-    the update well-defined under packet loss.  An engine defines two hooks:
-    `_payloads`, what every edge would carry now, and `_absorb`, which
-    recomputes the beliefs from the payloads held.  The reference agent's
-    belief is pinned.  Row k of every per-trial array belongs to trial `trials[k]`."""
+    the update well-defined under packet loss.  An engine defines three
+    hooks: `_payloads`, what every edge would carry now, `_absorb`, which
+    recomputes the beliefs from the payloads held, and `_fresh`, a new
+    engine of its kind and parameters on another graph.  The reference
+    agent's belief is pinned.  Row k of every per-trial array belongs to trial `trials[k]`."""
 
     _per_trial = ("trials", "prec", "mean", "edge_prec", "edge_mean", "r")
 
@@ -101,10 +102,9 @@ class EdgeEngine(DirectedEdges):
         self.prec[:, self.ref] = self.reference_precision
         self.mean[:, self.ref] = self.reference_value
         self.edge_prec, self.edge_mean = np.zeros((2, *self.r.shape))
-
-    def _fresh(self, graph: Graph, meas: MeasurementSet) -> "EdgeEngine":
-        """A new engine of the same kind and parameters on another graph."""
-        raise NotImplementedError
+        # the agents with a path to the reference: only their beliefs mean
+        # anything, since nothing pins a cut-off component's means
+        self.anchored = ~np.isin(self.ids, graph.unreachable_agents)
 
     def take(self, rows: np.ndarray) -> "EdgeEngine":
         """Keep only the trials at row positions `rows`, in that order."""
@@ -144,28 +144,28 @@ class EdgeEngine(DirectedEdges):
     # -- state views --------------------------------------------------------
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a copy of the means, NaN at flat agents; the engine's own
-        precisions, valid only until the next round), (T, n) by self.ids."""
-        means = self.mean.copy()
-        means[self.prec == 0.0] = np.nan
-        return means, self.prec
+        """(means, precisions), new (T, n) arrays by self.ids, in which an
+        agent cut off from the reference has precision 0 and every flat
+        agent's mean is NaN.  The engine still runs a cut-off agent, but
+        what it holds anchors nothing."""
+        prec = np.where(self.anchored, self.prec, 0.0)
+        means = np.where(prec == 0.0, np.nan, self.mean)
+        return means, prec
 
     def has_pending_information(self) -> np.ndarray:
-        """Per trial: is some agent's belief still flat although a neighbour's
-        is informative?  Its next delivery carries information, so a
-        zero-delta round in that state is start-up lag, not convergence."""
-        flat = self.prec == 0.0
-        if not flat.any():   # no agent waits: skip the (T, 2|E|) gather
-            return np.zeros(len(self.trials), bool)
-        return np.any((np.take(self.prec, self.src, axis=1) > 0) & flat[:, self.dst], axis=1)
+        """Per trial: is some anchored agent's belief still flat?  Its path
+        to the always-informative reference then holds a flat agent with an
+        informative neighbour, whose next delivery carries information, so
+        a zero-delta round in that state is start-up lag, not convergence."""
+        return np.any((self.prec == 0.0) & self.anchored, axis=1)
 
     def estimates(self) -> dict[int, float | None]:
-        return {a: (m if p > 0 else None) for a, m, p in
-                zip(self.ids, self.mean[0].tolist(), self.prec[0].tolist())}
+        means = self.snapshot()[0][0].tolist()
+        return {a: (None if math.isnan(m) else m) for a, m in zip(self.ids, means)}
 
     def variances(self) -> dict[int, float]:
-        return {a: (1.0 / p if p > 0 else math.inf)
-                for a, p in zip(self.ids, self.prec[0].tolist())}
+        prec = self.snapshot()[1][0].tolist()
+        return {a: (1.0 / p if p > 0 else math.inf) for a, p in zip(self.ids, prec)}
 
     # -- dynamic topology ----------------------------------------------------
 
@@ -193,12 +193,12 @@ class EdgeEngine(DirectedEdges):
 def step_delta(prev: tuple[np.ndarray, np.ndarray],
                cur: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per trial (the last axis holds the agents): (max mean change, max
-    precision change) between two raw (means, precisions) states, whose
-    flat agents hold mean 0.  An agent switching between flat and
-    informative counts as an infinite mean change."""
+    precision change) between two `snapshot`s, whose flat agents hold mean
+    NaN and which the mean change skips.  An agent switching between flat
+    and informative counts as an infinite mean change."""
     m0, p0 = prev
     m1, p1 = cur
-    dmean = np.max(np.abs(m1 - m0), axis=-1, initial=0.0)
+    dmean = np.fmax.reduce(np.abs(m1 - m0), axis=-1, initial=0.0)
     dprec = np.max(np.abs(p1 - p0), axis=-1, initial=0.0)
     return np.where(np.any((p0 == 0) != (p1 == 0), axis=-1), math.inf, dmean), dprec
 
@@ -216,35 +216,39 @@ def iterate(engine: EdgeEngine, step: Callable[[EdgeEngine], None],
     validation rejects any other stamp).  The stop rule runs only once no
     change is pending.  A trial
     stops at the first round that moved every mean by less than mean_tol
-    and every precision by less than prec_tol, while no flat agent has an
-    informative neighbour (a zero-delta round then is start-up lag, not
-    convergence); its rows then leave the engine (the
-    last trial's stay).  The rule compares the raw `mean`/`prec` before and
-    after the round: every engine path leaves a flat agent's mean at
-    exactly 0, so a flat agent contributes nothing until it turns
-    informative.  A non-finite belief after a round raises NumericError.
+    and every precision by less than prec_tol, while no anchored agent is
+    flat (a zero-delta round then is start-up lag, not convergence); its
+    rows then leave the engine (the last trial's stay).  The rule compares
+    the `snapshot`s before and after the round, so it watches only the
+    agents with a path to the reference: a cut-off agent is flat in both
+    and contributes nothing.  A non-finite belief after a round raises
+    NumericError.
 
     Returns (engine, and per trial: rounds run, the round it stopped at or
     None).  A trial that never stopped ran all max_rounds rounds.
     """
     pending = list(changes)
     settled_at = np.zeros(len(engine.trials), int)   # 0: never stopped
+    state = None   # the snapshot after the last round, once no change is pending
     for k in range(1, max_rounds + 1):
         while pending and pending[0][0] < k:
             engine = pending.pop(0)[1](engine)
-        prev = None if pending else (engine.mean.copy(), engine.prec.copy())
+        if state is None and not pending:
+            state = engine.snapshot()
         step(engine)
         if not (np.isfinite(engine.prec).all() and np.isfinite(engine.mean).all()):
             raise NumericError(f"non-finite belief after round {k}")
-        if prev is None:
+        if pending:
             continue
-        dmean, dprec = step_delta(prev, (engine.mean, engine.prec))
+        prev, state = state, engine.snapshot()
+        dmean, dprec = step_delta(prev, state)
         stop = (dmean < mean_tol) & (dprec < prec_tol) & ~engine.has_pending_information()
         settled_at[engine.trials[stop]] = k
         if stop.all():
             break
         if stop.any():
             engine.take(~stop)
+            state = tuple(a[~stop] for a in state)
     settled = settled_at.tolist()
     return engine, [s or max_rounds for s in settled], [s or None for s in settled]
 
@@ -258,19 +262,16 @@ class MessagePassingEstimator:
     The parameters are keyword-only fields.  fit() runs trial 0 of the
     measurement set until the per-round change falls below mean_tol/prec_tol
     or max_iter rounds have run, then exposes its estimates_ (dict id -> Hz,
-    None while flat), variances_, n_iter_ and converged_.
+    None where the agent is flat or has no path to the reference),
+    variances_ (inf there), n_iter_ and converged_, all read off the
+    engine's `snapshot`.  A subclass defines `_start(graph, measurements,
+    reference_value)`, which returns a fresh engine and the round fit() runs.
     """
 
     max_iter: int = 1000
     mean_tol: float = DEFAULT_MEAN_TOL
     prec_tol: float = DEFAULT_PREC_TOL
     reference_precision: float = DEFAULT_REFERENCE_PRECISION
-
-    def _start(self, graph: Graph, measurements: MeasurementSet,
-               reference_value: float
-               ) -> tuple[EdgeEngine, Callable[[EdgeEngine], None]]:
-        """(engine, step): a fresh engine and the round that fit() runs."""
-        raise NotImplementedError
 
     def fit(self, graph: Graph, measurements: MeasurementSet,
             reference_value: float = 0.0) -> "MessagePassingEstimator":

@@ -143,13 +143,12 @@ class _Batch:
 
     def _topology(self, engine) -> None:
         """What the rows of one topology share: the engine's sorted ids, the
-        agents without a path to the reference (and their columns) and the
-        true offsets, in id order; and fresh held means and variances, which
-        the next record fills for every trial, since no trial stops before
-        the last timeline event."""
+        agents without a path to the reference and the true offsets, in id
+        order; and fresh held means and variances, which the next record
+        fills for every trial, since no trial stops before the last timeline
+        event."""
         self.agents = tuple(engine.ids)
         self.unobservable = self.graph.unreachable_agents
-        self.cut_off = np.isin(engine.ids, self.unobservable)
         self.offsets = np.array([self.truth.offsets[a] for a in engine.ids])
         self.means, self.variances = np.empty((2, self.cfg.trials, engine.n))
 
@@ -180,12 +179,10 @@ class _Batch:
         self._record(engine, _count_messages(cfg, engine, skips, sent, arrived))
 
     def _record(self, engine, counters: MessageCounters) -> None:
-        """Hold each live trial's state after a round and append the average
-        over the trials as the next row.  An agent cut off from the reference
-        is recorded as flat: what it holds anchors nothing."""
+        """Hold each live trial's state after a round, as the engine's
+        `snapshot` shows it (an agent cut off from the reference is flat),
+        and append the average over the trials as the next row."""
         means, prec = engine.snapshot()
-        prec = np.where(self.cut_off, 0.0, prec)   # not in place: the engine's own array
-        means[:, self.cut_off] = np.nan
         with np.errstate(divide="ignore"):
             variances = 1.0 / prec
         variances[np.isinf(variances)] = np.nan

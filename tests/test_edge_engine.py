@@ -8,8 +8,8 @@ layout, summation order and calls per round; the graph's directed-edge
 layout against a lexsort reference; one rebuild against one per event;
 the BP round and message precisions against their masked references, the
 asynchronous round against the one that scatters each new belief, the
-pending-information test's fast path against its formula; plus the
-O(|E|) state check."""
+pending-information test against the neighbour rule on the states of
+runs that cut off and re-anchor a cycle; plus the O(|E|) state check."""
 
 import math
 import time
@@ -17,10 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from cfosync import Graph, MeasurementSet, lsbp, random_geometric
+from cfosync import ExperimentConfig, Graph, MeasurementSet, lsbp, random_geometric
 from cfosync.bp import BpEngine
 from cfosync.lsbp import BeliefInit, LsbpEngine
 from cfosync.edges import DirectedEdges, iterate, message_precision, step_delta
+from cfosync.netsim import _Batch, run_experiment
 
 from helpers import (FLAT, Gaussian1D, bp_message, delivery_mask, directed_edge,
                      edge_message, heterogeneous_measurements, lexsort_directed_edges,
@@ -517,19 +518,36 @@ def test_message_precision_matches_the_masked_form():
             assert (got[prec == 0.0] == 0.0).all()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_pending_information_fast_path_matches_the_formula(seed):
-    # with no flat agent in any trial the answer is all False without the
-    # (T, 2|E|) gather; with flat agents it is the full formula
-    *_, engine, rng = _batch_engine(BeliefInit(), trials=5, seed=seed)
-    shape, m = engine.prec.shape, len(engine.src)
-    for flat_share in (0.0, 0.02, 0.3, 1.0):
-        for payload_share in (0.0, 0.5, 1.0):
-            engine.prec = np.where(rng.random(shape) < flat_share, 0.0,
-                                   rng.uniform(0.1, 2.0, shape))
-            engine.edge_prec = np.where(rng.random((shape[0], m)) < payload_share,
-                                        rng.uniform(0.1, 2.0, (shape[0], m)), 0.0)
-            want = np.any((engine.prec[:, engine.src] > 0.0)
-                          & (engine.prec[:, engine.dst] == 0.0), axis=1)
-            got = engine.has_pending_information()
-            assert got.dtype == bool and got.tolist() == want.tolist()
+# the leave of 2 cuts off the cycle 3-4-5, and agent 7 joins at 2's old
+# place, in range of 1 and 3, which anchors the cycle again
+CUT_AND_REJOIN = dict(topology="edges:1-2;2-3;3-4;4-5;3-5;1-6",
+                      positions="1:0,0;2:100,0;3:200,0;4:300,60;5:300,-60;6:-100,0",
+                      radius=150.0, timeline="3:leave:2;6:join:100,0", pdr=0.5,
+                      trials=6, l_max=40)
+
+
+@pytest.mark.parametrize("options", [
+    dict(algorithm="lsbp"),
+    dict(algorithm="lsbp", init_mode="uniform", init_variance=4.0),
+    dict(algorithm="lsbp", schedule="asynchronous", skip_prob=0.3),
+    dict(algorithm="lsbp", schedule="asynchronous", skip_prob=0.3, init_mode="uniform"),
+    dict(algorithm="bp"),
+])
+def test_pending_information_is_the_neighbour_rule_on_anchored_agents(monkeypatch, options):
+    # on every state a run reaches, some anchored agent is flat exactly when
+    # some anchored flat agent has an informative neighbour, since the
+    # reference is always informative; checked after every round
+    seen, record = set(), _Batch._record
+
+    def checked(batch, engine, counters):
+        want = np.any((engine.prec[:, engine.src] > 0) & (engine.prec[:, engine.dst] == 0)
+                      & engine.anchored[engine.dst], axis=1)
+        got = engine.has_pending_information()
+        assert got.dtype == bool and got.tolist() == want.tolist()
+        seen.update(got.tolist())
+        record(batch, engine, counters)
+    monkeypatch.setattr(_Batch, "_record", checked)
+    for seed in range(3):
+        run_experiment(ExperimentConfig(master_seed=seed, **CUT_AND_REJOIN, **options))
+    # from the uniform start every agent, the joiner too, is informative
+    assert seen == ({False} if options.get("init_mode") == "uniform" else {True, False})

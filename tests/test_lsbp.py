@@ -263,12 +263,28 @@ def _snap(means, precs):
 
 
 def test_flat_transition_counts_as_change():
-    # raw engine states: a flat agent's mean is 0
-    flat = _snap([0.0], [0.0])
+    # snapshots: a flat agent's mean is NaN, which the mean change skips
+    flat = _snap([math.nan], [0.0])
     info = _snap([1.0], [2.0])
     assert step_delta(flat, info)[0] == math.inf
     assert step_delta(info, flat)[0] == math.inf
     assert step_delta(flat, flat) == (0.0, 0.0)
+    assert step_delta(_snap([math.nan, 1.0], [0.0, 2.0]), _snap([math.nan, 1.5], [0.0, 2.0])) \
+        == (0.5, 0.0)
+
+
+def test_agents_without_a_path_to_the_reference_are_flat_to_the_front_end():
+    # from the uniform start the cut-off triangle 3-4-5 is informative, but
+    # nothing pins its means: a fit that watched them ran all 500 rounds and
+    # reported -131.8, 194.3 and -62.5 Hz for agents anchored to nothing
+    g = Graph.from_edges(6, [(1, 2), (1, 6), (3, 4), (4, 5), (3, 5)])
+    truth = generate_truth(g, seed=1)
+    est = LinearScalingBP(init="uniform", max_iter=500).fit(
+        g, generate_measurements(g, truth, seeds=[2]), truth.reference_value)
+    assert est.converged_ and est.n_iter_ < 500
+    assert [est.estimates_[a] for a in (3, 4, 5)] == [None] * 3
+    assert [est.variances_[a] for a in (3, 4, 5)] == [math.inf] * 3
+    assert None not in [est.estimates_[a] for a in (1, 2, 6)]
 
 
 def test_triangle_converges_within_expected_iterations():

@@ -473,6 +473,20 @@ def test_agents_cut_off_from_the_reference_are_flat_and_unscored(seed):
     assert trace.final_estimates[3] is None and trace.final_estimates[4] is None
 
 
+@pytest.mark.parametrize("algorithm, mean_tol", [("lsbp", 1e-6), ("bp", 1e-6), ("bp", 0.1)])
+def test_a_run_stops_when_a_leave_cuts_off_a_cycle(algorithm, mean_tol):
+    # the leave of 2 cuts off the cycle 3-4-5, whose means nothing pins; a
+    # stop rule that watched them although every row records them flat ran
+    # all 300 rounds.  Round 6 is the first after the leave's round 5.
+    cfg = ExperimentConfig(topology="edges:1-2;2-3;3-4;4-5;3-5;1-6", timeline="5:leave:2",
+                           algorithm=algorithm, l_max=300, mean_tol=mean_tol)
+    trace = run_experiment(cfg)
+    assert trace.converged_at == 6 and len(trace.rows) == 7
+    for row in trace.rows[6:]:
+        assert row.agents == (1, 3, 4, 5, 6) and row.unobservable == (3, 4, 5)
+        assert np.isnan(row.means[1:4]).all() and np.isnan(row.variances[1:4]).all()
+
+
 PATH5 = "edges:1-2;2-3;3-4;4-5"
 
 
@@ -519,10 +533,11 @@ def test_settled_trials_hold_no_flat_agent(monkeypatch):
                                             master_seed=int(rng.integers(1000)), **options))
     settled = 0
     for batch in batches:
+        anchored = ~np.isin(batch.agents, batch.unobservable)
         for t, k in enumerate(batch.converged_at):
             if k is not None:
                 settled += 1
-                assert not np.isnan(batch.means[t][~batch.cut_off]).any(), (batch.cfg, t)
+                assert not np.isnan(batch.means[t][anchored]).any(), (batch.cfg, t)
     assert settled > 150
 
 

@@ -1,17 +1,20 @@
-"""The package's public names, what its set-up path imports, and the bench
-tracer's hooks into it."""
+"""The package's public names, what its set-up path imports, the bench
+tracer's hooks into it, and the functions that no preset run calls."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import cfosync
 from cfosync.cli import main
+from cfosync.presets import PRESET_NAMES
 
 from helpers import read_trace_csv
 
@@ -99,3 +102,69 @@ def test_readme_quick_start_runs_and_converges():
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["est"].converged_
+
+
+# the package's functions that no preset run nor an asynchronous run calls,
+# each with the reason it stays
+NEVER_CALLED_BY_A_RUN = {
+    # the estimator front ends, which the acceptance criteria and README read
+    "edges.MessagePassingEstimator.fit": "front end",
+    "lsbp.LinearScalingBP._start": "front end",
+    "bp.BeliefPropagation._start": "front end",
+    "edges.EdgeEngine.estimates": "front end's fitted estimates_",
+    "edges.EdgeEngine.variances": "front end's fitted variances_",
+    "lsbp.variance_map": "documented API: the variance recursion's tests read it",
+    "lsbp.is_feasible_start": "documented API: the monotone-start condition",
+    "graph.Graph.edges": "the bench tracer reads it",
+    "graph.Graph.neighbors": "the bench tracer reads it",
+    "graph.Graph.degree": "the bench tracer counts its calls",
+    "metrics.trace_to_csv": "tests write a trace through it",
+    "model.MeasurementSet.__len__": "a test reads it",
+    "graph.Graph.from_edges": "the edges: topology input path",
+    "graph.canonical_edge": "the edges: topology input path",
+    "config.parse_positions": "the positions input path",
+    "config._position": "the positions input path",
+    "config._sigma_override": "the sigma-override input path",
+    "cli._fail": "a failing run's one error line",
+    "errors.UnobservableError.__init__": "an oracle run with a cut-off agent",
+}
+
+
+def _package_functions() -> set[str]:
+    """Every function and method the package's source defines, as
+    module.qualname; class bodies, lambdas and comprehensions are not."""
+    found = set()
+    for path in sorted(Path(cfosync.__file__).parent.glob("*.py")):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                found.add(f"{path.stem}.{code.co_qualname}")
+    return found
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+def test_functions_no_run_calls_are_the_allowed_ones(tmp_path):
+    # every preset (2 trials) and one asynchronous LSBP run, under
+    # sys.setprofile: a function that no run calls and that is not on the
+    # list is dead code; a listed one that a run now calls leaves the list
+    package = str(Path(cfosync.__file__).parent)
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            called.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+    cfg = tmp_path / "async.cfg"
+    cfg.write_text("topology = random:n=12,width=1500,height=1500,radius=700,seed=3\n"
+                   "schedule = asynchronous\nskip_prob = 0.2\npdr = 0.8\ntrials = 2\n")
+    runs = [["--preset", name, "--trials", "2"] for name in PRESET_NAMES]
+    sys.setprofile(profile)
+    try:
+        codes = [main([*args, "--out", str(tmp_path / str(k))]) for k, args in
+                 enumerate([*runs, ["--config", str(cfg)]])]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 4
+    assert _package_functions() - called == set(NEVER_CALLED_BY_A_RUN)
